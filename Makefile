@@ -11,9 +11,9 @@ BENCH_OLD ?= $(firstword $(shell ls -1 BENCH_*.json 2>/dev/null | tail -2))
 BENCH_NEW ?= $(lastword $(shell ls -1 BENCH_*.json 2>/dev/null | tail -2))
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: check build test vet fmt lint lint-report lint-allows race bench bench-diff analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke
+.PHONY: check build test vet fmt lint lint-report lint-allows race bench bench-diff bench-test analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke
 
-check: fmt vet lint analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke race
+check: fmt vet lint analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke bench-test race
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,14 @@ shard-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/... | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_DATE).json
 	@echo "wrote BENCH_$(BENCH_DATE).json"
+
+# The repository benchmark (cmd/distclass-bench) is a Go module of its
+# own, so `go build ./...` and `go test ./...` never compile it. Its
+# tests run every workload scaled down, checking that the benchmark
+# still builds and passes its correctness checks against the packages
+# it imports.
+bench-test:
+	cd cmd/distclass-bench && $(GO) test .
 
 # Compare two archived benchmark runs; exits nonzero when any op's
 # ns/op regressed beyond BENCH_THRESHOLD (a fraction). By default it

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"distclass/internal/metrics"
-	"distclass/internal/prof"
 	"distclass/internal/trace"
 	"distclass/internal/vec"
 )
@@ -200,16 +199,20 @@ type Node struct {
 	// Node-owned scratch buffers for the split/absorb hot path. A node
 	// splits and absorbs every gossip exchange; without reuse each
 	// exchange allocates a kept slice, a union slice, a members slice
-	// per merge group and a next slice. The buffers below amortize all
-	// of those to zero: only the outgoing half of a split is freshly
-	// allocated, because it escapes into the transport (queued frames
-	// have unbounded lifetime). Safety rests on two invariants: the
-	// Method contract (Partition/Merge never retain their input slice)
-	// and the fact that absorb copies collections into scratchBig
-	// before rebuilding cls in place — see the aliasing mutation test.
+	// per merge group, a partition-check bitmap and a next slice. The
+	// buffers below amortize all of those to zero, and Split/Absorb run
+	// without pprof labels (callers label whole phases or goroutines),
+	// so core itself allocates only what escapes an exchange: the
+	// outgoing half of a split, which the transport may queue for an
+	// unbounded time, and each merged collection's aux vector. Safety
+	// rests on two invariants: the Method contract (Partition/Merge
+	// never retain their input slice) and the fact that absorb copies
+	// collections into scratchBig before rebuilding cls in place — see
+	// the aliasing mutation test.
 	scratchKept Classification // split's kept half; swaps with cls
 	scratchBig  Classification // absorb's union of cls + incoming
 	scratchMem  []Collection   // absorb's per-merge-group members
+	scratchSeen []bool         // absorb's partition check, one flag per union entry
 
 	// Cached instruments (nil without Config.Metrics); looked up once
 	// so the protocol hot path never touches the registry lock.
@@ -298,12 +301,6 @@ func (n *Node) Weight() float64 { return n.cls.TotalWeight() }
 // outgoing message. The outgoing classification may therefore be empty;
 // callers should skip sending in that case.
 func (n *Node) Split() Classification {
-	var sent Classification
-	prof.Phase("core.split", func() { sent = n.split() })
-	return sent
-}
-
-func (n *Node) split() Classification {
 	// kept reuses the node's double buffer; after the swap below the
 	// previous cls array becomes the next split's kept buffer. sent is
 	// the one deliberate allocation: it is handed to the transport and
@@ -360,10 +357,6 @@ func (n *Node) split() Classification {
 // simulation methodology (§5.3): a node that received from multiple
 // neighbors in a round runs one partition over the entire set.
 func (n *Node) Absorb(incoming ...Classification) error {
-	return prof.PhaseErr("core.absorb", func() error { return n.absorb(incoming) })
-}
-
-func (n *Node) absorb(incoming []Classification) error {
 	// The union is built in node-owned scratch: cls is copied into
 	// scratchBig before incoming is appended, so next (rebuilt below
 	// into the dead half of the kept/cls double buffer) never aliases
@@ -381,7 +374,12 @@ func (n *Node) absorb(incoming []Classification) error {
 		n.scratchBig = big[:0]
 		return fmt.Errorf("core: node %d: partition: %w", n.id, err)
 	}
-	if err := ValidatePartition(groups, len(big), n.cfg.K); err != nil {
+	if cap(n.scratchSeen) < len(big) {
+		n.scratchSeen = make([]bool, len(big))
+	}
+	seen := n.scratchSeen[:len(big)]
+	clear(seen)
+	if err := validatePartition(groups, n.cfg.K, seen); err != nil {
 		n.scratchBig = big[:0]
 		return fmt.Errorf("core: node %d: %w", n.id, err)
 	}
@@ -439,13 +437,19 @@ func (n *Node) absorb(incoming []Classification) error {
 // into at most k non-empty groups. It is the generic algorithm's
 // defensive check on the instantiation's partition function.
 func ValidatePartition(groups [][]int, n, k int) error {
+	return validatePartition(groups, k, make([]bool, n))
+}
+
+// validatePartition is ValidatePartition over caller-owned scratch:
+// seen holds one false flag per collection, and the check marks them.
+func validatePartition(groups [][]int, k int, seen []bool) error {
+	n := len(seen)
 	if len(groups) == 0 {
 		return errors.New("core: partition returned no groups")
 	}
 	if len(groups) > k {
 		return fmt.Errorf("core: partition returned %d groups, bound k = %d", len(groups), k)
 	}
-	seen := make([]bool, n)
 	count := 0
 	for gi, g := range groups {
 		if len(g) == 0 {

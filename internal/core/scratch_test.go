@@ -192,3 +192,35 @@ func BenchmarkSplitAbsorbCycle(b *testing.B) {
 		}
 	}
 }
+
+// TestSplitAbsorbAllocs pins a warm centroids exchange on one node to
+// the allocations that escape it: the outgoing half of the split, the
+// groups Partition returns (two allocations), and each merged summary
+// (a mean vector and its interface box, at most k of them).
+func TestSplitAbsorbAllocs(t *testing.T) {
+	const k = 2
+	r := rng.New(5)
+	n, err := core.NewNode(0, randVec(r, 2), nil, cfg(k, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		in := core.Classification{{Summary: centroids.Centroid{Point: randVec(r, 2)}, Weight: 1}}
+		if err := n.Absorb(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		out := n.Split()
+		if len(out) == 0 {
+			t.Fatal("split sent nothing")
+		}
+		if err := n.Absorb(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 1+2+2*k {
+		t.Errorf("split+absorb: %v allocs, want <= %d", allocs, 1+2+2*k)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"distclass/internal/core"
 	"distclass/internal/livenet"
 	"distclass/internal/metrics"
+	"distclass/internal/prof"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
 )
@@ -118,6 +119,7 @@ func (t *chanNet) startRecv(i int) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		prof.Label("engine.receive")
 		for {
 			select {
 			case <-ctx.Done():

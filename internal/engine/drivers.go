@@ -21,7 +21,9 @@ type Agent[M any] interface {
 	// Emit produces the message for one send opportunity; ok reports
 	// whether there is anything to send.
 	Emit() (msg M, ok bool)
-	// Receive consumes a batch of delivered messages.
+	// Receive consumes a batch of delivered messages. Implementations
+	// must not retain batch beyond the call: the round driver reuses
+	// its inbox slices every round.
 	Receive(batch []M) error
 }
 

@@ -12,6 +12,7 @@ import (
 	"distclass/internal/core"
 	"distclass/internal/livenet"
 	"distclass/internal/metrics"
+	"distclass/internal/prof"
 	"distclass/internal/rng"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
@@ -199,6 +200,7 @@ func newLiveEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeCf
 // fails the run.
 func (e *liveEngine) monitorProbe() {
 	defer e.monWG.Done()
+	prof.Label("engine.monitor")
 	ticker := time.NewTicker(e.cfg.MonitorInterval)
 	defer ticker.Stop()
 	for {
@@ -230,6 +232,7 @@ func (e *liveEngine) startGossip(i int) {
 	ns.wg.Add(1)
 	go func() {
 		defer ns.wg.Done()
+		prof.Label("engine.gossip")
 		ticker := time.NewTicker(e.cfg.Interval)
 		defer ticker.Stop()
 		for {
@@ -400,17 +403,23 @@ func (e *liveEngine) pairDissimilarity(a, b int) (float64, error) {
 	return na.node.DissimilarityTo(nb.node)
 }
 
-// TotalWeight sums the weight held at alive nodes. Weight riding the
-// transport queues is not included; after Stop (which drains or
-// accounts every queue) the sum is exact.
+// TotalWeight sums the weight held at alive nodes over a consistent
+// cut: it takes every node lock in index order (the order
+// pairDissimilarity uses) and holds them all until the sum is done. A
+// half moves from the node that split it to the node that absorbs it,
+// and a sum that released locks as it went could count it at both — a
+// surplus the conservation audit reports as a violation. Weight riding
+// the transport queues is not included, so it shows as a deficit;
+// after Stop the sum is exact.
 func (e *liveEngine) TotalWeight() float64 {
 	var total float64
 	for _, ns := range e.ns {
-		if !ns.alive.Load() {
-			continue
-		}
 		ns.mu.Lock()
-		total += ns.node.Weight()
+		if ns.alive.Load() {
+			total += ns.node.Weight()
+		}
+	}
+	for _, ns := range e.ns {
 		ns.mu.Unlock()
 	}
 	return total

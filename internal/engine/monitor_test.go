@@ -6,6 +6,7 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -119,6 +120,51 @@ func TestMonitorAttachesToEveryBackend(t *testing.T) {
 			}
 			if len(s.NodeHealth) != n {
 				t.Errorf("monitor has %d node health rows, want %d", len(s.NodeHealth), n)
+			}
+		})
+	}
+}
+
+// TestTotalWeightNeverOvercounts samples TotalWeight on every
+// concurrent backend while gossip runs flat out. A half that leaves a
+// node and lands at another is at exactly one of them, or in flight, at
+// any instant; a sum that is not a consistent cut can count it at both
+// and report more weight than exists — the surplus the monitor's
+// conservation audit flags as a violation.
+func TestTotalWeightNeverOvercounts(t *testing.T) {
+	const (
+		n       = 16
+		samples = 2000
+	)
+	for _, b := range engine.Backends() {
+		if b.Caps().Rounds {
+			continue
+		}
+		t.Run(b.String(), func(t *testing.T) {
+			eng, err := engine.New(engine.Config{
+				Backend:  b,
+				Method:   distclass.Centroids(),
+				Values:   monitorWorkload(n, 3),
+				Topology: topology.KindFull,
+				Seed:     5,
+				Interval: 100 * time.Microsecond,
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer eng.Stop()
+			deadline := time.Now().Add(2 * time.Second)
+			for i := 0; i < samples && time.Now().Before(deadline); i++ {
+				if w := eng.TotalWeight(); w > n+1e-9 {
+					t.Fatalf("sample %d: total weight %v exceeds the %d units that exist", i, w, n)
+				}
+			}
+			eng.Stop()
+			if err := eng.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if w := eng.TotalWeight(); math.Abs(w-n) > 1e-9 {
+				t.Errorf("weight after Stop = %v, want %d", w, n)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"distclass/internal/converge"
 	"distclass/internal/core"
 	"distclass/internal/metrics"
+	"distclass/internal/prof"
 	"distclass/internal/rng"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
@@ -202,6 +203,7 @@ func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeC
 // Interval. When a quantum's work exceeds the Interval the worker runs
 // back-to-back — pacing never throttles a loaded shard.
 func (e *shardEngine) worker(s *shard) {
+	prof.Label("shard.worker")
 	for {
 		start := time.Now()
 		e.pauseMu.RLock()
@@ -384,6 +386,7 @@ func (e *shardEngine) servePull(s *shard, f shardFrame) {
 // conservation audit.
 func (e *shardEngine) monitorProbe() {
 	defer e.monWG.Done()
+	prof.Label("engine.monitor")
 	ticker := time.NewTicker(e.cfg.MonitorInterval)
 	defer ticker.Stop()
 	for {
@@ -487,17 +490,23 @@ func (e *shardEngine) pairDissimilarity(a, b int) (float64, error) {
 	return na.node.DissimilarityTo(nb.node)
 }
 
-// TotalWeight sums the weight held at alive nodes. Weight riding the
-// shard mailboxes is not included; after Stop (which drains every
-// mailbox) the sum is exact.
+// TotalWeight sums the weight held at alive nodes over a consistent
+// cut: it takes every node lock in index order (the order
+// pairDissimilarity uses) and holds them all until the sum is done. A
+// half moves from the node that split it to the node that absorbs it,
+// and a sum that released locks as it went could count it at both — a
+// surplus the conservation audit reports as a violation. Weight riding
+// the shard mailboxes is not included, so it shows as a deficit; after
+// Stop the sum is exact.
 func (e *shardEngine) TotalWeight() float64 {
 	var total float64
 	for _, ns := range e.ns {
-		if !ns.alive.Load() {
-			continue
-		}
 		ns.mu.Lock()
-		total += ns.node.Weight()
+		if ns.alive.Load() {
+			total += ns.node.Weight()
+		}
+	}
+	for _, ns := range e.ns {
 		ns.mu.Unlock()
 	}
 	return total

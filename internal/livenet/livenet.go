@@ -34,6 +34,7 @@ import (
 
 	"distclass/internal/core"
 	"distclass/internal/metrics"
+	"distclass/internal/prof"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
 	"distclass/internal/wire"
@@ -456,10 +457,12 @@ func (n *Net) startLink(p *peer, l *link) {
 	p.wg.Add(2)
 	go func() {
 		defer p.wg.Done()
+		prof.Label("livenet.write")
 		n.writeLoop(ctx, p, l)
 	}()
 	go func() {
 		defer p.wg.Done()
+		prof.Label("livenet.receive")
 		n.recvLoop(p, l)
 	}()
 }

@@ -1,15 +1,18 @@
 // Package prof wires continuous-profiling hooks into the binaries:
-// pprof goroutine labels that attribute CPU samples to protocol phases
-// (core.split, core.absorb, sim.send, sim.deliver, ...), and one-call
-// setup for the standard -cpuprofile / -memprofile / -traceout flags.
+// pprof goroutine labels that attribute CPU samples to protocol phases,
+// and one-call setup for the standard -cpuprofile / -memprofile /
+// -traceout flags.
 //
-// Labels are visible in `go tool pprof -tags` and in the flame graph's
-// label selector, so a profile of a long simulation answers "which
-// phase burns the cycles" without guessing from stack shapes. The
-// helpers are no-ops in the hot path beyond pprof's own bookkeeping;
-// when no profile is being collected the labels cost a context
-// allocation per call, which the callers keep out of per-message code
-// by labeling per-phase, not per-event.
+// The round driver labels its three phases each round (sim.send,
+// sim.deliver, sim.crash) with Phase; the concurrent backends label
+// each long-lived goroutine once when it starts with Label
+// (engine.gossip, engine.receive, engine.monitor, livenet.write,
+// livenet.receive, shard.worker). Labels are visible in
+// `go tool pprof -tags` and in the flame graph's label selector, so a
+// profile of a long run answers "which phase burns the cycles" without
+// guessing from stack shapes. Setting a label costs a few allocations
+// whether or not a profile is being collected, so nothing labels per
+// message: core split/absorb run under their caller's label.
 package prof
 
 import (
@@ -40,6 +43,12 @@ func PhaseErr(name string, f func() error) error {
 		err = f()
 	})
 	return err
+}
+
+// Label sets the calling goroutine's phase label to name for the rest
+// of its life. Goroutines it starts afterwards inherit the label.
+func Label(name string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(PhaseLabel, name)))
 }
 
 // Start begins collecting the requested profiles. Empty file names skip

@@ -1,8 +1,11 @@
 package prof
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
@@ -62,5 +65,26 @@ func TestStartEmptyIsNoop(t *testing.T) {
 func TestStartBadPathFails(t *testing.T) {
 	if _, err := Start(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.prof"), "", ""); err == nil {
 		t.Fatalf("Start accepted an uncreatable cpu profile path")
+	}
+}
+
+// TestLabelTagsGoroutine checks that Label tags the calling goroutine:
+// the goroutine profile lists the label on the labeled goroutine.
+func TestLabelTagsGoroutine(t *testing.T) {
+	ready, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		Label("test.label")
+		close(ready)
+		<-done
+	}()
+	<-ready
+	var buf bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"phase":"test.label"`) {
+		t.Errorf("goroutine profile carries no phase=test.label label:\n%s", buf.String())
 	}
 }

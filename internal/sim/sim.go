@@ -38,7 +38,8 @@ type Agent[M any] interface {
 	Emit() (msg M, ok bool)
 	// Receive consumes a batch of delivered messages. The round driver
 	// passes a node's entire inbox at once; the async driver passes
-	// single messages.
+	// single messages. Implementations must not retain batch beyond the
+	// call: the round driver reuses its inbox slices every round.
 	Receive(batch []M) error
 }
 
@@ -246,6 +247,14 @@ type Network[M any] struct {
 	rr     []int // round-robin cursor per node
 	c      counters
 	cz     *causalState // non-nil iff Options.Causal
+
+	// inbox[i] collects node i's deliveries within a round; meta mirrors
+	// it with per-message causal metadata (causal mode only), so
+	// meta[i][j] describes inbox[i][j]. Both are emptied as they are
+	// delivered and keep their capacity, so a warm round allocates
+	// nothing per node.
+	inbox [][]M
+	meta  [][]msgMeta
 }
 
 // NewNetwork builds a round driver over the graph; agents[i] runs on
@@ -283,9 +292,11 @@ func NewNetwork[M any](g *topology.Graph, agents []Agent[M], r *rng.RNG, opts Op
 		alive:  alive,
 		rr:     make([]int, g.N()),
 		c:      newCounters(opts.Metrics),
+		inbox:  make([][]M, g.N()),
 	}
 	if opts.Causal {
 		n.cz = newCausalState(g.N())
+		n.meta = make([][]msgMeta, g.N())
 	}
 	return n, nil
 }
@@ -346,13 +357,6 @@ func pickNeighbor(g *topology.Graph, i int, policy Policy, rr []int, r *rng.RNG)
 // (their weight is lost — exactly the failure mode Figure 4 studies).
 func (n *Network[M]) Round() error {
 	round := n.c.local.Rounds
-	inbox := make([][]M, n.graph.N())
-	// meta mirrors inbox with per-message causal metadata (causal mode
-	// only); meta[i][j] describes inbox[i][j].
-	var meta [][]msgMeta
-	if n.cz != nil {
-		meta = make([][]msgMeta, n.graph.N())
-	}
 	// transfer moves one split half from src to dst.
 	transfer := func(src, dst int) {
 		msg, ok := n.agents[src].Emit()
@@ -381,9 +385,9 @@ func (n *Network[M]) Round() error {
 			n.c.incDropped()
 			return
 		}
-		inbox[dst] = append(inbox[dst], msg)
+		n.inbox[dst] = append(n.inbox[dst], msg)
 		if n.cz != nil {
-			meta[dst] = append(meta[dst], m)
+			n.meta[dst] = append(n.meta[dst], m)
 		}
 	}
 	prof.Phase("sim.send", func() {
@@ -411,32 +415,19 @@ func (n *Network[M]) Round() error {
 		}
 	})
 	err := prof.PhaseErr("sim.deliver", func() error {
-		for i, batch := range inbox {
-			if len(batch) == 0 || !n.alive[i] {
+		for i, batch := range n.inbox {
+			if len(batch) == 0 {
 				continue
 			}
-			if err := n.agents[i].Receive(batch); err != nil {
-				return fmt.Errorf("sim: node %d receive: %w", i, err)
-			}
-			if n.opts.Trace == nil {
-				continue
-			}
-			if n.cz == nil {
-				_ = n.opts.Trace.Record(trace.Event{
-					Round: round, Node: i, Kind: trace.KindReceive,
-					Value: float64(len(batch)),
-				})
-				continue
-			}
-			// Causal mode: one receive event per delivered message, in
-			// batch order, each matching its send by (Peer, Seq). The
-			// Lamport merge applies per message so a matched receive
-			// clock always exceeds its send clock.
-			for _, m := range meta[i] {
-				_ = n.opts.Trace.Record(trace.Event{
-					Round: round, Node: i, Kind: trace.KindReceive, Value: 1,
-					Seq: m.seq, Peer: m.src, Clock: n.cz.stampReceive(i, m.clock), Weight: m.weight,
-				})
+			err := n.deliver(round, i, batch)
+			n.emptyInbox(i)
+			if err != nil {
+				// Drop what this round left undelivered, so none of it
+				// resurfaces in a later round.
+				for j := range n.inbox {
+					n.emptyInbox(j)
+				}
+				return err
 			}
 		}
 		return nil
@@ -459,6 +450,48 @@ func (n *Network[M]) Round() error {
 	}
 	n.c.incRound()
 	return nil
+}
+
+// deliver hands node i its round inbox and records the receive events.
+func (n *Network[M]) deliver(round, i int, batch []M) error {
+	if !n.alive[i] {
+		return nil
+	}
+	if err := n.agents[i].Receive(batch); err != nil {
+		return fmt.Errorf("sim: node %d receive: %w", i, err)
+	}
+	if n.opts.Trace == nil {
+		return nil
+	}
+	if n.cz == nil {
+		_ = n.opts.Trace.Record(trace.Event{
+			Round: round, Node: i, Kind: trace.KindReceive,
+			Value: float64(len(batch)),
+		})
+		return nil
+	}
+	// Causal mode: one receive event per delivered message, in batch
+	// order, each matching its send by (Peer, Seq). The Lamport merge
+	// applies per message so a matched receive clock always exceeds its
+	// send clock.
+	for _, m := range n.meta[i] {
+		_ = n.opts.Trace.Record(trace.Event{
+			Round: round, Node: i, Kind: trace.KindReceive, Value: 1,
+			Seq: m.seq, Peer: m.src, Clock: n.cz.stampReceive(i, m.clock), Weight: m.weight,
+		})
+	}
+	return nil
+}
+
+// emptyInbox empties node i's inbox for the next round, keeping its
+// capacity but dropping the message references so delivered messages
+// can be collected.
+func (n *Network[M]) emptyInbox(i int) {
+	clear(n.inbox[i])
+	n.inbox[i] = n.inbox[i][:0]
+	if n.cz != nil {
+		n.meta[i] = n.meta[i][:0]
+	}
 }
 
 // RunRounds executes the given number of rounds, invoking after (when

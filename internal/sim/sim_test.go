@@ -682,3 +682,90 @@ func BenchmarkAsyncStepDense(b *testing.B) {
 		}
 	}
 }
+
+// countAgent sends a unit message every opportunity and counts what it
+// receives; failAt, when positive, makes its failAt'th Receive fail.
+type countAgent struct {
+	received, calls, failAt int
+}
+
+func (a *countAgent) Emit() (int, bool) { return 1, true }
+
+func (a *countAgent) Receive(batch []int) error {
+	a.calls++
+	if a.calls == a.failAt {
+		return errors.New("injected receive failure")
+	}
+	for _, m := range batch {
+		a.received += m
+	}
+	return nil
+}
+
+func newCountRing(t *testing.T, n int) (*Network[int], []*countAgent) {
+	t.Helper()
+	g, err := topology.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]*countAgent, n)
+	agents := make([]Agent[int], n)
+	for i := range raw {
+		raw[i] = &countAgent{}
+		agents[i] = raw[i]
+	}
+	net, err := NewNetwork(g, agents, rng.New(1), Options[int]{Policy: RoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, raw
+}
+
+// TestRoundAllocsFlatInN pins the reused round inbox: once every inbox
+// has grown to its steady size, a round allocates the same small
+// constant whatever the network size.
+func TestRoundAllocsFlatInN(t *testing.T) {
+	allocs := func(n int) float64 {
+		net, _ := newCountRing(t, n)
+		for i := 0; i < 4; i++ {
+			if err := net.Round(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := net.Round(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); large > small {
+		t.Errorf("warm round allocs grow with N: %v at N=64, %v at N=4096", small, large)
+	}
+}
+
+// TestRoundFailureDropsUndelivered checks that messages left undelivered
+// by a failed round never reach their receivers in a later round.
+func TestRoundFailureDropsUndelivered(t *testing.T) {
+	const n = 8
+	net, raw := newCountRing(t, n)
+	raw[0].failAt = 1
+	if err := net.Round(); err == nil {
+		t.Fatal("round with a failing receiver returned no error")
+	}
+	total := func() int {
+		sum := 0
+		for _, a := range raw {
+			sum += a.received
+		}
+		return sum
+	}
+	before := total()
+	if err := net.Round(); err != nil {
+		t.Fatal(err)
+	}
+	// Every node sends one unit per round, so a round delivers n units;
+	// more means messages of the failed round were redelivered.
+	if got := total() - before; got != n {
+		t.Errorf("round after the failure delivered %d units, want %d", got, n)
+	}
+}
