@@ -10,8 +10,9 @@ BENCH_DATE ?= $(shell date +%Y%m%d)
 BENCH_OLD ?= $(firstword $(shell ls -1 BENCH_*.json 2>/dev/null | tail -2))
 BENCH_NEW ?= $(lastword $(shell ls -1 BENCH_*.json 2>/dev/null | tail -2))
 BENCH_THRESHOLD ?= 0.25
+FUZZTIME ?= 10s
 
-.PHONY: check build test vet fmt lint lint-report lint-allows race bench bench-diff bench-test analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke
+.PHONY: check build test vet fmt lint lint-report lint-allows race fuzz bench bench-diff bench-test analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke
 
 check: fmt vet lint analyze-smoke churn-smoke engine-smoke monitor-smoke causal-smoke shard-smoke wire-smoke bench-test race
 
@@ -53,6 +54,18 @@ lint-allows:
 
 race:
 	$(GO) test -race ./...
+
+# Coverage-guided fuzzing of the two decoders that read untrusted
+# bytes: trace files (replay.Analyze) and wire payloads
+# (wire.UnmarshalClassification), FUZZTIME each. Kept out of `make
+# check` so that gate stays deterministic; CI runs it as its own step.
+# A failing input lands under the package's testdata/fuzz and then
+# runs as a plain regression test. Minimization is capped because the
+# trace fuzzer seeds with the whole replay fixture, which would
+# otherwise take the entire budget to minimize.
+fuzz:
+	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalClassification$$' -fuzztime $(FUZZTIME)
 
 # Observability smoke gate: a tiny fixed-seed simulation must replay
 # with zero anomalies (no stalled nodes, no decode errors, no round

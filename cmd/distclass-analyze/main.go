@@ -2,8 +2,11 @@
 // distclass-sim, distclass-live or experiments via -trace) and reports
 // the paper's convergence diagnostics offline: convergence round,
 // per-round spread/error curves, message-complexity accounting,
-// per-node health and anomaly detection. Traces stream through a
-// constant-memory analyzer, so arbitrarily large files are fine.
+// per-node health and anomaly detection. Traces stream through the
+// same incremental analyzer the live monitor's /status renders from;
+// it keeps per-node and per-round aggregates and the probe curves,
+// never the raw events, so memory is O(nodes + rounds that carry
+// events + probes) however long the file.
 //
 // Usage:
 //

@@ -32,6 +32,7 @@ import (
 	"distclass/internal/experiments"
 	"distclass/internal/monitor"
 	"distclass/internal/plot"
+	"distclass/internal/replay"
 )
 
 func main() {
@@ -199,7 +200,7 @@ func render(st *monitor.Status, cfg topConfig) (string, error) {
 }
 
 // curveValues projects a probe curve onto its sample values.
-func curveValues(curve []monitor.Sample) []float64 {
+func curveValues(curve []replay.Sample) []float64 {
 	y := make([]float64, len(curve))
 	for i, s := range curve {
 		y[i] = s.Value
@@ -210,8 +211,8 @@ func curveValues(curve []monitor.Sample) []float64 {
 // nodeTable renders up to max node-health rows, worst first: stalled
 // nodes, then crashed, then by staleness, ties by id. max < 0 shows
 // every node.
-func nodeTable(nodes []monitor.NodeHealth, max int) string {
-	ranked := append([]monitor.NodeHealth(nil), nodes...)
+func nodeTable(nodes []replay.NodeHealth, max int) string {
+	ranked := append([]replay.NodeHealth(nil), nodes...)
 	sort.SliceStable(ranked, func(i, j int) bool {
 		a, z := ranked[i], ranked[j]
 		if a.Stalled != z.Stalled {

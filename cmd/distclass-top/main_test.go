@@ -15,15 +15,16 @@ import (
 // monitor: a header, per-round sends/receives and a spread curve that
 // converges, plus one stalled node and an exact conservation audit.
 func monitoredRun() *monitor.Monitor {
-	m := monitor.New(monitor.Config{StallSlack: 2})
+	m := monitor.New()
 	m.SetDetection(1e-3, 3)
 	m.SetExpectedWeight(3)
 	m.Record(trace.Event{Round: -1, Node: -1, Kind: trace.KindRunHeader, Backend: "round"})
-	spreads := []float64{1.5, 0.4, 1e-4, 1e-5, 1e-6, 1e-6, 1e-6, 1e-6}
+	spreads := []float64{1.5, 0.4, 1e-4, 1e-5, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6}
 	for round, s := range spreads {
 		m.Record(trace.Event{Round: round, Node: 0, Kind: trace.KindSend, Value: 64})
 		m.Record(trace.Event{Round: round, Node: 1, Kind: trace.KindReceive, Value: 1})
-		// Node 2 goes silent after round 1: staleness 6 > slack 2.
+		// Node 2 goes silent after round 1: staleness 12 > the default
+		// stall slack of 10 rounds.
 		if round < 2 {
 			m.Record(trace.Event{Round: round, Node: 2, Kind: trace.KindSend, Value: 64})
 		}

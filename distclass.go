@@ -108,7 +108,7 @@ func NewRegistry() *Registry { return metrics.NewRegistry() }
 // attaching run overrides its convergence parameters with the system's
 // own tolerance and window, so the monitor's verdict and
 // RunUntilConverged always agree.
-func NewMonitor() *Monitor { return monitor.New(monitor.Config{}) }
+func NewMonitor() *Monitor { return monitor.New() }
 
 // Supported topologies.
 const (

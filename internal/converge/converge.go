@@ -1,10 +1,11 @@
 // Package converge is the single implementation of the repo's
 // convergence-detection semantics: a run has converged once Window
 // consecutive spread samples fall strictly below Threshold. The same
-// Detector drives the online paths (engine.RunUntilConverged, the
-// internal/monitor live observer) and the offline one
-// (internal/replay), so a replayed trace and the run that produced it
-// can never disagree about when — or whether — the network converged.
+// Detector drives engine.RunUntilConverged and replay.Analyzer, the
+// one run analyzer behind both distclass-analyze and the live
+// monitor's /status, so a replayed trace, a live snapshot and the run
+// that produced them can never disagree about when — or whether — the
+// network converged.
 //
 // The detector is a pure state machine over an ordered sample stream;
 // it is not safe for concurrent use (callers serialize, as
@@ -41,7 +42,7 @@ const (
 )
 
 // New builds a detector. Non-positive threshold or window select the
-// defaults (1e-3, 3) — the same rule replay.Options applies.
+// defaults (1e-3, 3); replay.Options relies on this rule.
 func New(threshold float64, window int) *Detector {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
@@ -113,12 +114,6 @@ func (d *Detector) FirstStableRound() int { return d.firstStable }
 // DivergentSamples counts samples at or above the threshold observed
 // after convergence — the post-convergence divergence anomaly.
 func (d *Detector) DivergentSamples() int { return d.divergent }
-
-// StableSamples returns the current run of consecutive sub-threshold
-// samples — 0 whenever the latest sample was at or above the threshold.
-// Health probes use it to tell a past divergence blip (DivergentSamples
-// > 0 but stable again) from a currently-divergent run.
-func (d *Detector) StableSamples() int { return d.stable }
 
 // Samples returns the number of samples observed.
 func (d *Detector) Samples() int { return d.samples }

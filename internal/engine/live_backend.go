@@ -185,40 +185,41 @@ func newLiveEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeCf
 	}
 	if cfg.Monitor != nil {
 		e.monWG.Add(1)
-		go e.monitorProbe()
+		go monitorProbe(e.ctx, &e.monWG, e, e.cfg, e.sink, e.spreadG)
 	}
 	return e, nil
 }
 
 // monitorProbe is the concurrent backends' counterpart of the sim
-// probe: every MonitorInterval it samples Spread, records it as a
-// KindSpread trace event (Round -1 — live runs have no round axis) and
-// feeds the conservation audit. The trace event flows through the
-// tee'd sink, so a live run monitored online also leaves the spread
-// curve in its JSONL trace for replay. Probe failures during churn
-// (e.g. a node swapped mid-restart) skip the sample; monitoring never
-// fails the run.
-func (e *liveEngine) monitorProbe() {
-	defer e.monWG.Done()
+// probe, shared by liveEngine and shardEngine: every MonitorInterval it
+// samples Spread, records it as a KindSpread trace event (Round -1 —
+// live runs have no round axis) and feeds the conservation audit. The
+// trace event flows through the tee'd sink, so a live run monitored
+// online also leaves the spread curve in its JSONL trace for replay.
+// Probe failures during churn (e.g. a node swapped mid-restart) skip
+// the sample; monitoring never fails the run. It returns when ctx is
+// cancelled, then marks wg done.
+func monitorProbe(ctx context.Context, wg *sync.WaitGroup, e Engine, cfg Config, sink trace.Sink, spreadG *metrics.Gauge) {
+	defer wg.Done()
 	prof.Label("engine.monitor")
-	ticker := time.NewTicker(e.cfg.MonitorInterval)
+	ticker := time.NewTicker(cfg.MonitorInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-e.ctx.Done():
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 			spread, err := e.Spread()
 			if err != nil {
 				continue
 			}
-			e.spreadG.Set(spread)
-			if e.sink != nil {
-				_ = e.sink.Record(trace.Event{
+			spreadG.Set(spread)
+			if sink != nil {
+				_ = sink.Record(trace.Event{
 					Round: -1, Node: -1, Kind: trace.KindSpread, Value: spread,
 				})
 			}
-			e.cfg.Monitor.ObserveWeight(e.TotalWeight())
+			cfg.Monitor.ObserveWeight(e.TotalWeight())
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestMonitorAttachesToEveryBackend(t *testing.T) {
 	)
 	for _, b := range engine.Backends() {
 		t.Run(b.String(), func(t *testing.T) {
-			m := monitor.New(monitor.Config{})
+			m := monitor.New()
 			cfg := engine.Config{
 				Backend:         b,
 				Method:          distclass.GaussianMixture(),

@@ -193,7 +193,7 @@ func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeC
 	}
 	if cfg.Monitor != nil {
 		e.monWG.Add(1)
-		go e.monitorProbe()
+		go monitorProbe(e.ctx, &e.monWG, e, e.cfg, e.sink, e.spreadG)
 	}
 	return e, nil
 }
@@ -379,34 +379,6 @@ func (e *shardEngine) servePull(s *shard, f shardFrame) {
 		return
 	}
 	e.push(s, f.dst, f.src)
-}
-
-// monitorProbe mirrors the liveEngine probe: every MonitorInterval it
-// samples Spread, records it as a KindSpread trace event and feeds the
-// conservation audit.
-func (e *shardEngine) monitorProbe() {
-	defer e.monWG.Done()
-	prof.Label("engine.monitor")
-	ticker := time.NewTicker(e.cfg.MonitorInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case <-ticker.C:
-			spread, err := e.Spread()
-			if err != nil {
-				continue
-			}
-			e.spreadG.Set(spread)
-			if e.sink != nil {
-				_ = e.sink.Record(trace.Event{
-					Round: -1, Node: -1, Kind: trace.KindSpread, Value: spread,
-				})
-			}
-			e.cfg.Monitor.ObserveWeight(e.TotalWeight())
-		}
-	}
 }
 
 func (e *shardEngine) Backend() Backend { return BackendShard }

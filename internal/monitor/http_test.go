@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 )
 
 func monitoredRun() *Monitor {
-	m := New(Config{Threshold: 0.1, Window: 2})
+	m := New()
+	m.SetDetection(0.1, 2)
 	m.Record(trace.RunHeader("round"))
 	m.SetExpectedWeight(2)
 	for r := 0; r < 4; r++ {
@@ -57,7 +59,8 @@ func TestStatusEndpointDeterministic(t *testing.T) {
 
 func TestHealthEndpoint(t *testing.T) {
 	mux := http.NewServeMux()
-	m := New(Config{Threshold: 0.1, Window: 2})
+	m := New()
+	m.SetDetection(0.1, 2)
 	m.Attach(mux)
 	if rec := get(t, mux, "/health"); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("/health before convergence = %d, want 503", rec.Code)
@@ -118,8 +121,8 @@ func TestEventsEndpoint(t *testing.T) {
 // first — the eviction order must be visible over HTTP exactly as the
 // ring holds it.
 func TestEventsEndpointRingOverflow(t *testing.T) {
-	m := New(Config{EventBuffer: 16})
-	const total = 40
+	m := New()
+	const total = eventBuffer + 24
 	for i := 0; i < total; i++ {
 		m.Record(trace.Event{Round: i, Node: 0, Kind: trace.KindSend, Value: float64(i)})
 	}
@@ -133,22 +136,22 @@ func TestEventsEndpointRingOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/events body: %v", err)
 	}
-	if len(events) != 16 {
-		t.Fatalf("overflowed ring served %d events, want 16", len(events))
+	if len(events) != eventBuffer {
+		t.Fatalf("overflowed ring served %d events, want %d", len(events), eventBuffer)
 	}
 	for i, e := range events {
-		if want := total - 16 + i; e.Round != want {
+		if want := total - eventBuffer + i; e.Round != want {
 			t.Errorf("events[%d].Round = %d, want %d (oldest evicted, order kept)", i, e.Round, want)
 		}
 	}
 
 	// n beyond the buffered count is not an error; it serves what exists.
-	rec = get(t, mux, "/events?n=1000")
+	rec = get(t, mux, "/events?n="+strconv.Itoa(2*eventBuffer))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/events?n=1000 = %d", rec.Code)
+		t.Fatalf("/events?n=%d = %d", 2*eventBuffer, rec.Code)
 	}
-	if events, _ := trace.Read(strings.NewReader(rec.Body.String())); len(events) != 16 {
-		t.Errorf("n>buffered served %d events, want 16", len(events))
+	if events, _ := trace.Read(strings.NewReader(rec.Body.String())); len(events) != eventBuffer {
+		t.Errorf("n>buffered served %d events, want %d", len(events), eventBuffer)
 	}
 }
 

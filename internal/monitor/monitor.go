@@ -1,20 +1,20 @@
 // Package monitor is the live half of the observability story: an
 // in-process observer that watches a *running* cluster instead of
 // autopsying its trace after the fact. It attaches to any engine
-// backend as a tee trace.Sink (trace.Tee) and maintains rolling run
-// state under one mutex:
+// backend as a tee trace.Sink (trace.Tee) and keeps its run state
+// under one mutex:
 //
-//   - the live spread/error curves and online convergence detection —
-//     the same internal/converge state machine internal/replay runs
-//     offline, so the monitor, the engine and a later replay of the
-//     trace always agree on the convergence round;
-//   - per-node health: sends, receives, protocol churn, decode errors,
-//     send drops, activity staleness and crash state, with the replay
-//     analyzer's stall rule applied online;
-//   - message accounting and per-round rates;
+//   - the run analysis itself — convergence detection, per-node health
+//     with the stall rule, message accounting and event-kind tallies —
+//     is a replay.Analyzer, the same incremental state distclass-analyze
+//     streams a trace file into, so /status and an offline report of
+//     the same events cannot disagree;
 //   - a continuous weight-conservation audit fed by the engine
 //     (ObserveWeight), with crash/recover events adjusting the
-//     expected total by the weight they destroy or add.
+//     expected total by the weight they destroy or add;
+//   - the causal clock and dissemination-depth estimate of schema-2
+//     runs;
+//   - a ring of recent events for /events.
 //
 // Status() renders the whole state as one deterministic snapshot —
 // no wall-clock fields, all slices sorted — so a fixed-seed
@@ -27,93 +27,31 @@ import (
 	"math"
 	"sync"
 
-	"distclass/internal/converge"
+	"distclass/internal/replay"
 	"distclass/internal/trace"
 )
 
-// Config parameterizes a Monitor. The zero value is usable: detection
-// defaults mirror internal/converge, and the audit/aggregation knobs
-// pick the documented defaults below.
-type Config struct {
-	// Threshold and Window parameterize online convergence detection
-	// (defaults 1e-3 and 3 — converge.DefaultThreshold/DefaultWindow).
-	// When the monitor is attached through engine.Config, the engine
-	// overrides them with its own Tolerance/Window so the monitor and
-	// RunUntilConverged can never disagree.
-	Threshold float64
-	Window    int
-	// WeightTolerance bounds |expected - observed| for the
-	// conservation audit to count as exact (default 1e-6, the
-	// engine-smoke drift bound).
-	WeightTolerance float64
-	// StallSlack is the number of trailing rounds a node may be silent
-	// before it counts as stalled. Zero selects max(10, rounds/5) — the
-	// replay analyzer's rule. Negative disables stall detection.
-	StallSlack int
-	// EventBuffer caps the ring of recent events served by /events
-	// (default 4096, minimum 16).
-	EventBuffer int
-	// CurveCap caps the retained spread/error curves (default 65536
-	// samples each; the oldest samples are dropped beyond it, keeping
-	// the monitor's memory bounded on long-lived deployments).
-	CurveCap int
-}
-
-func (c Config) withDefaults() Config {
-	//lint:allow floatcmp zero value selects the default
-	if c.WeightTolerance == 0 {
-		c.WeightTolerance = 1e-6
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 4096
-	}
-	if c.EventBuffer < 16 {
-		c.EventBuffer = 16
-	}
-	if c.CurveCap <= 0 {
-		c.CurveCap = 65536
-	}
-	return c
-}
-
-// Sample is one scalar probe observation in arrival order.
-type Sample struct {
-	Round int     `json:"round"`
-	Value float64 `json:"value"`
-}
-
-// nodeState accumulates one node's tallies.
-type nodeState struct {
-	sends, receives, splits, merges int
-	crashes, recovers, decodeErrors int
-	sendDrops                       int
-	lastActivityRound               int
-	lastSeq                         int // event sequence number of the last sighting
-	crashed                         bool
-}
+const (
+	// weightTolerance bounds |expected - observed| for the conservation
+	// audit to count as exact (the engine-smoke drift bound).
+	weightTolerance = 1e-6
+	// eventBuffer caps the ring of recent events served by /events.
+	eventBuffer = 4096
+	// curveCap caps each retained spread/error curve; the oldest half
+	// is dropped beyond it. A capped analyzer also keeps no per-round
+	// table (Status renders none), so the monitor's memory stays
+	// O(nodes + curveCap) on long-lived deployments.
+	curveCap = 65536
+)
 
 // Monitor is the online observer. All methods are safe for concurrent
 // use; Record never returns an error (the tee therefore never fails a
 // run on the monitor's account).
 type Monitor struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
-	det     *converge.Detector // guarded by mu
-	backend string             // guarded by mu
-	events  int                // guarded by mu
-	kinds   map[trace.Kind]int // guarded by mu
-	rounds  int                // guarded by mu; max observed round + 1
-	nodes   map[int]*nodeState // guarded by mu
-
-	sends, receives, splits, merges int     // guarded by mu
-	crashes, recovers, decodeErrors int     // guarded by mu
-	sendDrops                       int     // guarded by mu
-	sentBytes, receivedCollections  float64 // guarded by mu
-
-	spread, errs  []Sample // guarded by mu
-	spreadDropped int      // guarded by mu; curve samples evicted past CurveCap
-	errsDropped   int      // guarded by mu
+	run     *replay.Analyzer // guarded by mu
+	backend string           // guarded by mu; SetBackend's name, until a run header names one
 
 	// Conservation audit. expectedSet gates the audit: until the
 	// engine (or a caller) declares the expected total, weight samples
@@ -141,36 +79,31 @@ type Monitor struct {
 
 var _ trace.Sink = (*Monitor)(nil)
 
-// New builds a monitor.
-func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
+// New builds a monitor with the default convergence detection
+// (converge.DefaultThreshold and DefaultWindow); SetDetection changes
+// it.
+func New() *Monitor {
 	return &Monitor{
-		cfg:       cfg,
-		det:       converge.New(cfg.Threshold, cfg.Window),
-		kinds:     make(map[trace.Kind]int),
-		nodes:     make(map[int]*nodeState),
+		run:       replay.NewAnalyzer(replay.Options{}, curveCap),
 		nodeClock: make(map[int]uint64),
 		nodeDepth: make(map[int]int),
-		ring:      make([]trace.Event, 0, cfg.EventBuffer),
+		ring:      make([]trace.Event, 0, eventBuffer),
 	}
 }
 
 // SetDetection replaces the convergence detector's parameters. The
-// engine calls it at attach time with its resolved Tolerance/Window;
-// calling it after spread samples arrived would retroactively change
-// what "converged" meant, so the detector is reset along with the
-// retained curves.
+// engine calls it at attach time, before any event flows, with its
+// resolved Tolerance/Window. Changing the parameters mid-run would
+// retroactively change what "converged" meant, so the run analysis
+// starts over from an empty state.
 func (m *Monitor) SetDetection(threshold float64, window int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.det = converge.New(threshold, window)
-	m.spread = m.spread[:0]
-	m.errs = m.errs[:0]
-	m.spreadDropped, m.errsDropped = 0, 0
+	m.run = replay.NewAnalyzer(replay.Options{Threshold: threshold, Window: window}, curveCap)
 }
 
-// SetBackend names the substrate the monitored run executes on (also
-// picked up automatically from a run-header trace event).
+// SetBackend names the substrate the monitored run executes on. A
+// run-header trace event, when one arrives, names it instead.
 func (m *Monitor) SetBackend(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -214,26 +147,19 @@ func (m *Monitor) ObserveWeight(total float64) {
 	if a := math.Abs(drift); a > m.maxAbsDrift {
 		m.maxAbsDrift = a
 	}
-	if drift > m.cfg.WeightTolerance {
+	if drift > weightTolerance {
 		m.violations++
 	}
 }
 
-// Record implements trace.Sink. It never returns an error.
+// Record implements trace.Sink: it folds the event into the shared run
+// analysis, then applies the monitor's own audit, causal and ring
+// bookkeeping. It never returns an error.
 func (m *Monitor) Record(e trace.Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	m.events++
-	m.kinds[e.Kind]++
-	if e.Round >= 0 && e.Round+1 > m.rounds {
-		m.rounds = e.Round + 1
-	}
-	var ns *nodeState
-	if e.Node >= 0 {
-		ns = m.nodeAt(e.Node)
-		ns.lastSeq = m.events
-	}
+	m.run.Observe(e)
 	if e.Clock > 0 && e.Node >= 0 {
 		m.causalSeen = true
 		if e.Clock > m.nodeClock[e.Node] {
@@ -247,44 +173,10 @@ func (m *Monitor) Record(e trace.Event) error {
 	}
 	switch e.Kind {
 	case trace.KindRunHeader:
-		m.backend = e.Backend
 		if e.Schema >= trace.SchemaCausal {
 			m.causalSeen = true
 		}
-	case trace.KindSend:
-		m.sends++
-		m.sentBytes += e.Value
-		if ns != nil {
-			ns.sends++
-			if e.Round >= 0 && e.Round > ns.lastActivityRound {
-				ns.lastActivityRound = e.Round
-			}
-		}
-	case trace.KindReceive:
-		m.receives++
-		m.receivedCollections += e.Value
-		if ns != nil {
-			ns.receives++
-			if e.Round >= 0 && e.Round > ns.lastActivityRound {
-				ns.lastActivityRound = e.Round
-			}
-		}
-	case trace.KindSplit:
-		m.splits++
-		if ns != nil {
-			ns.splits++
-		}
-	case trace.KindMerge:
-		m.merges++
-		if ns != nil {
-			ns.merges++
-		}
 	case trace.KindCrash:
-		m.crashes++
-		if ns != nil {
-			ns.crashes++
-			ns.crashed = true
-		}
 		// The event's Value is the weight the crash destroyed (engine
 		// kills report it; driver-internal crashes record 0 and the
 		// audit surfaces the unmeasured loss as negative drift).
@@ -292,29 +184,9 @@ func (m *Monitor) Record(e trace.Event) error {
 			m.expected -= e.Value
 		}
 	case trace.KindRecover:
-		m.recovers++
-		if ns != nil {
-			ns.recovers++
-			ns.crashed = false
-		}
 		if m.expectedSet {
 			m.expected += e.Value
 		}
-	case trace.KindDecodeError:
-		m.decodeErrors++
-		if ns != nil {
-			ns.decodeErrors++
-		}
-	case trace.KindSendDrop:
-		m.sendDrops++
-		if ns != nil {
-			ns.sendDrops++
-		}
-	case trace.KindSpread:
-		m.det.Observe(e.Round, e.Value)
-		m.spread, m.spreadDropped = appendCapped(m.spread, Sample{Round: e.Round, Value: e.Value}, m.cfg.CurveCap, m.spreadDropped)
-	case trace.KindError:
-		m.errs, m.errsDropped = appendCapped(m.errs, Sample{Round: e.Round, Value: e.Value}, m.cfg.CurveCap, m.errsDropped)
 	}
 
 	// Ring buffer of recent events for /events.
@@ -325,30 +197,6 @@ func (m *Monitor) Record(e trace.Event) error {
 		m.ringNext = (m.ringNext + 1) % cap(m.ring)
 	}
 	return nil
-}
-
-// appendCapped appends s, evicting the oldest half once the cap is
-// reached (amortized O(1); dropped counts the evicted samples).
-func appendCapped(curve []Sample, s Sample, capN, dropped int) ([]Sample, int) {
-	if len(curve) >= capN {
-		cut := capN / 2
-		dropped += cut
-		curve = append(curve[:0], curve[cut:]...)
-	}
-	return append(curve, s), dropped
-}
-
-// nodeAt returns id's state, creating it on first sight. The caller
-// must hold m.mu; every call site is inside a locked method.
-func (m *Monitor) nodeAt(id int) *nodeState {
-	//lint:allow lockguard caller holds m.mu; helper is only reached from locked methods
-	ns, ok := m.nodes[id]
-	if !ok {
-		ns = &nodeState{lastActivityRound: -1}
-		//lint:allow lockguard caller holds m.mu; helper is only reached from locked methods
-		m.nodes[id] = ns
-	}
-	return ns
 }
 
 // Events returns up to n of the most recent buffered events, oldest

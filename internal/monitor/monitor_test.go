@@ -13,7 +13,8 @@ func feedSpread(m *Monitor, values ...float64) {
 }
 
 func TestConvergenceLifecycle(t *testing.T) {
-	m := New(Config{Threshold: 0.1, Window: 3})
+	m := New()
+	m.SetDetection(0.1, 3)
 	if s := m.Status(); s.Health != HealthConverging {
 		t.Fatalf("fresh monitor health = %q, want converging", s.Health)
 	}
@@ -53,9 +54,11 @@ func TestConvergenceLifecycle(t *testing.T) {
 }
 
 func TestNodeTalliesAndStall(t *testing.T) {
-	m := New(Config{StallSlack: 2})
-	// Node 0 is active every round; node 1 goes silent after round 0.
-	for r := 0; r < 10; r++ {
+	m := New()
+	// Node 0 is active every round; node 1 goes silent after round 0,
+	// past the default stall slack of max(10, rounds/5) = 10 rounds.
+	const rounds = 20
+	for r := 0; r < rounds; r++ {
 		m.Record(trace.Event{Round: r, Node: 0, Kind: trace.KindSend, Value: 1})
 		m.Record(trace.Event{Round: r, Node: 0, Kind: trace.KindReceive, Value: 2})
 	}
@@ -68,25 +71,25 @@ func TestNodeTalliesAndStall(t *testing.T) {
 	if n0.Node != 0 || n1.Node != 1 {
 		t.Fatalf("node health not sorted by id: %d, %d", n0.Node, n1.Node)
 	}
-	if n0.Sends != 10 || n0.Receives != 10 || n0.Stalled {
+	if n0.Sends != rounds || n0.Receives != rounds || n0.Stalled {
 		t.Errorf("node 0: %+v", n0)
 	}
-	if n1.Staleness != 9 || !n1.Stalled {
-		t.Errorf("node 1 staleness = %d stalled = %v, want 9/true", n1.Staleness, n1.Stalled)
+	if n1.Staleness != rounds-1 || !n1.Stalled {
+		t.Errorf("node 1 staleness = %d stalled = %v, want %d/true", n1.Staleness, n1.Stalled, rounds-1)
 	}
 	if s.Health != HealthStalled {
 		t.Errorf("health = %q, want stalled", s.Health)
 	}
-	if s.Messaging.ReceivedCollections != 20 {
-		t.Errorf("received collections = %g, want 20", s.Messaging.ReceivedCollections)
+	if s.Messaging.ReceivedCollections != 2*rounds {
+		t.Errorf("received collections = %g, want %d", s.Messaging.ReceivedCollections, 2*rounds)
 	}
-	if s.Messaging.SendsPerRound != 1.1 {
-		t.Errorf("sends per round = %g, want 1.1", s.Messaging.SendsPerRound)
+	if s.Messaging.SendsPerRound != 1.05 {
+		t.Errorf("sends per round = %g, want 1.05", s.Messaging.SendsPerRound)
 	}
 }
 
 func TestConservationAudit(t *testing.T) {
-	m := New(Config{WeightTolerance: 1e-9})
+	m := New()
 	m.ObserveWeight(16) // before arming: recorded, not judged
 	m.SetExpectedWeight(16)
 	m.ObserveWeight(16)
@@ -115,7 +118,7 @@ func TestConservationAudit(t *testing.T) {
 }
 
 func TestCrashAdjustsExpectedWeight(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.SetExpectedWeight(8)
 	// A live kill reports the destroyed weight on the crash event.
 	m.Record(trace.Event{Round: -1, Node: 3, Kind: trace.KindCrash, Value: 1.25})
@@ -140,7 +143,7 @@ func TestCrashAdjustsExpectedWeight(t *testing.T) {
 }
 
 func TestBackendFromRunHeader(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.Record(trace.RunHeader("tcp"))
 	if s := m.Status(); s.Backend != "tcp" {
 		t.Errorf("backend = %q, want tcp", s.Backend)
@@ -148,8 +151,9 @@ func TestBackendFromRunHeader(t *testing.T) {
 }
 
 func TestEventsRingAndFilter(t *testing.T) {
-	m := New(Config{EventBuffer: 16})
-	for i := 0; i < 40; i++ {
+	m := New()
+	const total = eventBuffer + 24
+	for i := 0; i < total; i++ {
 		kind := trace.KindSend
 		if i%4 == 0 {
 			kind = trace.KindSpread
@@ -157,15 +161,15 @@ func TestEventsRingAndFilter(t *testing.T) {
 		m.Record(trace.Event{Round: i, Node: 0, Kind: kind, Value: float64(i)})
 	}
 	all := m.Events(nil, 0)
-	if len(all) != 16 {
-		t.Fatalf("ring holds %d events, want 16", len(all))
+	if len(all) != eventBuffer {
+		t.Fatalf("ring holds %d events, want %d", len(all), eventBuffer)
 	}
-	if all[0].Round != 24 || all[15].Round != 39 {
-		t.Errorf("ring tail rounds %d..%d, want 24..39", all[0].Round, all[15].Round)
+	if all[0].Round != 24 || all[eventBuffer-1].Round != total-1 {
+		t.Errorf("ring tail rounds %d..%d, want 24..%d", all[0].Round, all[eventBuffer-1].Round, total-1)
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Round != all[i-1].Round+1 {
-			t.Fatalf("ring not in order at %d: %+v", i, all)
+			t.Fatalf("ring not in order at %d: %+v", i, all[i-1:i+1])
 		}
 	}
 	spreads := m.Events(map[trace.Kind]bool{trace.KindSpread: true}, 0)
@@ -174,37 +178,38 @@ func TestEventsRingAndFilter(t *testing.T) {
 			t.Fatalf("filter passed %q", e.Kind)
 		}
 	}
-	if len(spreads) != 4 {
-		t.Errorf("filtered %d spread events, want 4 (rounds 24,28,32,36)", len(spreads))
+	if len(spreads) != eventBuffer/4 {
+		t.Errorf("filtered %d spread events, want %d (every 4th of rounds 24..%d)", len(spreads), eventBuffer/4, total-1)
 	}
-	if tail := m.Events(nil, 3); len(tail) != 3 || tail[2].Round != 39 {
+	if tail := m.Events(nil, 3); len(tail) != 3 || tail[2].Round != total-1 {
 		t.Errorf("tail(3) = %+v", tail)
 	}
 }
 
 func TestCurveCapEviction(t *testing.T) {
-	m := New(Config{CurveCap: 64})
-	for i := 0; i < 200; i++ {
+	m := New()
+	const total = curveCap + 200
+	for i := 0; i < total; i++ {
 		m.Record(trace.Event{Round: i, Node: -1, Kind: trace.KindSpread, Value: 1})
 	}
 	s := m.Status()
-	if len(s.SpreadCurve) > 64 {
-		t.Fatalf("curve grew to %d past cap 64", len(s.SpreadCurve))
+	if len(s.SpreadCurve) > curveCap {
+		t.Fatalf("curve grew to %d past cap %d", len(s.SpreadCurve), curveCap)
 	}
 	if s.SpreadDropped == 0 {
 		t.Fatalf("eviction not reported")
 	}
-	if got := len(s.SpreadCurve) + s.SpreadDropped; got != 200 {
-		t.Errorf("retained+dropped = %d, want 200", got)
+	if got := len(s.SpreadCurve) + s.SpreadDropped; got != total {
+		t.Errorf("retained+dropped = %d, want %d", got, total)
 	}
 	// Detector still saw every sample.
-	if s.Convergence.Samples != 200 {
-		t.Errorf("detector samples = %d, want 200", s.Convergence.Samples)
+	if s.Convergence.Samples != total {
+		t.Errorf("detector samples = %d, want %d", s.Convergence.Samples, total)
 	}
 }
 
 func TestSetDetectionResets(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	feedSpread(m, 1, 2, 3)
 	m.SetDetection(0.5, 2)
 	s := m.Status()

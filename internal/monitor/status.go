@@ -1,6 +1,10 @@
 package monitor
 
-import "sort"
+import (
+	"math"
+
+	"distclass/internal/replay"
+)
 
 // Health states reported by Status().Health and /health. Severity
 // order (healthiest last): diverged < stalled < converging < converged.
@@ -22,12 +26,6 @@ const (
 	// always a bug).
 	HealthDiverged = "diverged"
 )
-
-// KindCount is one event-kind tally, sorted by kind for determinism.
-type KindCount struct {
-	Kind  string `json:"kind"`
-	Count int    `json:"count"`
-}
 
 // Convergence is the online detector's view of the run.
 type Convergence struct {
@@ -100,49 +98,34 @@ type CausalStatus struct {
 	MeanDepth float64 `json:"mean_depth"`
 }
 
-// NodeHealth is one node's online health row, the live counterpart of
-// replay.NodeHealth (same staleness and stall semantics).
-type NodeHealth struct {
-	Node              int  `json:"node"`
-	Sends             int  `json:"sends"`
-	Receives          int  `json:"receives"`
-	Splits            int  `json:"splits"`
-	Merges            int  `json:"merges"`
-	Crashes           int  `json:"crashes"`
-	Recovers          int  `json:"recovers"`
-	DecodeErrors      int  `json:"decode_errors"`
-	SendDrops         int  `json:"send_drops"`
-	LastActivityRound int  `json:"last_activity_round"`
-	Staleness         int  `json:"staleness"`
-	Crashed           bool `json:"crashed"`
-	Stalled           bool `json:"stalled"`
-}
-
 // Status is one deterministic snapshot of the monitored run. It holds
 // no wall-clock fields: a fixed-seed deterministic run serializes to
 // byte-identical JSON on every execution.
 type Status struct {
-	Backend      string       `json:"backend"`
-	Health       string       `json:"health"`
-	Events       int          `json:"events"`
-	Rounds       int          `json:"rounds"`
-	Nodes        int          `json:"nodes"`
-	Kinds        []KindCount  `json:"kinds"`
-	Convergence  Convergence  `json:"convergence"`
-	Messaging    Messaging    `json:"messaging"`
-	Conservation Conservation `json:"conservation"`
+	Backend      string             `json:"backend"`
+	Health       string             `json:"health"`
+	Events       int                `json:"events"`
+	Rounds       int                `json:"rounds"`
+	Nodes        int                `json:"nodes"`
+	Kinds        []replay.KindCount `json:"kinds"`
+	Convergence  Convergence        `json:"convergence"`
+	Messaging    Messaging          `json:"messaging"`
+	Conservation Conservation       `json:"conservation"`
 	// Causal is non-nil only for causal (schema-2) runs — absent, the
 	// field marshals to nothing and pre-causal snapshots stay
 	// byte-identical.
-	Causal     *CausalStatus `json:"causal,omitempty"`
-	NodeHealth []NodeHealth  `json:"node_health"`
-	// SpreadCurve and ErrorCurve are the retained probe curves (oldest
-	// samples beyond CurveCap dropped; the Dropped counters say how
-	// many).
-	SpreadCurve   []Sample `json:"spread_curve"`
-	ErrorCurve    []Sample `json:"error_curve"`
-	SpreadDropped int      `json:"spread_dropped"`
-	ErrorDropped  int      `json:"error_dropped"`
+	Causal *CausalStatus `json:"causal,omitempty"`
+	// NodeHealth has the replay analyzer's rows and stall rule. Live
+	// runs' rows also carry sent_bytes; sim rows omit it (their sends
+	// carry no size).
+	NodeHealth []replay.NodeHealth `json:"node_health"`
+	// SpreadCurve and ErrorCurve are the retained probe curves (the
+	// oldest samples beyond the monitor's curve cap dropped; the
+	// Dropped counters say how many).
+	SpreadCurve   []replay.Sample `json:"spread_curve"`
+	ErrorCurve    []replay.Sample `json:"error_curve"`
+	SpreadDropped int             `json:"spread_dropped"`
+	ErrorDropped  int             `json:"error_dropped"`
 }
 
 // Status renders the monitor's state as one snapshot.
@@ -150,138 +133,98 @@ func (m *Monitor) Status() Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
+	rep := m.run.Report()
+	c, msg := rep.Convergence, rep.Messaging
 	s := Status{
-		Backend: m.backend,
-		Events:  m.events,
-		Rounds:  m.rounds,
-		Nodes:   len(m.nodes),
+		Backend: rep.Backend,
+		Events:  rep.Events,
+		Rounds:  rep.Rounds,
+		Nodes:   rep.Nodes,
+		Kinds:   rep.Kinds,
 		Convergence: Convergence{
-			Threshold:        m.det.Threshold(),
-			Window:           m.det.Window(),
-			Converged:        m.det.Converged(),
-			ConvergedRound:   m.det.ConvergedRound(),
-			RoundsToConverge: m.det.RoundsToConverge(),
-			FirstStableRound: m.det.FirstStableRound(),
-			DivergentSamples: m.det.DivergentSamples(),
-			Samples:          m.det.Samples(),
-			LastSpread:       m.det.LastValue(),
-			MinSpread:        m.det.MinValue(),
+			Threshold:        c.Threshold,
+			Window:           c.Window,
+			Converged:        c.Converged,
+			ConvergedRound:   c.ConvergedRound,
+			RoundsToConverge: c.RoundsToConverge,
+			FirstStableRound: c.FirstStableRound,
+			DivergentSamples: rep.Anomalies.DivergentRounds,
+			Samples:          c.SpreadSamples,
+			LastSpread:       c.FinalSpread,
+			MinSpread:        c.MinSpread,
 		},
 		Messaging: Messaging{
-			Sends: m.sends, Receives: m.receives,
-			SentBytes:           m.sentBytes,
-			ReceivedCollections: m.receivedCollections,
-			Splits:              m.splits, Merges: m.merges,
-			SendDrops:    m.sendDrops,
-			DecodeErrors: m.decodeErrors,
+			Sends: msg.Sends, Receives: msg.Receives,
+			SentBytes:           msg.SentBytes,
+			BytesPerSend:        msg.BytesPerSend,
+			ReceivedCollections: msg.ReceivedCollections,
+			Splits:              msg.Splits, Merges: msg.Merges,
+			SendDrops:    msg.SendDrops,
+			DecodeErrors: msg.DecodeErrors,
 		},
 		Conservation: Conservation{
 			Audited:    m.expectedSet,
 			Expected:   m.expected,
 			Latest:     m.latestWeight,
 			MaxDrift:   m.maxAbsDrift,
-			Tolerance:  m.cfg.WeightTolerance,
+			Tolerance:  weightTolerance,
 			Violations: m.violations,
 			Samples:    m.weightSeen,
 		},
-		SpreadDropped: m.spreadDropped,
-		ErrorDropped:  m.errsDropped,
+		NodeHealth: rep.NodeHealth,
+		// The report shares its curves with the live analyzer; copy
+		// them out before the lock is released.
+		SpreadCurve:   append([]replay.Sample(nil), rep.SpreadCurve...),
+		ErrorCurve:    append([]replay.Sample(nil), rep.ErrorCurve...),
+		SpreadDropped: rep.SpreadDropped,
+		ErrorDropped:  rep.ErrorDropped,
 	}
-	if m.rounds > 0 {
-		s.Messaging.SendsPerRound = float64(m.sends) / float64(m.rounds)
-		s.Messaging.ReceivesPerRound = float64(m.receives) / float64(m.rounds)
+	if s.Backend == "" {
+		s.Backend = m.backend
 	}
-	if m.sends > 0 && m.sentBytes > 0 {
-		s.Messaging.BytesPerSend = m.sentBytes / float64(m.sends)
+	if rep.Rounds > 0 {
+		s.Messaging.SendsPerRound = float64(msg.Sends) / float64(rep.Rounds)
+		s.Messaging.ReceivesPerRound = float64(msg.Receives) / float64(rep.Rounds)
 	}
 	if m.expectedSet && m.weightSeen > 0 {
 		s.Conservation.Drift = m.latestWeight - m.expected
-		d := s.Conservation.Drift
-		if d < 0 {
-			d = -d
-		}
-		s.Conservation.Exact = d <= m.cfg.WeightTolerance
+		s.Conservation.Exact = math.Abs(s.Conservation.Drift) <= weightTolerance
 	}
 
 	if m.causalSeen {
 		cs := &CausalStatus{}
-		first := true
-		for id := range m.nodes {
-			c := m.nodeClock[id]
+		var depthSum int
+		for i, h := range rep.NodeHealth {
+			c := m.nodeClock[h.Node]
 			if c > cs.MaxClock {
 				cs.MaxClock = c
 			}
-			if first || c < cs.MinClock {
+			if i == 0 || c < cs.MinClock {
 				cs.MinClock = c
 			}
-			first = false
-		}
-		cs.ClockSkew = cs.MaxClock - cs.MinClock
-		var depthSum int
-		for id := range m.nodes {
-			d := m.nodeDepth[id]
+			d := m.nodeDepth[h.Node]
 			depthSum += d
 			if d > cs.MaxDepth {
 				cs.MaxDepth = d
 			}
 		}
-		if len(m.nodes) > 0 {
-			cs.MeanDepth = float64(depthSum) / float64(len(m.nodes))
+		cs.ClockSkew = cs.MaxClock - cs.MinClock
+		if len(rep.NodeHealth) > 0 {
+			cs.MeanDepth = float64(depthSum) / float64(len(rep.NodeHealth))
 		}
 		s.Causal = cs
 	}
 
-	s.Kinds = make([]KindCount, 0, len(m.kinds))
-	for k, n := range m.kinds {
-		//lint:allow mapiter collected and sorted below
-		s.Kinds = append(s.Kinds, KindCount{Kind: string(k), Count: n})
-	}
-	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })
-
-	ids := make([]int, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	slack := m.cfg.StallSlack
-	if slack == 0 {
-		slack = m.rounds / 5
-		if slack < 10 {
-			slack = 10
-		}
-	}
-	stalled := false
-	for _, id := range ids {
-		ns := m.nodes[id]
-		h := NodeHealth{
-			Node: id, Sends: ns.sends, Receives: ns.receives,
-			Splits: ns.splits, Merges: ns.merges,
-			Crashes: ns.crashes, Recovers: ns.recovers,
-			DecodeErrors:      ns.decodeErrors,
-			SendDrops:         ns.sendDrops,
-			LastActivityRound: ns.lastActivityRound,
-			Staleness:         -1,
-			Crashed:           ns.crashed,
-		}
-		if ns.lastActivityRound >= 0 {
-			h.Staleness = (m.rounds - 1) - ns.lastActivityRound
-			if slack >= 0 && !ns.crashed && h.Staleness > slack {
-				h.Stalled = true
-				stalled = true
-			}
-		}
-		s.NodeHealth = append(s.NodeHealth, h)
-	}
-
-	s.SpreadCurve = append([]Sample(nil), m.spread...)
-	s.ErrorCurve = append([]Sample(nil), m.errs...)
-
+	// Diverged right now: the window completed, but the latest sample
+	// is back at or above the threshold (the detector's own test,
+	// negated, so a NaN sample counts as divergent as it does there).
+	divergedNow := c.Converged && !(c.FinalSpread < c.Threshold)
 	switch {
-	case m.violations > 0 || (m.det.Converged() && m.det.StableSamples() == 0):
+	case m.violations > 0 || divergedNow:
 		s.Health = HealthDiverged
-	case stalled:
+	case len(rep.Anomalies.StalledNodes) > 0:
 		s.Health = HealthStalled
-	case m.det.Converged():
+	case c.Converged:
 		s.Health = HealthConverged
 	default:
 		s.Health = HealthConverging

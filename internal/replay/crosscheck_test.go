@@ -10,9 +10,12 @@ import (
 	"testing"
 
 	"distclass"
+	"distclass/internal/core"
+	"distclass/internal/engine"
 	"distclass/internal/experiments"
 	"distclass/internal/replay"
 	"distclass/internal/rng"
+	"distclass/internal/topology"
 	"distclass/internal/trace"
 )
 
@@ -96,5 +99,53 @@ func TestFinalErrorMatchesOnline(t *testing.T) {
 	}
 	if rep.Anomalies.RoundRegressions == 0 {
 		t.Errorf("two sequential runs in one file produced no round regressions")
+	}
+}
+
+// TestAsyncCrashTraceAnalyzes replays an async run with crash
+// injection until every node is dead. Async events carry the driver's
+// step index, and a step that picks a dead node emits nothing, so the
+// round numbers outrun the event count. The analysis must still
+// succeed, with one per-round row per round that carried an event.
+func TestAsyncCrashTraceAnalyzes(t *testing.T) {
+	const n = 50
+	r := rng.New(5)
+	values := make([]core.Value, n)
+	for i := range values {
+		values[i] = core.Value{float64(i%2)*10 + r.Normal(0, 1), r.Normal(0, 1)}
+	}
+	var buf strings.Builder
+	rec := trace.NewRecorder(&buf)
+	eng, err := engine.New(engine.Config{
+		Backend: engine.BackendAsync, Method: distclass.GaussianMixture(),
+		Values: values, Topology: topology.KindFull, Seed: 1, CrashProb: 0.05, Trace: rec,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer eng.Stop()
+	if err := eng.Run(200); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if eng.AliveCount() != 0 {
+		t.Fatalf("%d nodes still alive, want a run until every node crashed", eng.AliveCount())
+	}
+	rep, err := replay.Analyze(strings.NewReader(buf.String()), replay.Options{})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if rep.Rounds <= rep.Events {
+		t.Fatalf("%d rounds from %d events: the trace no longer has rounds outrunning events", rep.Rounds, rep.Events)
+	}
+	if rep.Messaging.Crashes != n {
+		t.Errorf("crashes = %d, want %d", rep.Messaging.Crashes, n)
+	}
+	if len(rep.PerRound) > rep.Events {
+		t.Errorf("%d per-round rows from %d events", len(rep.PerRound), rep.Events)
+	}
+	for i := 1; i < len(rep.PerRound); i++ {
+		if rep.PerRound[i].Round <= rep.PerRound[i-1].Round {
+			t.Fatalf("per-round rows out of order at %d: round %d after %d", i, rep.PerRound[i].Round, rep.PerRound[i-1].Round)
+		}
 	}
 }

@@ -1,10 +1,15 @@
 // Package replay turns raw trace JSONL streams into the paper's
-// evaluation diagnostics, offline. The recording side (internal/trace)
-// is deliberately dumb — every layer appends typed events — and this
-// package is the consuming half: it streams a trace of any size
-// through a constant-memory state machine (per-node and per-round
-// aggregates, never the raw events) and produces a structured
-// RunReport with the quantities §6 and Figures 1-4 reason about:
+// evaluation diagnostics. The recording side (internal/trace) is
+// deliberately dumb — every layer appends typed events — and this
+// package is the consuming half. Its Analyzer is the one incremental
+// run state of the repo: Analyze streams a trace file into it offline,
+// and internal/monitor feeds it live from the engine's trace tee, so
+// an offline report and a live /status snapshot are renderings of the
+// same state machine. The state keeps per-node and per-round
+// aggregates plus the probe curves, never the raw events, so memory is
+// O(nodes + rounds that carry events + probe samples) whatever the
+// trace length. The RunReport it renders holds the quantities §6 and
+// Figures 1-4 reason about:
 //
 //   - convergence-round detection on the per-round spread probe, with
 //     the same threshold/window semantics as the online detector
@@ -25,8 +30,10 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"distclass/internal/converge"
@@ -35,27 +42,18 @@ import (
 
 // Options parameterize an analysis.
 type Options struct {
-	// Threshold is the spread value below which a round counts toward
-	// convergence (default 1e-3, matching distclass.WithTolerance).
+	// Threshold is the spread value below which a sample counts toward
+	// convergence. Non-positive selects converge.DefaultThreshold
+	// (1e-3, matching distclass.WithTolerance).
 	Threshold float64
 	// Window is the number of consecutive sub-threshold spread samples
-	// required to declare convergence (default 3, matching
-	// distclass.RunUntilConverged).
+	// required to declare convergence. Non-positive selects
+	// converge.DefaultWindow (3, matching distclass.RunUntilConverged).
 	Window int
 	// StallSlack is the number of trailing rounds a node may be
 	// inactive before it counts as stalled. Zero selects
 	// max(10, rounds/5). Negative disables stall detection.
 	StallSlack int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Threshold <= 0 {
-		o.Threshold = 1e-3
-	}
-	if o.Window <= 0 {
-		o.Window = 3
-	}
-	return o
 }
 
 // Sample is one scalar probe observation (spread or error) in trace
@@ -212,8 +210,9 @@ type RunReport struct {
 	Backend string `json:"backend,omitempty"`
 	// Events is the total number of trace events consumed.
 	Events int `json:"events"`
-	// Rounds is the number of driver rounds observed (max round + 1);
-	// 0 for round-less traces (live deployments).
+	// Rounds is the number of driver rounds observed (max round + 1
+	// over send, receive, crash, recover and probe events); 0 for
+	// round-less traces (live deployments).
 	Rounds int `json:"rounds"`
 	// Nodes is the number of distinct node ids observed.
 	Nodes int `json:"nodes"`
@@ -222,7 +221,11 @@ type RunReport struct {
 
 	Convergence Convergence `json:"convergence"`
 	Messaging   Messaging   `json:"messaging"`
-	// PerRound has one entry per observed round, in round order.
+	// PerRound has one entry per round that carried a send, receive,
+	// crash, recover or probe event, in round order. Rounds without
+	// such an event get no row: async traces stamp events with the
+	// driver's step index, and a step that picks a dead node emits
+	// nothing. Nil from a capped Analyzer.
 	PerRound []RoundStat `json:"per_round"`
 	// NodeHealth has one entry per observed node, sorted by id.
 	NodeHealth []NodeHealth `json:"node_health"`
@@ -233,6 +236,11 @@ type RunReport struct {
 	// which is what convergence detection and curve rendering use).
 	SpreadCurve []Sample `json:"spread_curve,omitempty"`
 	ErrorCurve  []Sample `json:"error_curve,omitempty"`
+	// SpreadDropped and ErrorDropped count the oldest curve samples an
+	// Analyzer with a curve cap evicted. Always 0 for Analyze, which
+	// keeps every sample.
+	SpreadDropped int `json:"spread_dropped,omitempty"`
+	ErrorDropped  int `json:"error_dropped,omitempty"`
 }
 
 // nodeState accumulates one node's tallies while streaming.
@@ -245,51 +253,94 @@ type nodeState struct {
 	crashed                         bool
 }
 
-// analyzer is the streaming state machine: O(nodes + rounds + probes)
-// memory regardless of trace length.
-type analyzer struct {
-	opts        Options
-	events      int
-	kinds       map[trace.Kind]int
-	rounds      []RoundStat
-	spread      []Sample
-	errs        []Sample
-	nodes       map[int]*nodeState
-	msg         Messaging
-	backend     string
+// Analyzer is the incremental run state: Observe folds in one event,
+// Report renders the state reached so far. Memory is independent of
+// the event count: O(nodes + rounds that carry events + probe samples)
+// uncapped, O(nodes + curve cap) capped. It is not safe for concurrent
+// use; internal/monitor serializes it behind its mutex.
+type Analyzer struct {
+	det        *converge.Detector
+	stallSlack int
+	curveCap   int
+
+	events   int
+	kinds    map[trace.Kind]int
+	rounds   int         // max round + 1
+	perRound []RoundStat // sparse, in first-seen order
+	roundIdx map[int]int // round -> index into perRound
+	nodes    map[int]*nodeState
+	msg      Messaging
+	backend  string
+
+	spread, errs               []Sample
+	spreadDropped, errsDropped int
+	errSamples                 int
+	lastErr, minErr            float64
+
 	prevRound   int
 	regressions int
 }
 
-// Analyze streams the trace from r and computes its RunReport. The
-// reader is consumed once; memory use is proportional to the number of
-// nodes, rounds and probe samples, never to the number of events.
-func Analyze(r io.Reader, opts Options) (*RunReport, error) {
-	opts = opts.withDefaults()
-	a := &analyzer{
-		opts:      opts,
-		kinds:     make(map[trace.Kind]int),
-		nodes:     make(map[int]*nodeState),
-		prevRound: -1,
+// NewAnalyzer returns an empty run state. A positive curveCap bounds
+// the state for a long-lived observer: each retained probe curve
+// evicts its oldest half past the cap (counted in the report's dropped
+// fields), and no per-round table is kept. Zero keeps every sample and
+// every per-round row. Convergence detection sees every sample either
+// way.
+func NewAnalyzer(opts Options, curveCap int) *Analyzer {
+	a := &Analyzer{
+		det:        converge.New(opts.Threshold, opts.Window),
+		stallSlack: opts.StallSlack,
+		curveCap:   curveCap,
+		kinds:      make(map[trace.Kind]int),
+		nodes:      make(map[int]*nodeState),
+		prevRound:  -1,
 	}
-	if err := trace.Stream(r, a.observe); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if curveCap == 0 {
+		a.roundIdx = make(map[int]int)
 	}
-	return a.finish(), nil
+	return a
 }
 
-// roundAt returns the aggregate for the given round, growing the dense
-// per-round slice as needed.
-func (a *analyzer) roundAt(round int) *RoundStat {
-	for len(a.rounds) <= round {
-		a.rounds = append(a.rounds, RoundStat{Round: len(a.rounds)})
+// Analyze streams the trace from r and computes its RunReport. The
+// reader is consumed once; memory use is proportional to the number of
+// nodes, rounds that carry events and probe samples, never to the
+// number of events or the largest round number.
+func Analyze(r io.Reader, opts Options) (*RunReport, error) {
+	a := NewAnalyzer(opts, 0)
+	err := trace.Stream(r, func(e trace.Event) error {
+		a.Observe(e)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
-	return &a.rounds[round]
+	return a.Report(), nil
+}
+
+// roundAt counts the given round toward Rounds and returns its
+// aggregate row, creating it on first sight — or nil for a capped
+// analyzer, which keeps no per-round table. Rows are sparse, so memory
+// follows the rounds that carry events, not the largest round number.
+func (a *Analyzer) roundAt(round int) *RoundStat {
+	if round >= a.rounds {
+		a.rounds = round + 1
+	}
+	if a.roundIdx == nil {
+		return nil
+	}
+	i, ok := a.roundIdx[round]
+	if !ok {
+		i = len(a.perRound)
+		a.roundIdx[round] = i
+		a.perRound = append(a.perRound, RoundStat{Round: round})
+	}
+	return &a.perRound[i]
 }
 
 // nodeAt returns the state for the given node id, creating it on first
 // sight.
-func (a *analyzer) nodeAt(id int) *nodeState {
+func (a *Analyzer) nodeAt(id int) *nodeState {
 	ns, ok := a.nodes[id]
 	if !ok {
 		ns = &nodeState{lastActivityRound: -1}
@@ -298,7 +349,8 @@ func (a *analyzer) nodeAt(id int) *nodeState {
 	return ns
 }
 
-func (a *analyzer) observe(e trace.Event) error {
+// Observe folds one event into the run state.
+func (a *Analyzer) Observe(e trace.Event) {
 	a.events++
 	a.kinds[e.Kind]++
 	if e.Round >= 0 {
@@ -310,6 +362,13 @@ func (a *analyzer) observe(e trace.Event) error {
 	var ns *nodeState
 	if e.Node >= 0 {
 		ns = a.nodeAt(e.Node)
+	}
+	var rs *RoundStat
+	if e.Round >= 0 {
+		switch e.Kind {
+		case trace.KindSend, trace.KindReceive, trace.KindCrash, trace.KindRecover, trace.KindSpread, trace.KindError:
+			rs = a.roundAt(e.Round)
+		}
 	}
 	switch e.Kind {
 	case trace.KindRunHeader:
@@ -328,8 +387,8 @@ func (a *analyzer) observe(e trace.Event) error {
 				ns.lastActivityRound = e.Round
 			}
 		}
-		if e.Round >= 0 {
-			a.roundAt(e.Round).Sends++
+		if rs != nil {
+			rs.Sends++
 		}
 	case trace.KindReceive:
 		a.msg.Receives++
@@ -340,8 +399,7 @@ func (a *analyzer) observe(e trace.Event) error {
 				ns.lastActivityRound = e.Round
 			}
 		}
-		if e.Round >= 0 {
-			rs := a.roundAt(e.Round)
+		if rs != nil {
 			rs.Receives++
 			rs.Collections += e.Value
 		}
@@ -363,8 +421,8 @@ func (a *analyzer) observe(e trace.Event) error {
 			ns.crashes++
 			ns.crashed = true
 		}
-		if e.Round >= 0 {
-			a.roundAt(e.Round).Crashes++
+		if rs != nil {
+			rs.Crashes++
 		}
 	case trace.KindRecover:
 		a.msg.Recovers++
@@ -372,8 +430,8 @@ func (a *analyzer) observe(e trace.Event) error {
 			ns.recovers++
 			ns.crashed = false
 		}
-		if e.Round >= 0 {
-			a.roundAt(e.Round).Recovers++
+		if rs != nil {
+			rs.Recovers++
 		}
 	case trace.KindDecodeError:
 		a.msg.DecodeErrors++
@@ -388,33 +446,58 @@ func (a *analyzer) observe(e trace.Event) error {
 			ns.sendDrops++
 		}
 	case trace.KindSpread:
-		a.spread = append(a.spread, Sample{Round: e.Round, Value: e.Value})
-		if e.Round >= 0 {
+		// The shared online detector (internal/converge) — the exact
+		// state machine engine.RunUntilConverged runs, so offline and
+		// online analyses can never drift apart.
+		a.det.Observe(e.Round, e.Value)
+		a.spread, a.spreadDropped = a.appendCapped(a.spread, Sample{Round: e.Round, Value: e.Value}, a.spreadDropped)
+		if rs != nil {
 			v := e.Value
-			a.roundAt(e.Round).Spread = &v
+			rs.Spread = &v
 		}
 	case trace.KindError:
-		a.errs = append(a.errs, Sample{Round: e.Round, Value: e.Value})
-		if e.Round >= 0 {
+		a.errSamples++
+		if a.errSamples == 1 || e.Value < a.minErr {
+			a.minErr = e.Value
+		}
+		a.lastErr = e.Value
+		a.errs, a.errsDropped = a.appendCapped(a.errs, Sample{Round: e.Round, Value: e.Value}, a.errsDropped)
+		if rs != nil {
 			v := e.Value
-			a.roundAt(e.Round).Error = &v
+			rs.Error = &v
 		}
 	}
-	return nil
 }
 
-// finish runs the post-stream passes (convergence detection, health and
-// anomaly classification) and assembles the report.
-func (a *analyzer) finish() *RunReport {
+// appendCapped appends s to a probe curve, evicting the oldest half
+// once the curve cap is reached (amortized O(1); dropped counts the
+// evicted samples).
+func (a *Analyzer) appendCapped(curve []Sample, s Sample, dropped int) ([]Sample, int) {
+	if a.curveCap > 0 && len(curve) >= a.curveCap {
+		cut := a.curveCap / 2
+		dropped += cut
+		curve = append(curve[:0], curve[cut:]...)
+	}
+	return append(curve, s), dropped
+}
+
+// Report renders the run state reached so far: convergence, health and
+// anomaly classification are computed from the aggregates on every
+// call. The report shares the probe curves with the analyzer, so a
+// caller that keeps observing must copy what it retains.
+func (a *Analyzer) Report() *RunReport {
 	rep := &RunReport{
-		Backend:     a.backend,
-		Events:      a.events,
-		Rounds:      len(a.rounds),
-		Nodes:       len(a.nodes),
-		Messaging:   a.msg,
-		PerRound:    a.rounds,
-		SpreadCurve: a.spread,
-		ErrorCurve:  a.errs,
+		Backend:       a.backend,
+		Events:        a.events,
+		Rounds:        a.rounds,
+		Nodes:         len(a.nodes),
+		Kinds:         make([]KindCount, 0, len(a.kinds)),
+		Messaging:     a.msg,
+		PerRound:      slices.Clone(a.perRound),
+		SpreadCurve:   a.spread,
+		ErrorCurve:    a.errs,
+		SpreadDropped: a.spreadDropped,
+		ErrorDropped:  a.errsDropped,
 	}
 	// Live traces stamp send events with payload sizes; derive the mean
 	// message size there. Sim sends carry no size, so the field stays 0
@@ -428,9 +511,25 @@ func (a *analyzer) finish() *RunReport {
 		rep.Kinds = append(rep.Kinds, KindCount{Kind: string(kind), Count: count})
 	}
 	sort.Slice(rep.Kinds, func(i, j int) bool { return rep.Kinds[i].Kind < rep.Kinds[j].Kind })
+	// Rows are kept in first-seen order; only traces with round
+	// regressions hold them out of round order.
+	slices.SortFunc(rep.PerRound, func(x, y RoundStat) int { return cmp.Compare(x.Round, y.Round) })
 
-	conv, det := a.detectConvergence()
-	rep.Convergence = conv
+	det := a.det
+	rep.Convergence = Convergence{
+		Threshold:        det.Threshold(),
+		Window:           det.Window(),
+		Converged:        det.Converged(),
+		ConvergedRound:   det.ConvergedRound(),
+		RoundsToConverge: det.RoundsToConverge(),
+		FirstStableRound: det.FirstStableRound(),
+		FinalSpread:      det.LastValue(),
+		MinSpread:        det.MinValue(),
+		SpreadSamples:    det.Samples(),
+		FinalError:       a.lastErr,
+		MinError:         a.minErr,
+		ErrorSamples:     a.errSamples,
+	}
 
 	// Node health, sorted by id.
 	ids := make([]int, 0, len(a.nodes))
@@ -438,9 +537,9 @@ func (a *analyzer) finish() *RunReport {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	slack := a.opts.StallSlack
+	slack := a.stallSlack
 	if slack == 0 {
-		slack = len(a.rounds) / 5
+		slack = a.rounds / 5
 		if slack < 10 {
 			slack = 10
 		}
@@ -459,7 +558,7 @@ func (a *analyzer) finish() *RunReport {
 			Crashed:           ns.crashed,
 		}
 		if ns.lastActivityRound >= 0 {
-			h.Staleness = (len(a.rounds) - 1) - ns.lastActivityRound
+			h.Staleness = (a.rounds - 1) - ns.lastActivityRound
 			if slack >= 0 && !ns.crashed && h.Staleness > slack {
 				h.Stalled = true
 				rep.Anomalies.StalledNodes = append(rep.Anomalies.StalledNodes, id)
@@ -482,7 +581,7 @@ func (a *analyzer) finish() *RunReport {
 	}
 	if rep.Anomalies.DivergentRounds > 0 {
 		rep.Anomalies.Notes = append(rep.Anomalies.Notes,
-			fmt.Sprintf("spread re-crossed the %g threshold %d time(s) after convergence", a.opts.Threshold, rep.Anomalies.DivergentRounds))
+			fmt.Sprintf("spread re-crossed the %g threshold %d time(s) after convergence", det.Threshold(), rep.Anomalies.DivergentRounds))
 	}
 	if rep.Anomalies.RoundRegressions > 0 {
 		rep.Anomalies.Notes = append(rep.Anomalies.Notes,
@@ -493,36 +592,4 @@ func (a *analyzer) finish() *RunReport {
 			fmt.Sprintf("%d frame(s) failed to decode", rep.Anomalies.DecodeErrors))
 	}
 	return rep
-}
-
-// detectConvergence replays the spread curve through the shared online
-// detector (internal/converge) — the exact state machine
-// engine.RunUntilConverged and the live monitor run, so offline and
-// online analyses can never drift apart.
-func (a *analyzer) detectConvergence() (Convergence, *converge.Detector) {
-	det := converge.New(a.opts.Threshold, a.opts.Window)
-	for _, s := range a.spread {
-		det.Observe(s.Round, s.Value)
-	}
-	c := Convergence{
-		Threshold:        det.Threshold(),
-		Window:           det.Window(),
-		Converged:        det.Converged(),
-		ConvergedRound:   det.ConvergedRound(),
-		RoundsToConverge: det.RoundsToConverge(),
-		FirstStableRound: det.FirstStableRound(),
-		FinalSpread:      det.LastValue(),
-		MinSpread:        det.MinValue(),
-		SpreadSamples:    len(a.spread),
-		ErrorSamples:     len(a.errs),
-	}
-	for i, s := range a.errs {
-		if i == 0 || s.Value < c.MinError {
-			c.MinError = s.Value
-		}
-	}
-	if len(a.errs) > 0 {
-		c.FinalError = a.errs[len(a.errs)-1].Value
-	}
-	return c, det
 }

@@ -263,3 +263,27 @@ func TestSentBytesSurfaced(t *testing.T) {
 		t.Errorf("sim report grew byte lines:\n%s", buf.String())
 	}
 }
+
+// TestCappedAnalyzerKeepsNoRoundTable pins the long-lived observer's
+// memory bound: a capped Analyzer counts rounds but keeps no per-round
+// rows, while an uncapped one keeps one row per round with an event.
+func TestCappedAnalyzerKeepsNoRoundTable(t *testing.T) {
+	events := []trace.Event{
+		spreadAt(0, 0.5),
+		{Round: 7, Node: 0, Kind: trace.KindSend},
+		spreadAt(9, 0.5),
+	}
+	for _, tc := range []struct {
+		curveCap, rows int
+	}{{0, 3}, {4, 0}} {
+		a := NewAnalyzer(Options{}, tc.curveCap)
+		for _, e := range events {
+			a.Observe(e)
+		}
+		rep := a.Report()
+		if rep.Rounds != 10 || len(rep.PerRound) != tc.rows {
+			t.Errorf("curveCap %d: rounds = %d, per-round rows = %d; want 10 and %d",
+				tc.curveCap, rep.Rounds, len(rep.PerRound), tc.rows)
+		}
+	}
+}

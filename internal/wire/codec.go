@@ -367,6 +367,10 @@ func unmarshalV2(data []byte) (core.Classification, int, error) {
 			return nil, 0, fmt.Errorf("%w: collection %d has zero weight fraction", ErrFormat, i)
 		}
 		weights[i] = float64(frac) * twoNeg32 * total
+		// A subnormal total can scale a nonzero fraction down to 0.
+		if weights[i] <= 0 {
+			return nil, 0, fmt.Errorf("%w: collection %d weight underflows to %v", ErrFormat, i, weights[i])
+		}
 		partial += weights[i]
 	}
 	// The last collection takes the exact residual so the decoded
