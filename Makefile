@@ -109,7 +109,7 @@ monitor-smoke:
 causal-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -causal-smoke -causal-out "$$dir/causal" >/dev/null && \
-	for b in round async chan pipe tcp shard; do \
+	for b in round async pipe tcp shard; do \
 		$(GO) run ./cmd/distclass-analyze -causal -fail-anomalies -format json -o "$$dir/causal.$$b.json" "$$dir/causal.$$b.trace" || exit 1; \
 	done && \
 	echo "causal-smoke: happens-before clean and ledger exact on all backends"

@@ -1,7 +1,7 @@
 // Command distclass-live runs the classification protocol as a live
 // in-process deployment over a genuinely concurrent backend —
-// in-process channels, synchronous pipes or loopback TCP (one gossip
-// goroutine per node), or the sharded scheduler (-backend shard, a
+// synchronous pipes or loopback TCP (one gossip goroutine per node),
+// or the sharded scheduler (-backend shard, a
 // fixed worker pool that scales to 100k+ nodes) — in contrast to
 // distclass-sim's deterministic simulator. It prints the spread as the
 // cluster converges, then the final classification.
@@ -49,7 +49,7 @@ func main() {
 	flag.DurationVar(&cfg.duration, "duration", 2*time.Second, "how long to run")
 	flag.DurationVar(&cfg.interval, "interval", 2*time.Millisecond, "per-node gossip tick")
 	flag.Float64Var(&cfg.tol, "tol", 0.05, "spread below which the run stops early")
-	flag.StringVar(&cfg.backend, "backend", "pipe", "concurrent backend: chan, pipe, tcp or shard")
+	flag.StringVar(&cfg.backend, "backend", "pipe", "concurrent backend: pipe, tcp or shard")
 	flag.IntVar(&cfg.shards, "shards", 0, "worker-pool size for -backend shard (default GOMAXPROCS)")
 	flag.StringVar(&cfg.codec, "codec", "v1", "wire codec for -backend pipe/tcp: v1, v2 or v2f32")
 	flag.IntVar(&cfg.frameBatch, "frame-batch", 0, "coalesce up to this many queued messages per wire frame on -backend pipe/tcp (0 or 1 disables)")

@@ -67,8 +67,8 @@ func TestRunCentroidsLive(t *testing.T) {
 	}
 }
 
-func TestRunChanBackend(t *testing.T) {
-	cfg := shortCfg(12, "gm", "full", "chan", 9)
+func TestRunShardPushPull(t *testing.T) {
+	cfg := shortCfg(12, "gm", "full", "shard", 9)
 	cfg.mode = "pushpull"
 	cfg.policy = "roundrobin"
 	if err := run(cfg); err != nil {

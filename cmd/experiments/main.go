@@ -20,7 +20,7 @@
 // churn ablation takes -churn-fracs (comma-separated kill fractions)
 // and -strict (fail on non-convergence or conservation violations).
 // -backend moves the Figure 4 crash runs and the churn ablation onto
-// another engine substrate (round, async, chan, pipe, tcp); -codec and
+// another engine substrate (round, async, pipe, tcp, shard); -codec and
 // -frame-batch move the churn clusters onto the v2 wire stack.
 package main
 
@@ -93,7 +93,7 @@ func main() {
 		liveChurn   = flag.Bool("live-churn", false, "run the live churn ablation: kill a fraction of real cluster nodes mid-run")
 		churnFracs  = flag.String("churn-fracs", "0,0.1,0.2,0.3", "comma-separated kill fractions for -live-churn")
 		strict      = flag.Bool("strict", false, "with -live-churn: fail on non-convergence, cluster errors or broken weight conservation")
-		backendFlag = flag.String("backend", "", "engine backend for -fig 4, -ablation crash and -live-churn: round, async, chan, pipe, tcp or shard (default: round for the sim figures, pipe for -live-churn)")
+		backendFlag = flag.String("backend", "", "engine backend for -fig 4, -ablation crash and -live-churn: round, async, pipe, tcp or shard (default: round for the sim figures, pipe for -live-churn)")
 		engineSmoke = flag.Bool("engine-smoke", false, "run a tiny two-cluster workload on every engine backend and audit convergence and weight conservation")
 		shardSmoke  = flag.Bool("shard-smoke", false, "run a 512-node two-cluster workload on the sharded scheduler, audit convergence and exact conservation through a kill/restart cycle")
 		monitorAddr = flag.String("monitor", "", "attach a passive online monitor to the event stream and serve /status, /health and /events (plus the -metrics endpoints) on this address; state aggregates across every experiment of the invocation")

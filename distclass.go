@@ -21,7 +21,7 @@
 //
 // The protocol runs on interchangeable backends (internal/engine): the
 // deterministic simulators behind System, and the concurrent
-// channel/pipe/TCP substrates behind LiveCluster. A System wires
+// pipe/TCP/sharded substrates behind LiveCluster. A System wires
 // values, a method and a topology into a runnable network:
 //
 //	values := []distclass.Value{{1.0, 2.0}, {1.1, 2.2}, {9.0, 8.5}}
@@ -137,19 +137,18 @@ const (
 )
 
 // Protocol backends. The simulator backends (BackendRound,
-// BackendAsync) run under System; the concurrent backends (BackendChan,
-// BackendPipe, BackendTCP, BackendShard) run under LiveCluster.
+// BackendAsync) run under System; the concurrent backends (BackendPipe,
+// BackendTCP, BackendShard) run under LiveCluster.
 const (
 	BackendRound = engine.BackendRound
 	BackendAsync = engine.BackendAsync
-	BackendChan  = engine.BackendChan
 	BackendPipe  = engine.BackendPipe
 	BackendTCP   = engine.BackendTCP
 	BackendShard = engine.BackendShard
 )
 
-// ParseBackend maps a -backend flag value ("round", "async", "chan",
-// "pipe", "tcp", "shard") to a Backend.
+// ParseBackend maps a -backend flag value ("round", "async", "pipe",
+// "tcp", "shard") to a Backend.
 func ParseBackend(s string) (Backend, error) { return engine.ParseBackend(s) }
 
 // Wire codecs for the wire backends (pipe, tcp). CodecV1 is the
@@ -288,8 +287,8 @@ func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 // WithBackend selects the communication substrate. New accepts the
 // simulator backends (BackendRound, the default, and BackendAsync);
 // StartLive accepts the concurrent ones (BackendPipe, the default,
-// BackendChan, BackendTCP and BackendShard — the sharded scheduler
-// that reaches 100k+ nodes). Options a backend cannot honor are
+// BackendTCP and BackendShard — the sharded scheduler that reaches
+// 100k+ nodes). Options a backend cannot honor are
 // rejected with an error, never silently ignored.
 func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b; o.backendSet = true }
@@ -423,7 +422,8 @@ type System struct {
 	values []Value
 }
 
-// New builds a network with one node per value.
+// New builds a network with one node per value. Every value must have
+// the same number of coordinates.
 func New(values []Value, method Method, opts ...Option) (*System, error) {
 	if len(values) == 0 {
 		return nil, errors.New("distclass: no input values")
@@ -538,10 +538,10 @@ func (s *System) Stats() Stats { return s.eng.Stats() }
 func (s *System) TotalWeight() float64 { return s.eng.TotalWeight() }
 
 // LiveCluster is a running live deployment over a concurrent
-// substrate — in-process channels (BackendChan), synchronous pipes
-// (BackendPipe), loopback TCP (BackendTCP), each one gossip goroutine
-// per node, or the sharded scheduler (BackendShard), a fixed worker
-// pool that reaches node counts the per-goroutine backends cannot —
+// substrate — synchronous pipes (BackendPipe) or loopback TCP
+// (BackendTCP), each one gossip goroutine per node, or the sharded
+// scheduler (BackendShard), a fixed worker pool that reaches node
+// counts the per-goroutine backends cannot —
 // with genuine asynchrony, in contrast to System's deterministic
 // simulator.
 type LiveCluster struct {
@@ -549,12 +549,13 @@ type LiveCluster struct {
 	method Method
 }
 
-// StartLive launches a live cluster with one node per value. Callers
-// must Stop it. Options honored: WithK, WithQ, WithSeed, WithTopology,
-// WithPolicy, WithMode, WithBackend (pipe, chan, tcp or shard; default
-// pipe), WithShards (shard only), WithCodec and WithFrameBatch (pipe
-// and tcp only), WithInterval, WithTolerance (used by WaitConverged),
-// WithRunHeader, WithMetrics, WithTrace, and WithMonitor.
+// StartLive launches a live cluster with one node per value, every
+// value with the same number of coordinates. Callers must Stop it.
+// Options honored: WithK, WithQ, WithSeed, WithTopology, WithPolicy,
+// WithMode, WithBackend (pipe, tcp or shard; default pipe), WithShards
+// (shard only), WithCodec and WithFrameBatch (pipe and tcp only),
+// WithInterval, WithTolerance (used by WaitConverged), WithRunHeader,
+// WithMetrics, WithTrace, and WithMonitor.
 // The probabilistic fault injections (WithCrashProb, WithDropProb) are
 // simulator-only and rejected here — live clusters crash via Kill.
 func StartLive(values []Value, method Method, opts ...Option) (*LiveCluster, error) {
@@ -569,9 +570,9 @@ func StartLive(values []Value, method Method, opts ...Option) (*LiveCluster, err
 		return nil, fmt.Errorf("distclass: k = %d must be at least 1", o.k)
 	}
 	switch o.backend {
-	case BackendChan, BackendPipe, BackendTCP, BackendShard:
+	case BackendPipe, BackendTCP, BackendShard:
 	default:
-		return nil, fmt.Errorf("distclass: StartLive runs the concurrent backends (chan, pipe, tcp, shard); backend %s needs New", o.backend)
+		return nil, fmt.Errorf("distclass: StartLive runs the concurrent backends (pipe, tcp, shard); backend %s needs New", o.backend)
 	}
 	eng, err := engine.New(o.engineConfig(values, method))
 	if err != nil {
@@ -628,7 +629,8 @@ func (c *LiveCluster) WaitConverged(timeout time.Duration, tol float64) (bool, e
 func (c *LiveCluster) Kill(i int) (float64, error) { return c.eng.Kill(i) }
 
 // Restart revives a killed node with a fresh value (weight 1) and
-// re-links its surviving neighbors; the node rejoins the gossip.
+// re-links its surviving neighbors; the node rejoins the gossip. The
+// value must have as many coordinates as the cluster's values.
 func (c *LiveCluster) Restart(i int, value Value) error {
 	return c.eng.Restart(i, vec.Vector(value).Clone())
 }

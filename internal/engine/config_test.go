@@ -6,6 +6,7 @@ package engine_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"distclass"
 	"distclass/internal/core"
@@ -49,9 +50,9 @@ func TestConfigRejectsUnsupportedOptions(t *testing.T) {
 			want: "does not support DropProb",
 		},
 		{
-			name: "chan crash prob",
+			name: "shard crash prob",
 			cfg: func() engine.Config {
-				c := baseConfig(engine.BackendChan)
+				c := baseConfig(engine.BackendShard)
 				c.CrashProb = 0.1
 				return c
 			}(),
@@ -76,18 +77,18 @@ func TestConfigRejectsUnsupportedOptions(t *testing.T) {
 			want: "no wire decoding",
 		},
 		{
-			name: "chan decode threshold",
+			name: "shard decode threshold",
 			cfg: func() engine.Config {
-				c := baseConfig(engine.BackendChan)
+				c := baseConfig(engine.BackendShard)
 				c.FailOnDecodeErrors = 1
 				return c
 			}(),
 			want: "no wire decoding",
 		},
 		{
-			name: "chan shard count",
+			name: "pipe shard count",
 			cfg: func() engine.Config {
-				c := baseConfig(engine.BackendChan)
+				c := baseConfig(engine.BackendPipe)
 				c.Shards = 4
 				return c
 			}(),
@@ -103,15 +104,6 @@ func TestConfigRejectsUnsupportedOptions(t *testing.T) {
 			want: "must be positive",
 		},
 		{
-			name: "shard send queue",
-			cfg: func() engine.Config {
-				c := baseConfig(engine.BackendShard)
-				c.SendQueue = 8
-				return c
-			}(),
-			want: "SendQueue does not apply",
-		},
-		{
 			name: "round codec",
 			cfg: func() engine.Config {
 				c := baseConfig(engine.BackendRound)
@@ -121,9 +113,9 @@ func TestConfigRejectsUnsupportedOptions(t *testing.T) {
 			want: "no wire encoding",
 		},
 		{
-			name: "chan codec",
+			name: "shard codec",
 			cfg: func() engine.Config {
-				c := baseConfig(engine.BackendChan)
+				c := baseConfig(engine.BackendShard)
 				c.Codec = wire.CodecV2F32
 				return c
 			}(),
@@ -209,8 +201,11 @@ func TestParseBackendRoundTrip(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %s", b.String(), got)
 		}
 	}
-	if _, err := engine.ParseBackend("bogus"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend name")
+	// "chan" named a deleted backend: it must fail, not alias another.
+	for _, name := range []string{"bogus", "chan"} {
+		if _, err := engine.ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend accepted the unknown backend name %q", name)
+		}
 	}
 }
 
@@ -223,7 +218,6 @@ func TestCapsMatrix(t *testing.T) {
 	}{
 		{engine.BackendRound, engine.Caps{Deterministic: true, Rounds: true, CrashProb: true, DropProb: true}},
 		{engine.BackendAsync, engine.Caps{Deterministic: true, Rounds: true, CrashProb: true}},
-		{engine.BackendChan, engine.Caps{Restart: true}},
 		{engine.BackendPipe, engine.Caps{Restart: true, Wire: true}},
 		{engine.BackendTCP, engine.Caps{Restart: true, Wire: true}},
 		{engine.BackendShard, engine.Caps{Restart: true}},
@@ -231,5 +225,62 @@ func TestCapsMatrix(t *testing.T) {
 		if got := tc.b.Caps(); got != tc.want {
 			t.Errorf("%s caps = %+v, want %+v", tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestNewRejectsMixedDimensions: values whose coordinate counts differ
+// are rejected on every backend. Accepted, they crash the process on
+// the first absorb that merges collections of different dimension.
+func TestNewRejectsMixedDimensions(t *testing.T) {
+	for _, b := range engine.Backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			cfg := baseConfig(b)
+			cfg.Values = []core.Value{{1, 2}, {1, 2, 3}, {0, 0}}
+			eng, err := engine.New(cfg)
+			if err == nil {
+				_, _, runErr := eng.RunUntilConverged(time.Second)
+				eng.Stop()
+				t.Fatalf("New accepted values of mixed dimension (run error: %v)", runErr)
+			}
+			if !strings.Contains(err.Error(), "coordinates") {
+				t.Errorf("error = %q, want it to name the coordinate counts", err)
+			}
+		})
+	}
+}
+
+// TestRestartRejectsDimensionMismatch: restarting a node with a value
+// of another dimension than the cluster's is an error, the node stays
+// dead, and the cluster keeps running. Backends without Caps.Restart
+// refuse every restart.
+func TestRestartRejectsDimensionMismatch(t *testing.T) {
+	for _, b := range engine.Backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			cfg := baseConfig(b)
+			cfg.Values = monitorWorkload(8, 3)
+			cfg.Interval = time.Millisecond
+			eng, err := engine.New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer eng.Stop()
+			if _, err := eng.Kill(1); err != nil {
+				t.Fatalf("Kill: %v", err)
+			}
+			err = eng.Restart(1, core.Value{1, 2, 3, 4, 5})
+			if err == nil {
+				runErr := eng.Run(50)
+				t.Fatalf("Restart accepted a 5-coordinate value on a 2-coordinate cluster (run error: %v)", runErr)
+			}
+			if b.Caps().Restart && !strings.Contains(err.Error(), "coordinates") {
+				t.Errorf("error = %q, want it to name the coordinate counts", err)
+			}
+			if eng.Alive(1) {
+				t.Error("node 1 is alive after a refused restart")
+			}
+			if err := eng.Run(20); err != nil {
+				t.Fatalf("Run after the refused restart: %v", err)
+			}
+		})
 	}
 }

@@ -9,20 +9,21 @@
 //     deterministic model the paper's evaluation uses (§5.3).
 //   - BackendAsync — the asynchronous event driver (sim.Async),
 //     deterministic arbitrary interleavings.
-//   - BackendChan — goroutines and buffered channels in one process,
-//     no serialization: the real concurrent protocol at scales (N in
-//     the thousands) neither the lockstep simulator nor a socket
-//     deployment reaches, and the natural -race stress target.
 //   - BackendPipe / BackendTCP — the livenet wire deployment over
 //     in-process pipes or loopback TCP: real connections, wire
 //     encoding, genuine asynchrony.
+//   - BackendShard — the concurrent protocol in one process on a
+//     sharded worker pool, no serialization: scales (N in the hundreds
+//     of thousands) neither the lockstep simulator nor a socket
+//     deployment reaches.
 //
 // The simulator backends stay byte-compatible with the pre-engine
 // drivers: a fixed-seed round-backend run emits the identical trace
 // stream. The wire backends reuse internal/livenet, reduced to a pure
 // transport; the protocol sequencing they used to hand-roll lives
 // here, which is how they gain pull/push-pull modes and the
-// round-robin policy.
+// round-robin policy. The two concurrent engines (pipe/tcp and shard)
+// share one node table and one wall-clock driver (liveCore).
 package engine
 
 import (
@@ -50,9 +51,6 @@ const (
 	BackendRound Backend = iota
 	// BackendAsync is the deterministic asynchronous event driver.
 	BackendAsync
-	// BackendChan runs the concurrent protocol over in-process
-	// channels, one goroutine pair per node, no serialization.
-	BackendChan
 	// BackendPipe runs the wire deployment over in-process pipes.
 	BackendPipe
 	// BackendTCP runs the wire deployment over loopback TCP sockets.
@@ -61,7 +59,7 @@ const (
 	// nodes partitioned across a small worker pool (default GOMAXPROCS
 	// shards), per-shard run queues, cross-shard frames batched once per
 	// scheduling quantum. No per-node goroutines, so it reaches scales
-	// (N in the hundreds of thousands) the chan backend cannot.
+	// (N in the hundreds of thousands) a goroutine per node cannot.
 	BackendShard
 )
 
@@ -71,8 +69,6 @@ func (b Backend) String() string {
 		return "round"
 	case BackendAsync:
 		return "async"
-	case BackendChan:
-		return "chan"
 	case BackendPipe:
 		return "pipe"
 	case BackendTCP:
@@ -91,8 +87,6 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendRound, nil
 	case "async":
 		return BackendAsync, nil
-	case "chan":
-		return BackendChan, nil
 	case "pipe":
 		return BackendPipe, nil
 	case "tcp":
@@ -100,13 +94,13 @@ func ParseBackend(s string) (Backend, error) {
 	case "shard":
 		return BackendShard, nil
 	default:
-		return 0, fmt.Errorf(`engine: unknown backend %q (want "round", "async", "chan", "pipe", "tcp" or "shard")`, s)
+		return 0, fmt.Errorf(`engine: unknown backend %q (want "round", "async", "pipe", "tcp" or "shard")`, s)
 	}
 }
 
 // Backends lists every backend, in flag-documentation order.
 func Backends() []Backend {
-	return []Backend{BackendRound, BackendAsync, BackendChan, BackendPipe, BackendTCP, BackendShard}
+	return []Backend{BackendRound, BackendAsync, BackendPipe, BackendTCP, BackendShard}
 }
 
 // Caps is a backend's capability matrix. Unsupported options are
@@ -136,8 +130,6 @@ func (b Backend) Caps() Caps {
 		// CrashProb is engine-driven: the driver rejects it, the engine
 		// applies it as explicit Kills between virtual rounds.
 		return Caps{Deterministic: true, Rounds: true, CrashProb: true}
-	case BackendChan:
-		return Caps{Restart: true}
 	case BackendPipe, BackendTCP:
 		return Caps{Restart: true, Wire: true}
 	case BackendShard:
@@ -153,7 +145,8 @@ type Config struct {
 	Backend Backend
 	// Method is the instantiation. Required.
 	Method core.Method
-	// Values are the input data, one node each. Required.
+	// Values are the input data, one node each, all with the same
+	// number of coordinates. Required.
 	Values []core.Value
 	// Aux, when set, provides node i's initial auxiliary vector
 	// (mixture-space tracking); nil disables tracking.
@@ -195,9 +188,6 @@ type Config struct {
 	// Interval is each node's gossip tick on concurrent backends
 	// (default 2ms).
 	Interval time.Duration
-	// SendQueue bounds per-link (or per-node inbox) queues on
-	// concurrent backends (default livenet.DefaultSendQueue).
-	SendQueue int
 	// Shards sets the worker count of BackendShard (default
 	// GOMAXPROCS, clamped to the node count). Rejected on every other
 	// backend.
@@ -282,6 +272,11 @@ func (c Config) validate() error {
 	if len(c.Values) == 0 {
 		return errors.New("engine: no input values")
 	}
+	for i, v := range c.Values {
+		if len(v) != len(c.Values[0]) {
+			return fmt.Errorf("engine: value %d has %d coordinates, value 0 has %d", i, len(v), len(c.Values[0]))
+		}
+	}
 	caps := c.Backend.Caps()
 	//lint:allow floatcmp zero means "feature unused"; any nonzero setting must be honored or rejected
 	if c.CrashProb != 0 && !caps.CrashProb {
@@ -310,9 +305,6 @@ func (c Config) validate() error {
 	}
 	if c.Shards != 0 && c.Backend != BackendShard {
 		return fmt.Errorf("engine: backend %s has no worker pool; Shards does not apply", c.Backend)
-	}
-	if c.SendQueue > 0 && c.Backend == BackendShard {
-		return fmt.Errorf("engine: backend %s batches frames in unbounded shard mailboxes; SendQueue does not apply", c.Backend)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("engine: Shards = %d must be positive", c.Shards)
@@ -347,8 +339,8 @@ type Engine interface {
 	// (the node's own plus anything in flight to it that the crash
 	// discarded).
 	Kill(i int) (float64, error)
-	// Restart revives a killed node with a fresh value (backends with
-	// Caps.Restart).
+	// Restart revives a killed node with a fresh value, which must
+	// have the cluster's coordinate count (backends with Caps.Restart).
 	Restart(i int, value core.Value) error
 	// Step advances one round without convergence probing: a driver
 	// round on BackendRound, N driver events (one virtual round) on
@@ -442,7 +434,7 @@ func New(cfg Config) (Engine, error) {
 	switch cfg.Backend {
 	case BackendRound, BackendAsync:
 		return newSimEngine(cfg, graph, nodes, root)
-	case BackendChan, BackendPipe, BackendTCP:
+	case BackendPipe, BackendTCP:
 		return newLiveEngine(cfg, graph, nodes, nodeCfg, root)
 	case BackendShard:
 		return newShardEngine(cfg, graph, nodes, nodeCfg, root)

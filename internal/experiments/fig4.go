@@ -34,8 +34,8 @@ type Fig4Config struct {
 	CrashProb float64
 	// Backend selects the engine substrate for the robust (GM) traces
 	// (default BackendRound). On the deterministic backends the engine
-	// injects crashes per round; on the concurrent backends (chan,
-	// pipe, tcp) the harness samples explicit Kills between wall-clock
+	// injects crashes per round; on the concurrent backends (pipe,
+	// tcp, shard) the harness samples explicit Kills between wall-clock
 	// rounds of one gossip interval each. The regular push-sum baseline
 	// always runs on the round driver.
 	Backend engine.Backend

@@ -3,8 +3,8 @@
 // by killing nodes mid-run and measuring what the survivors still
 // agree on — against any engine backend. On the deterministic
 // simulator backends (round, async) the kills land between rounds and
-// the weight audit is exact; on the concurrent backends (chan, pipe,
-// tcp) real goroutines die mid-gossip and the audit allows the handful
+// the weight audit is exact; on the concurrent backends (pipe, tcp,
+// shard) real nodes die mid-gossip and the audit allows the handful
 // of frames a dying connection can tear. One harness, one readout,
 // five substrates: the point of the engine layer.
 //

@@ -6,11 +6,10 @@
 // The round driver labels its three phases each round (sim.send,
 // sim.deliver, sim.crash) with Phase; the concurrent backends label
 // each long-lived goroutine once when it starts with Label
-// (engine.gossip, engine.receive, engine.monitor, livenet.write,
-// livenet.receive, shard.worker). Labels are visible in
-// `go tool pprof -tags` and in the flame graph's label selector, so a
-// profile of a long run answers "which phase burns the cycles" without
-// guessing from stack shapes. Setting a label costs a few allocations
+// (engine.gossip, engine.monitor, livenet.write, livenet.receive,
+// shard.worker). Labels are visible in `go tool pprof -tags` and in
+// the flame graph's label selector, so a profile of a long run answers
+// "which phase burns the cycles" without guessing from stack shapes. Setting a label costs a few allocations
 // whether or not a profile is being collected, so nothing labels per
 // message: core split/absorb run under their caller's label.
 package prof

@@ -88,7 +88,7 @@ type Event struct {
 	// spread at convergence) is a legitimate reading, not an absence.
 	Value float64 `json:"value"`
 	// Backend names the engine backend on KindRunHeader events
-	// ("round", "async", "chan", "pipe", "tcp"); empty elsewhere.
+	// ("round", "async", "pipe", "tcp", "shard"); empty elsewhere.
 	Backend string `json:"backend,omitempty"`
 	// Schema is the trace schema version, set on KindRunHeader events.
 	// Absent (0) means SchemaBase: the original event vocabulary.
