@@ -56,8 +56,9 @@ race:
 	$(GO) test -race ./...
 
 # Coverage-guided fuzzing of the two decoders that read untrusted
-# bytes: trace files (replay.Analyze) and wire payloads
-# (wire.UnmarshalClassification), FUZZTIME each. Kept out of `make
+# bytes — trace files (replay.Analyze) and wire payloads
+# (wire.UnmarshalClassification) — and of the pruned EM reduction
+# against its reference (em.ReduceMixture), FUZZTIME each. Kept out of `make
 # check` so that gate stays deterministic; CI runs it as its own step.
 # A failing input lands under the package's testdata/fuzz and then
 # runs as a plain regression test. Minimization is capped because the
@@ -66,6 +67,7 @@ race:
 fuzz:
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalClassification$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/em -run '^$$' -fuzz '^FuzzReduceMixture$$' -fuzztime $(FUZZTIME)
 
 # Observability smoke gate: a tiny fixed-seed simulation must replay
 # with zero anomalies (no stalled nodes, no decode errors, no round

@@ -90,6 +90,12 @@ func (o Options) withDefaults() Options {
 // contaminating it. The merge-aware form preserves the variance
 // awareness the paper's Figure 1 motivates while remaining robust to
 // singletons.
+//
+// The E-step skips the factorization of any pair a certified upper
+// bound rules out (see reducer.limit), and the M-step moment-matches in
+// buffers allocated once per call, so the groups equal those of the
+// plain loop — every score compared exactly, every candidate merged by
+// gauss.Merge — for every input, bit for bit.
 func ReduceMixture(cs []gauss.Component, k int, opts Options) ([][]int, error) {
 	opts = opts.withDefaults()
 	if len(cs) == 0 {
@@ -99,92 +105,360 @@ func ReduceMixture(cs []gauss.Component, k int, opts Options) ([][]int, error) {
 		return nil, fmt.Errorf("em: k = %d must be at least 1", k)
 	}
 	if len(cs) <= k {
+		flat := make([]int, len(cs))
 		groups := make([][]int, len(cs))
 		for i := range cs {
-			groups[i] = []int{i}
+			flat[i] = i
+			groups[i] = flat[i : i+1 : i+1]
 		}
 		return groups, nil
 	}
-	seeds := farthestFirst(cs, k)
-	// Initial candidates: the seed components themselves.
-	targets := make([]gauss.Component, len(seeds))
-	for i, s := range seeds {
-		targets[i] = cs[s].Clone()
+	r, err := newReducer(cs, k, opts.VarFloor)
+	if err != nil {
+		return nil, err
 	}
-	assign := make([]int, len(cs))
-	for i := range assign {
-		assign[i] = -1
-	}
-	scratch := newAffinityScratch(cs[0].Dim())
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		changed := false
-		next := make([]int, len(cs))
-		for i, c := range cs {
-			bestJ, bestScore := -1, math.Inf(-1)
-			for j := range targets {
-				aff, err := affinity(c, targets[j], opts.VarFloor, scratch)
-				if err != nil {
-					return nil, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, j, err)
-				}
-				if aff > bestScore {
-					bestJ, bestScore = j, aff
-				}
-			}
-			next[i] = bestJ
-			if bestJ != assign[i] {
-				changed = true
-			}
+	// Initial candidates: copies of the seed components themselves.
+	for _, s := range farthestFirst(cs, k) {
+		p := len(r.targets)
+		r.targets = r.targets[:p+1]
+		t := &r.targets[p]
+		copy(t.Mean, cs[s].Mean)
+		if err := t.Cov.CopyFrom(cs[s].Cov); err != nil {
+			return nil, err
 		}
-		assign = next
+		t.Weight = cs[s].Weight
+		r.tb[p] = r.ib[s]
+	}
+	for iter := 0; iter < opts.MaxIters; iter++ {
+		changed, err := r.eStep()
+		if err != nil {
+			return nil, err
+		}
 		if !changed {
 			break
 		}
-		// M-step: moment-match candidates to their members; drop empties.
-		members := make([][]int, len(targets))
-		for i, j := range assign {
-			members[j] = append(members[j], i)
-		}
-		newTargets := targets[:0]
-		remap := make([]int, len(targets))
-		for j, m := range members {
-			if len(m) == 0 {
-				remap[j] = -1
-				continue
-			}
-			sub := make([]gauss.Component, len(m))
-			for x, idx := range m {
-				sub[x] = cs[idx]
-			}
-			merged, err := gauss.Merge(sub)
-			if err != nil {
-				return nil, fmt.Errorf("em: m-step merge: %w", err)
-			}
-			remap[j] = len(newTargets)
-			newTargets = append(newTargets, merged)
-		}
-		targets = newTargets
-		for i := range assign {
-			assign[i] = remap[assign[i]]
+		if err := r.mStep(); err != nil {
+			return nil, err
 		}
 	}
-	groups := make([][]int, len(targets))
-	for i, j := range assign {
-		groups[j] = append(groups[j], i)
-	}
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) > 0 {
-			out = append(out, g)
+	return r.groups(), nil
+}
+
+// Pruning constants (see reducer.limit).
+const (
+	// pruneCap bounds d³·κ, where κ = T/c_ij over-estimates the
+	// condition number of the evaluation covariance S. Below it the raw
+	// Cholesky of S cannot fail, so the ridge ladder never engages.
+	pruneCap = 1e9
+	// ldErrPerKappa over-estimates the error of a computed Cholesky
+	// log-determinant per unit of d³·κ: about 900 units of float64
+	// roundoff.
+	ldErrPerKappa = 1e-13
+	// pruneMargin covers the log-det error of S (at most
+	// ldErrPerKappa·pruneCap) and the rounding of the final sums.
+	pruneMargin = ldErrPerKappa*pruneCap + 1e-6
+)
+
+// bound is what the E-step pruning bound needs of one component: its
+// covariance trace, ld = logdet(Cov + floor·I), the error allowance of
+// that computed log-det, and whether the bound may use them at all.
+type bound struct {
+	tr, ld, ldErr float64
+	ok            bool
+}
+
+// reducer holds one ReduceMixture call's state. Every buffer is
+// allocated once per call and reused across iterations; nothing is
+// pooled or shared between calls.
+type reducer struct {
+	cs      []gauss.Component
+	d       int
+	dF, d3  float64 // d and d³
+	floor   float64
+	ldZero  float64 // logdet(floor·I)
+	s       *affinityScratch
+	targets []gauss.Component // current candidates over per-slot buffers
+	ib, tb  []bound           // per input, per candidate slot
+	assign  []int             // per input: candidate index, -1 before the first E-step
+	lim     []float64         // per candidate: the current input's score limit
+	idx     []int             // inputs counting-sorted by candidate
+	count   []int             // per candidate: counting-sort offsets
+	remap   []int             // per candidate: slot after compaction, -1 if empty
+	sub     []gauss.Component // one candidate's members, handed to MergeInto
+	diff    vec.Vector        // MergeInto scratch
+}
+
+// newReducer validates the inputs' dimensions, precomputes their
+// bounds and allocates the call's buffers for up to k candidates.
+func newReducer(cs []gauss.Component, k int, floor float64) (*reducer, error) {
+	n, d := len(cs), cs[0].Dim()
+	for i, c := range cs {
+		if c.Cov == nil {
+			return nil, fmt.Errorf("em: input %d has no covariance", i)
+		}
+		if c.Mean.Dim() != d || c.Cov.Dim() != d {
+			return nil, fmt.Errorf("em: input %d: %w: mean dim %d, covariance dim %d, want %d",
+				i, vec.ErrDimMismatch, c.Mean.Dim(), c.Cov.Dim(), d)
 		}
 	}
-	return out, nil
+	ints := make([]int, 2*n+2*k)
+	comps := make([]gauss.Component, n+k)
+	bounds := make([]bound, n+k)
+	means := make([]float64, (k+1)*d)
+	r := &reducer{
+		cs:      cs,
+		d:       d,
+		dF:      float64(d),
+		d3:      float64(d) * float64(d) * float64(d),
+		floor:   floor,
+		ldZero:  float64(d) * math.Log(floor),
+		s:       newAffinityScratch(d),
+		targets: comps[n : n : n+k],
+		ib:      bounds[:n],
+		tb:      bounds[n:],
+		assign:  ints[:n],
+		idx:     ints[n : 2*n],
+		count:   ints[2*n : 2*n+k],
+		remap:   ints[2*n+k:],
+		lim:     make([]float64, k),
+		sub:     comps[:0:n],
+		diff:    vec.Vector(means[k*d:]),
+	}
+	covs := mat.NewBatch(k, d)
+	for p := range covs {
+		comps[n+p].Mean = vec.Vector(means[p*d : (p+1)*d : (p+1)*d])
+		comps[n+p].Cov = &covs[p]
+	}
+	for i, c := range cs {
+		r.assign[i] = -1
+		r.ib[i] = r.certify(c)
+	}
+	return r, nil
+}
+
+// certify computes c's bound. The pruning bound assumes a positive
+// semi-definite covariance, which wire-decoded summaries need not have,
+// so a component qualifies only with a positive finite weight and a
+// finite, exactly symmetric covariance that is exactly zero or whose
+// raw Cholesky factorization succeeds (positive definite up to
+// roundoff). Any other component is scored exactly against every
+// candidate.
+func (r *reducer) certify(c gauss.Component) bound {
+	cov, s := c.Cov, r.s
+	if !(c.Weight > 0) || math.IsInf(c.Weight, 1) || !cov.IsFinite() || !cov.IsSymmetric(0) {
+		return bound{}
+	}
+	b := bound{ld: r.ldZero, ok: true}
+	if !cov.IsZero() {
+		if s.chol.Factor(cov) != nil {
+			return bound{}
+		}
+		if err := s.covF.CopyFrom(cov); err != nil {
+			return bound{}
+		}
+		for x := 0; x < r.d; x++ {
+			s.covF.Set(x, x, s.covF.At(x, x)+r.floor)
+		}
+		if s.chol.Factor(s.covF) != nil {
+			return bound{}
+		}
+		b.tr, b.ld = cov.Trace(), s.chol.LogDet()
+	}
+	// Cov + floor·I has condition number at most tr/floor + 1.
+	b.ldErr = ldErrPerKappa * r.d3 * (b.tr/r.floor + 1)
+	if math.IsInf(b.tr, 0) || math.IsNaN(b.ld) || math.IsInf(b.ld, 0) || math.IsNaN(b.ldErr) {
+		return bound{}
+	}
+	return b
+}
+
+// limit returns a score that input i's affinity to candidate j, as
+// affinity computes it, stays strictly below; +Inf when no bound
+// applies. With S = Cov_i + Cov_j + c_ij·I the evaluation covariance,
+// gap = ||mu_i - mu_j||² and c_ij >= floor the affinity's own terms,
+// and both covariances positive semi-definite:
+//
+//   - S ⪰ Cov_i + floor·I and S ⪰ Cov_j + floor·I, so
+//     logdet(S) >= max(ld_i, ld_j);
+//   - the quadratic form q = δᵀS⁻¹δ >= gap/λmax(S) >= gap/T with
+//     T = tr_i + tr_j + d·c_ij = tr(S).
+//
+// Hence affinity <= UB = -½(d·log2π + max(ld_i, ld_j) + gap/T). The
+// limit adds a margin for the floating-point error of the bound and of
+// the exact score. A computed log-det errs by at most ldErrPerKappa·d³·κ
+// for its matrix's condition number κ: κ <= T/c_ij for S (pruneMargin,
+// since d³·T/c_ij <= pruneCap) and κ <= tr/floor + 1 for Cov + floor·I
+// (each bound's ldErr, which also covers the roundoff-sized negative
+// eigenvalues a certified covariance may have). The computed q errs by
+// a relative O(d²) roundoff, which the 1e-9 relative term covers for
+// every d that pruneCap admits. Pairs past pruneCap, where the ridge
+// ladder could engage, get no bound.
+func (r *reducer) limit(bi, bj bound, ci, cj gauss.Component) float64 {
+	if !bi.ok || !bj.ok {
+		return math.Inf(1)
+	}
+	var gap float64
+	for x, m := range ci.Mean {
+		dx := m - cj.Mean[x]
+		gap += dx * dx
+	}
+	w := ci.Weight + cj.Weight
+	c := ci.Weight*cj.Weight*gap/(w*w*r.dF) + r.floor
+	t := bi.tr + bj.tr + r.dF*c
+	if !(t > 0 && c < math.Inf(1) && r.d3*t <= pruneCap*c) {
+		return math.Inf(1) // also for non-finite means and weights
+	}
+	q := gap / t
+	ld := math.Max(bi.ld, bj.ld)
+	ub := -0.5 * (r.dF*log2Pi + ld + q)
+	return ub + pruneMargin + 1e-9*(math.Abs(ld)+q) + bi.ldErr + bj.ldErr
+}
+
+// eStep assigns every input to its best candidate and reports whether
+// any assignment changed.
+func (r *reducer) eStep() (bool, error) {
+	changed := false
+	for i := range r.cs {
+		j, err := r.best(i)
+		if err != nil {
+			return false, err
+		}
+		if j < 0 {
+			return false, fmt.Errorf("em: input %d scores no finite affinity against any candidate", i)
+		}
+		if j != r.assign[i] {
+			changed = true
+		}
+		r.assign[i] = j
+	}
+	return changed, nil
+}
+
+// best returns the candidate with the maximal affinity for input i,
+// the lowest index among ties — the plain ascending scan's answer. It
+// scores the previous winner first (in the first E-step: the candidate
+// with the highest limit), then skips every candidate whose limit is
+// below the best score so far.
+func (r *reducer) best(i int) (int, error) {
+	ci, bi := r.cs[i], r.ib[i]
+	first := r.assign[i]
+	for j := range r.targets {
+		r.lim[j] = r.limit(bi, r.tb[j], ci, r.targets[j])
+		if r.assign[i] < 0 && (first < 0 || r.lim[j] > r.lim[first]) {
+			first = j
+		}
+	}
+	bestJ, best := -1, math.Inf(-1)
+	consider := func(j int) error {
+		aff, err := affinity(ci, r.targets[j], r.floor, r.s)
+		if err != nil {
+			return err
+		}
+		//lint:allow floatcmp ties go to the lowest index, as in the plain ascending scan with a strict >
+		if aff > best || (aff == best && j < bestJ) {
+			bestJ, best = j, aff
+		}
+		return nil
+	}
+	if first >= 0 {
+		if err := consider(first); err != nil {
+			// Report the error the ascending scan meets first: a lower
+			// candidate may fail too. Skipped pairs never fail.
+			for j := 0; j < first; j++ {
+				if lerr := consider(j); lerr != nil {
+					return -1, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, j, lerr)
+				}
+			}
+			return -1, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, first, err)
+		}
+	}
+	for j := range r.targets {
+		if j == first || r.lim[j] < best {
+			continue
+		}
+		if err := consider(j); err != nil {
+			return -1, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, j, err)
+		}
+	}
+	return bestJ, nil
+}
+
+// sortMembers counting-sorts the inputs by candidate into r.idx,
+// ascending within each candidate, leaving r.count[j] at the end of
+// candidate j's run.
+func (r *reducer) sortMembers() {
+	count := r.count[:len(r.targets)]
+	for j := range count {
+		count[j] = 0
+	}
+	for _, j := range r.assign {
+		count[j]++
+	}
+	sum := 0
+	for j, c := range count {
+		count[j] = sum
+		sum += c
+	}
+	for i, j := range r.assign {
+		r.idx[count[j]] = i
+		count[j]++
+	}
+}
+
+// mStep moment-matches every candidate to its members in place,
+// drops empty candidates and remaps the assignments.
+func (r *reducer) mStep() error {
+	r.sortMembers()
+	lo, p := 0, 0
+	for j := range r.targets {
+		hi := r.count[j]
+		if hi == lo {
+			r.remap[j] = -1
+			continue
+		}
+		r.sub = r.sub[:0]
+		for _, x := range r.idx[lo:hi] {
+			r.sub = append(r.sub, r.cs[x])
+		}
+		// Slot p <= j: the merge reads only inputs, never candidates.
+		t := &r.targets[p]
+		w, err := gauss.MergeInto(t.Mean, t.Cov, r.diff, r.sub)
+		if err != nil {
+			return fmt.Errorf("em: m-step merge: %w", err)
+		}
+		t.Weight = w
+		r.tb[p] = r.certify(*t)
+		r.remap[j] = p
+		p++
+		lo = hi
+	}
+	r.targets = r.targets[:p]
+	for i, j := range r.assign {
+		r.assign[i] = r.remap[j]
+	}
+	return nil
+}
+
+// groups returns the member lists of the non-empty candidates, in
+// candidate order, over one backing slice.
+func (r *reducer) groups() [][]int {
+	r.sortMembers()
+	out := make([][]int, 0, len(r.targets))
+	lo := 0
+	for j := range r.targets {
+		if hi := r.count[j]; hi > lo {
+			out = append(out, r.idx[lo:hi:hi])
+			lo = hi
+		}
+	}
+	return out
 }
 
 // affinityScratch holds the buffers one ReduceMixture call threads
-// through every E-step affinity evaluation, making the whole scoring
-// loop — the partition hot path of every gossip merge — allocation-
-// free. No pooling, no package state: the scratch lives and dies with
-// its ReduceMixture call.
+// through every E-step affinity evaluation and every bound
+// certification, making the whole scoring loop — the partition hot
+// path of every gossip merge — allocation-free. No pooling, no package
+// state: the scratch lives and dies with its ReduceMixture call.
 type affinityScratch struct {
 	delta vec.Vector    // mean gap; doubles as the density's (x - mu)
 	cov0  *mat.Matrix   // pristine evaluation covariance
@@ -194,12 +468,14 @@ type affinityScratch struct {
 }
 
 func newAffinityScratch(d int) *affinityScratch {
+	vs := make([]float64, 2*d)
+	ms := mat.NewBatch(2, d)
 	return &affinityScratch{
-		delta: vec.New(d),
-		cov0:  mat.New(d),
-		covF:  mat.New(d),
+		delta: vs[:d:d],
+		cov0:  &ms[0],
+		covF:  &ms[1],
 		chol:  mat.CholeskyWorkspace(d),
-		y:     vec.New(d),
+		y:     vs[d:],
 	}
 }
 
@@ -285,7 +561,8 @@ func farthestFirst(cs []gauss.Component, k int) []int {
 			first = i
 		}
 	}
-	seeds := []int{first}
+	seeds := make([]int, 1, k)
+	seeds[0] = first
 	minDist := make([]float64, len(cs))
 	for i := range cs {
 		minDist[i] = vec.DistSq(cs[i].Mean, cs[first].Mean)

@@ -339,6 +339,50 @@ func BenchmarkReduceMixture(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceMixtureMerged reduces inputs shaped like a Figure 2
+// node's partition input: 17 merged (non-zero-covariance) components
+// to k = 7.
+func BenchmarkReduceMixtureMerged(b *testing.B) {
+	cs := mergedProblem(rng.New(11), 17)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReduceMixture(cs, 7, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReduceMixtureAllocs pins a warm Figure-2-sized reduction (17
+// merged inputs, k = 7) to its per-call buffers: the count is a small
+// constant, the same whether EM stops after one iteration or runs to
+// convergence.
+func TestReduceMixtureAllocs(t *testing.T) {
+	cs := mergedProblem(rng.New(3), 17)
+	var counts []float64
+	for _, iters := range []int{1, 0} {
+		counts = append(counts, testing.AllocsPerRun(50, func() {
+			if _, err := ReduceMixture(cs, 7, Options{MaxIters: iters}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > 20 {
+		t.Errorf("allocs per call: %v after one iteration, %v at convergence; want equal and <= 20", counts[0], counts[1])
+	}
+}
+
+// TestReduceMixtureMixedDimensions pins that inputs of different
+// dimensions are an error, not a panic, whenever there is anything to
+// reduce.
+func TestReduceMixtureMixedDimensions(t *testing.T) {
+	cs := []gauss.Component{pointComp(1, 0, 0), pointComp(1, 0, 0, 0), pointComp(1, 1, 1)}
+	for k := 1; k <= 2; k++ {
+		if _, err := ReduceMixture(cs, k, Options{}); !errors.Is(err, vec.ErrDimMismatch) {
+			t.Errorf("k=%d: error %v, want ErrDimMismatch", k, err)
+		}
+	}
+}
+
 func BenchmarkFitGMM(b *testing.B) {
 	r := rng.New(13)
 	pts := make([]vec.Vector, 200)

@@ -1,0 +1,344 @@
+package em
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"distclass/internal/gauss"
+	"distclass/internal/mat"
+	"distclass/internal/rng"
+	"distclass/internal/vec"
+)
+
+// The reference below is the original ReduceMixture — plain ascending
+// E-step over every candidate, allocating M-step — and the original
+// gauss.Merge it called, kept verbatim as the oracle: the pruned,
+// buffer-reusing ReduceMixture must return the same groups, or an
+// error wherever the reference errors or panics.
+
+func reduceMixtureRef(cs []gauss.Component, k int, opts Options) ([][]int, error) {
+	opts = opts.withDefaults()
+	if len(cs) == 0 {
+		return nil, ErrNoData
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("em: k = %d must be at least 1", k)
+	}
+	if len(cs) <= k {
+		groups := make([][]int, len(cs))
+		for i := range cs {
+			groups[i] = []int{i}
+		}
+		return groups, nil
+	}
+	seeds := farthestFirst(cs, k)
+	// Initial candidates: the seed components themselves.
+	targets := make([]gauss.Component, len(seeds))
+	for i, s := range seeds {
+		targets[i] = cs[s].Clone()
+	}
+	assign := make([]int, len(cs))
+	for i := range assign {
+		assign[i] = -1
+	}
+	scratch := newAffinityScratch(cs[0].Dim())
+	for iter := 0; iter < opts.MaxIters; iter++ {
+		changed := false
+		next := make([]int, len(cs))
+		for i, c := range cs {
+			bestJ, bestScore := -1, math.Inf(-1)
+			for j := range targets {
+				aff, err := affinity(c, targets[j], opts.VarFloor, scratch)
+				if err != nil {
+					return nil, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, j, err)
+				}
+				if aff > bestScore {
+					bestJ, bestScore = j, aff
+				}
+			}
+			next[i] = bestJ
+			if bestJ != assign[i] {
+				changed = true
+			}
+		}
+		assign = next
+		if !changed {
+			break
+		}
+		// M-step: moment-match candidates to their members; drop empties.
+		members := make([][]int, len(targets))
+		for i, j := range assign {
+			members[j] = append(members[j], i)
+		}
+		newTargets := targets[:0]
+		remap := make([]int, len(targets))
+		for j, m := range members {
+			if len(m) == 0 {
+				remap[j] = -1
+				continue
+			}
+			sub := make([]gauss.Component, len(m))
+			for x, idx := range m {
+				sub[x] = cs[idx]
+			}
+			merged, err := mergeRef(sub)
+			if err != nil {
+				return nil, fmt.Errorf("em: m-step merge: %w", err)
+			}
+			remap[j] = len(newTargets)
+			newTargets = append(newTargets, merged)
+		}
+		targets = newTargets
+		for i := range assign {
+			assign[i] = remap[assign[i]]
+		}
+	}
+	groups := make([][]int, len(targets))
+	for i, j := range assign {
+		groups[j] = append(groups[j], i)
+	}
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out, nil
+}
+
+func mergeRef(cs []gauss.Component) (gauss.Component, error) {
+	if len(cs) == 0 {
+		return gauss.Component{}, gauss.ErrEmpty
+	}
+	d := cs[0].Dim()
+	var total float64
+	mean := vec.New(d)
+	for i, c := range cs {
+		if c.Dim() != d {
+			return gauss.Component{}, fmt.Errorf("gauss: component %d has dim %d, want %d", i, c.Dim(), d)
+		}
+		if c.Weight <= 0 {
+			return gauss.Component{}, fmt.Errorf("gauss: component %d has non-positive weight %v", i, c.Weight)
+		}
+		total += c.Weight
+		vec.Axpy(mean, c.Weight, c.Mean)
+	}
+	vec.ScaleInPlace(1/total, mean)
+	cov := mat.New(d)
+	for _, c := range cs {
+		// Law of total covariance: within-component plus between-component.
+		mat.AddInPlace(cov, c.Weight/total, c.Cov)
+		diff, err := vec.Sub(c.Mean, mean)
+		if err != nil {
+			return gauss.Component{}, err
+		}
+		mat.AddOuterInPlace(cov, c.Weight/total, diff)
+	}
+	return gauss.Component{Gaussian: gauss.Gaussian{Mean: mean, Cov: cov.Symmetrize()}, Weight: total}, nil
+}
+
+// errRefPanic marks a reference run that panicked rather than returned.
+var errRefPanic = errors.New("reference panicked")
+
+// runRef calls the reference, turning a panic into an error.
+func runRef(cs []gauss.Component, k int, opts Options) (groups [][]int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			groups, err = nil, fmt.Errorf("%w: %v", errRefPanic, p)
+		}
+	}()
+	return reduceMixtureRef(cs, k, opts)
+}
+
+// matchRef fails unless ReduceMixture returns the reference's groups,
+// the reference's error message, or any error where the reference
+// panics.
+func matchRef(t *testing.T, cs []gauss.Component, k int, opts Options) {
+	t.Helper()
+	want, werr := runRef(cs, k, opts)
+	got, err := ReduceMixture(cs, k, opts)
+	switch {
+	case werr != nil && err == nil:
+		t.Fatalf("k=%d %v\nreference: %v\nReduceMixture returned %v", k, cs, werr, got)
+	case werr != nil:
+		if !errors.Is(werr, errRefPanic) && werr.Error() != err.Error() {
+			t.Fatalf("k=%d %v\nreference error: %v\nReduceMixture error: %v", k, cs, werr, err)
+		}
+	case err != nil:
+		t.Fatalf("k=%d %v\nReduceMixture: %v\nreference returned %v", k, cs, err, want)
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("k=%d %v\nReduceMixture = %v\nreference   = %v", k, cs, got, want)
+	}
+}
+
+// decodeProblem reads a reduction problem of at most maxN inputs from
+// bytes. The header picks the dimension (1-4), k (1-8) and sometimes a
+// small iteration cap. Each input then picks, from its own bytes: a
+// coordinate scale (mostly 1, else 1e-9 to 1e9), a mean on a coarse
+// grid (or the previous input's mean, so coincident means are common),
+// a zero, rank-1, positive definite or arbitrary symmetric (often
+// indefinite) covariance, a weight that is a multiple of a power of two
+// (zero included) and, rarely, a foreign dimension — or it duplicates
+// the previous input.
+func decodeProblem(data []byte, maxN int) ([]gauss.Component, int, Options) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	d := 1 + int(next()%4)
+	k := 1 + int(next()%8)
+	var opts Options
+	if b := next(); b%4 == 0 {
+		opts.MaxIters = 1 + int(b/4%4)
+	}
+	var cs []gauss.Component
+	for len(data) > 0 && len(cs) < maxN {
+		kind := next()
+		if prev := len(cs) - 1; kind%32 == 30 && prev >= 0 {
+			// An exact duplicate: candidates can tie bit for bit.
+			cs = append(cs, cs[prev])
+			continue
+		}
+		dim := d
+		if kind%32 == 31 {
+			dim = d%4 + 1
+		}
+		// Mostly unit scale on a coarse grid, so exact score ties
+		// between symmetric candidates occur; otherwise 1e-9 to 1e9.
+		scale := 1.0
+		if b := next(); b >= 160 {
+			scale = math.Pow(10, float64(int(b%19)-9))
+		}
+		coord := func() float64 { return float64(int8(next())>>4) * scale }
+		mean := vec.New(dim)
+		if prev := len(cs) - 1; kind&0x20 != 0 && prev >= 0 && cs[prev].Dim() == dim {
+			copy(mean, cs[prev].Mean)
+		} else {
+			for x := range mean {
+				mean[x] = coord()
+			}
+		}
+		cov := mat.New(dim)
+		switch kind >> 6 {
+		case 1: // rank 1: v vᵀ
+			v := vec.New(dim)
+			for x := range v {
+				v[x] = coord()
+			}
+			mat.AddOuterInPlace(cov, 1, v)
+		case 2: // positive (semi-)definite: sum of dim outer products
+			v := vec.New(dim)
+			for range dim {
+				for x := range v {
+					v[x] = coord()
+				}
+				mat.AddOuterInPlace(cov, 1, v)
+			}
+		case 3: // arbitrary symmetric
+			for x := 0; x < dim; x++ {
+				for y := x; y < dim; y++ {
+					c := coord() * scale
+					cov.Set(x, y, c)
+					cov.Set(y, x, c)
+				}
+			}
+		}
+		w := float64(1+next()%8) / 8
+		if b := next(); b >= 192 {
+			w = float64(b%64) * math.Ldexp(1, int(next()%24)-20)
+		}
+		cs = append(cs, gauss.Component{Gaussian: gauss.Gaussian{Mean: mean, Cov: cov}, Weight: w})
+	}
+	return cs, k, opts
+}
+
+// mergedProblem draws a problem shaped like a gossip node's partition
+// input: 2-d points around a few centres, grouped into inputs that are
+// moment-matched merges of one to a dozen points with weights that are
+// multiples of a quantum.
+func mergedProblem(r *rng.RNG, n int) []gauss.Component {
+	centres := 2 + r.IntN(5)
+	cs := make([]gauss.Component, n)
+	for i := range cs {
+		c := float64(r.IntN(centres))
+		pts := make([]gauss.Component, 1+r.IntN(12))
+		for p := range pts {
+			pts[p] = pointComp(float64(1+r.IntN(64))/1024, 10*c+r.Normal(0, 1+c), r.Normal(0, 2))
+		}
+		m, err := gauss.Merge(pts)
+		if err != nil {
+			panic(err)
+		}
+		cs[i] = m
+	}
+	return cs
+}
+
+// gridProblem draws n point inputs in one or two dimensions on a small
+// integer grid with weights 1 or 2: symmetric layouts make exact score
+// ties between different candidates common, so the lowest-index
+// tie-break is exercised.
+func gridProblem(r *rng.RNG, n int) []gauss.Component {
+	d := 1 + r.IntN(2)
+	cs := make([]gauss.Component, n)
+	xs := make([]float64, d)
+	for i := range cs {
+		for x := range xs {
+			xs[x] = float64(r.IntN(7) - 3)
+		}
+		cs[i] = pointComp(float64(1+r.IntN(2)), xs...)
+	}
+	return cs
+}
+
+// TestReduceMixtureMatchesReference compares ReduceMixture with the
+// reference on random problems: byte-decoded ones covering degenerate
+// covariances, coincident means, extreme scale spreads and quantized
+// weights, gossip-shaped ones of merged point clusters, and grid ones
+// full of exact ties.
+func TestReduceMixtureMatchesReference(t *testing.T) {
+	r := rng.New(16)
+	data := make([]byte, 3+24*40)
+	for trial := 0; trial < 20000; trial++ {
+		for i := range data {
+			data[i] = byte(r.IntN(256))
+		}
+		cs, k, opts := decodeProblem(data, 1+r.IntN(24))
+		matchRef(t, cs, k, opts)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		matchRef(t, mergedProblem(r, 1+r.IntN(24)), 1+r.IntN(8), Options{})
+	}
+	for trial := 0; trial < 20000; trial++ {
+		matchRef(t, gridProblem(r, 3+r.IntN(6)), 2+r.IntN(3), Options{})
+	}
+}
+
+// FuzzReduceMixture checks ReduceMixture against the reference on
+// byte-decoded problems (see decodeProblem). Run with `go test -fuzz
+// FuzzReduceMixture ./internal/em`; without -fuzz the seeds run as a
+// regular test.
+func FuzzReduceMixture(f *testing.F) {
+	r := rng.New(7)
+	for range 8 {
+		data := make([]byte, 3+r.IntN(24*12))
+		for i := range data {
+			data[i] = byte(r.IntN(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cs, k, opts := decodeProblem(data, 24)
+		if len(cs) == 0 {
+			return
+		}
+		matchRef(t, cs, k, opts)
+	})
+}

@@ -249,30 +249,51 @@ func Merge(cs []Component) (Component, error) {
 		return Component{}, ErrEmpty
 	}
 	d := cs[0].Dim()
+	mean, cov := vec.New(d), mat.New(d)
+	total, err := MergeInto(mean, cov, vec.New(d), cs)
+	if err != nil {
+		return Component{}, err
+	}
+	return Component{Gaussian: Gaussian{Mean: mean, Cov: cov}, Weight: total}, nil
+}
+
+// MergeInto is Merge into caller-owned storage: it overwrites mean and
+// cov with the merged moments, uses diff as scratch, and returns the
+// summed weight. All three must have the components' dimension. Merge
+// is MergeInto over fresh storage, so the two agree bit for bit; hot
+// loops (em.ReduceMixture's M-step) reuse one set of buffers instead.
+func MergeInto(mean vec.Vector, cov *mat.Matrix, diff vec.Vector, cs []Component) (float64, error) {
+	if len(cs) == 0 {
+		return 0, ErrEmpty
+	}
+	d := cs[0].Dim()
+	if mean.Dim() != d || cov.Dim() != d || diff.Dim() != d {
+		return 0, fmt.Errorf("gauss: merge buffers have dims %d, %d, %d, want %d", mean.Dim(), cov.Dim(), diff.Dim(), d)
+	}
 	var total float64
-	mean := vec.New(d)
+	for i := range mean {
+		mean[i] = 0
+	}
 	for i, c := range cs {
 		if c.Dim() != d {
-			return Component{}, fmt.Errorf("gauss: component %d has dim %d, want %d", i, c.Dim(), d)
+			return 0, fmt.Errorf("gauss: component %d has dim %d, want %d", i, c.Dim(), d)
 		}
 		if c.Weight <= 0 {
-			return Component{}, fmt.Errorf("gauss: component %d has non-positive weight %v", i, c.Weight)
+			return 0, fmt.Errorf("gauss: component %d has non-positive weight %v", i, c.Weight)
 		}
 		total += c.Weight
 		vec.Axpy(mean, c.Weight, c.Mean)
 	}
 	vec.ScaleInPlace(1/total, mean)
-	cov := mat.New(d)
+	cov.Reset()
 	for _, c := range cs {
 		// Law of total covariance: within-component plus between-component.
 		mat.AddInPlace(cov, c.Weight/total, c.Cov)
-		diff, err := vec.Sub(c.Mean, mean)
-		if err != nil {
-			return Component{}, err
-		}
+		vec.SubInto(diff, c.Mean, mean)
 		mat.AddOuterInPlace(cov, c.Weight/total, diff)
 	}
-	return Component{Gaussian: Gaussian{Mean: mean, Cov: cov.Symmetrize()}, Weight: total}, nil
+	cov.SymmetrizeInPlace()
+	return total, nil
 }
 
 // Mixture is a weighted set of Gaussians — a classification in the GM

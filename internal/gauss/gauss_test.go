@@ -271,6 +271,93 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
+// mergeOrig is the original allocating Merge — a fresh diff vector per
+// component and a symmetrized copy at the end — kept as the oracle for
+// the buffer-reusing one.
+func mergeOrig(cs []Component) Component {
+	d := cs[0].Dim()
+	var total float64
+	mean := vec.New(d)
+	for _, c := range cs {
+		total += c.Weight
+		vec.Axpy(mean, c.Weight, c.Mean)
+	}
+	vec.ScaleInPlace(1/total, mean)
+	cov := mat.New(d)
+	for _, c := range cs {
+		mat.AddInPlace(cov, c.Weight/total, c.Cov)
+		diff, _ := vec.Sub(c.Mean, mean) // the test builds equal dimensions
+		mat.AddOuterInPlace(cov, c.Weight/total, diff)
+	}
+	return Component{Gaussian: Gaussian{Mean: mean, Cov: cov.Symmetrize()}, Weight: total}
+}
+
+// TestMergeMatchesOriginal pins Merge, and MergeInto over dirty reused
+// buffers, to the original Merge bit for bit.
+func TestMergeMatchesOriginal(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 500; trial++ {
+		d := 1 + r.IntN(4)
+		cs := make([]Component, 1+r.IntN(8))
+		for i := range cs {
+			mean := vec.New(d)
+			cov := mat.New(d)
+			for x := range mean {
+				mean[x] = r.Normal(0, 10)
+				for y := range mean {
+					cov.Set(x, y, r.Normal(0, 1)) // deliberately asymmetric
+				}
+			}
+			cs[i] = Component{Gaussian: Gaussian{Mean: mean, Cov: cov}, Weight: r.UniformRange(0.01, 5)}
+		}
+		want := mergeOrig(cs)
+		got, err := Merge(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean, cov, diff := vec.New(d), mat.New(d), vec.New(d)
+		for x := range mean {
+			mean[x], diff[x] = math.NaN(), math.NaN()
+			cov.Set(x, x, math.NaN())
+		}
+		w, err := MergeInto(mean, cov, diff, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Weight) != math.Float64bits(want.Weight) || math.Float64bits(w) != math.Float64bits(want.Weight) {
+			t.Fatalf("trial %d: weights %v, %v, want %v", trial, got.Weight, w, want.Weight)
+		}
+		for x := 0; x < d; x++ {
+			if math.Float64bits(got.Mean[x]) != math.Float64bits(want.Mean[x]) || math.Float64bits(mean[x]) != math.Float64bits(want.Mean[x]) {
+				t.Fatalf("trial %d: means %v, %v, want %v", trial, got.Mean, mean, want.Mean)
+			}
+			for y := 0; y < d; y++ {
+				g, b, o := got.Cov.At(x, y), cov.At(x, y), want.Cov.At(x, y)
+				if math.Float64bits(g) != math.Float64bits(o) || math.Float64bits(b) != math.Float64bits(o) {
+					t.Fatalf("trial %d: covariances %v, %v, want %v", trial, got.Cov, cov, want.Cov)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeAllocs pins Merge to its result (the mean, the covariance
+// and its header) and one diff buffer, however many components.
+func TestMergeAllocs(t *testing.T) {
+	cs := make([]Component, 12)
+	for i := range cs {
+		cs[i] = Component{Gaussian: NewPoint(vec.Of(float64(i), 1)), Weight: 1}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Merge(cs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("Merge of %d components: %v allocs, want <= 4", len(cs), allocs)
+	}
+}
+
 // TestMergeMatchesDirectSummary verifies requirement R4 for the GM
 // summary: merging summaries of sub-collections equals summarizing the
 // union directly.

@@ -38,6 +38,21 @@ func New(d int) *Matrix {
 	return &Matrix{d: d, data: make([]float64, d*d)}
 }
 
+// NewBatch returns n zero d x d matrices over one shared backing array:
+// two allocations however large n is. Use them through pointers
+// (&ms[i]); a copied Matrix shares its entries.
+func NewBatch(n, d int) []Matrix {
+	if n < 0 || d < 0 {
+		panic(fmt.Sprintf("mat: negative batch %d of dimension %d", n, d))
+	}
+	data := make([]float64, n*d*d)
+	ms := make([]Matrix, n)
+	for i := range ms {
+		ms[i] = Matrix{d: d, data: data[i*d*d : (i+1)*d*d : (i+1)*d*d]}
+	}
+	return ms
+}
+
 // Identity returns the d x d identity matrix.
 func Identity(d int) *Matrix {
 	m := New(d)
@@ -265,16 +280,38 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 
 // Symmetrize returns (m + m^T)/2, forcing exact symmetry.
 func (m *Matrix) Symmetrize() *Matrix {
-	out := New(m.d)
+	out := m.Clone()
+	out.SymmetrizeInPlace()
+	return out
+}
+
+// SymmetrizeInPlace sets m = (m + m^T)/2 without allocating; the
+// entries equal Symmetrize's bit for bit.
+func (m *Matrix) SymmetrizeInPlace() {
 	for i := 0; i < m.d; i++ {
-		out.Set(i, i, m.At(i, i))
 		for j := i + 1; j < m.d; j++ {
 			v := (m.At(i, j) + m.At(j, i)) / 2
-			out.Set(i, j, v)
-			out.Set(j, i, v)
+			m.Set(i, j, v)
+			m.Set(j, i, v)
 		}
 	}
-	return out
+}
+
+// Reset sets every entry of m to zero.
+func (m *Matrix) Reset() {
+	for i := range m.data {
+		m.data[i] = 0
+	}
+}
+
+// IsZero reports whether every entry of m is exactly zero.
+func (m *Matrix) IsZero() bool {
+	for _, x := range m.data {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // IsFinite reports whether every entry is finite.

@@ -193,6 +193,30 @@ func TestSymmetry(t *testing.T) {
 	}
 }
 
+func TestSymmetrizeInPlaceAndBatch(t *testing.T) {
+	a, _ := FromRows([][]float64{{1, 2, 3}, {2.5, 4, 0.1}, {-3, 7, 9}})
+	want := a.Symmetrize()
+	ms := NewBatch(2, 3)
+	b, c := &ms[0], &ms[1]
+	if !b.IsZero() || !c.IsZero() {
+		t.Fatal("NewBatch matrices not zero")
+	}
+	if err := b.CopyFrom(a); err != nil {
+		t.Fatal(err)
+	}
+	b.SymmetrizeInPlace()
+	if !b.Equal(want) {
+		t.Errorf("SymmetrizeInPlace = %v, Symmetrize = %v", b, want)
+	}
+	if !c.IsZero() {
+		t.Errorf("batch neighbor overwritten: %v", c)
+	}
+	b.Reset()
+	if !b.IsZero() {
+		t.Errorf("Reset left %v", b)
+	}
+}
+
 func TestIsFinite(t *testing.T) {
 	a := Identity(2)
 	if !a.IsFinite() {

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"distclass/internal/rng"
 )
@@ -31,13 +31,13 @@ type Graph struct {
 }
 
 // New builds a graph from an edge list. Self-loops and duplicate edges
-// are rejected.
+// are rejected. The adjacency lists share one backing array; duplicates
+// show up as equal neighbors once each list is sorted.
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: n = %d must be positive", n)
 	}
-	seen := make(map[[2]int]bool, len(edges))
-	adj := make([][]int, n)
+	deg := make([]int, n)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -46,19 +46,27 @@ func New(n int, edges [][2]int) (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("topology: self-loop at node %d", u)
 		}
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]int{u, v}
-		if seen[key] {
-			return nil, fmt.Errorf("topology: duplicate edge (%d, %d)", u, v)
-		}
-		seen[key] = true
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		deg[u]++
+		deg[v]++
 	}
-	for i := range adj {
-		sort.Ints(adj[i])
+	flat := make([]int, 2*len(edges))
+	adj := make([][]int, n)
+	off := 0
+	for i, d := range deg {
+		adj[i] = flat[off : off : off+d]
+		off += d
+	}
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	for u, a := range adj {
+		slices.Sort(a)
+		for x := 1; x < len(a); x++ {
+			if a[x] == a[x-1] {
+				return nil, fmt.Errorf("topology: duplicate edge (%d, %d)", min(u, a[x]), max(u, a[x]))
+			}
+		}
 	}
 	return &Graph{n: n, adj: adj}, nil
 }
@@ -140,6 +148,9 @@ func (g *Graph) Diameter() (int, error) {
 // topology, §5.3).
 func Full(n int) (*Graph, error) {
 	var edges [][2]int
+	if n > 1 {
+		edges = make([][2]int, 0, n*(n-1)/2)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			edges = append(edges, [2]int{i, j})

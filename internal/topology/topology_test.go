@@ -19,6 +19,7 @@ func TestNewValidation(t *testing.T) {
 		{"negative node", 2, [][2]int{{-1, 0}}},
 		{"self loop", 2, [][2]int{{1, 1}}},
 		{"duplicate", 3, [][2]int{{0, 1}, {1, 0}}},
+		{"duplicate among others", 5, [][2]int{{0, 1}, {2, 3}, {1, 2}, {4, 0}, {3, 2}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
