@@ -23,7 +23,10 @@ type Agent[M any] interface {
 	Emit() (msg M, ok bool)
 	// Receive consumes a batch of delivered messages. Implementations
 	// must not retain batch beyond the call: the round driver reuses
-	// its inbox slices every round.
+	// its inbox slices every round. Within a round the round driver
+	// runs Receive concurrently for distinct agents unless
+	// Options.Trace is set; an agent that writes to a shared sink
+	// where order matters must pass that sink as Options.Trace.
 	Receive(batch []M) error
 }
 

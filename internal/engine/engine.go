@@ -448,7 +448,9 @@ func New(cfg Config) (Engine, error) {
 func ClassificationSize(cl core.Classification) int { return len(cl) }
 
 // classifierAgent adapts a classification node (Algorithm 1) to the
-// generic drivers.
+// generic drivers. Receive touches only its own node, whose shared
+// instruments are atomic and whose trace sink is Config.Trace — the
+// sink the round driver also gets, which makes traced delivery serial.
 type classifierAgent struct {
 	node *core.Node
 }

@@ -182,10 +182,11 @@ func (c *liveCore) Stats() Stats {
 // what keeps the monitor plane responsive at 100k+ nodes. When every
 // node is alive — the common case — the probe indexes the population
 // directly instead of materializing a 100k-entry alive list; both
-// paths pick the same pairs. Unlike the single-threaded sim probe,
-// this one allocates its small index buffers per call: Spread races
-// with itself (monitor probe goroutine vs RunUntilConverged poller)
-// and a shared scratch would need a lock on the probe path.
+// paths pick the same pairs. Unlike the sim probe, which runs between
+// rounds on the driving goroutine, this one allocates its small index
+// buffers per call: Spread races with itself (monitor probe goroutine
+// vs RunUntilConverged poller) and a shared scratch would need a lock
+// on the probe path.
 func (c *liveCore) Spread() (float64, error) {
 	n := len(c.ns)
 	if n < 2 {

@@ -31,9 +31,9 @@ type simEngine struct {
 
 	// spreadG is the sim.spread gauge, cached so per-round probes never
 	// take the registry lock; probeBuf/aliveBuf are probe scratch — the
-	// sim drivers are single-threaded, so Spread reuses them and the
-	// whole probe path allocates nothing after warmup (pinned by
-	// TestSimSpreadAllocFree).
+	// probe runs between rounds on the driving goroutine, so Spread
+	// reuses them and the whole probe path allocates nothing after
+	// warmup (pinned by TestSimSpreadAllocFree).
 	spreadG  *metrics.Gauge
 	probeBuf []int
 	aliveBuf []*core.Node

@@ -21,7 +21,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"distclass/internal/metrics"
 	"distclass/internal/prof"
@@ -40,6 +43,12 @@ type Agent[M any] interface {
 	// passes a node's entire inbox at once; the async driver passes
 	// single messages. Implementations must not retain batch beyond the
 	// call: the round driver reuses its inbox slices every round.
+	//
+	// Within a round the round driver runs Receive concurrently for
+	// distinct agents unless Options.Trace is set, so Receive may touch
+	// only its own agent's state and concurrency-safe shared state.
+	// An agent that writes to a shared sink where order matters must
+	// pass that sink as Options.Trace, which makes delivery serial.
 	Receive(batch []M) error
 }
 
@@ -137,8 +146,9 @@ type Options[M any] struct {
 
 // causalState holds the per-node Lamport clocks and send sequence
 // counters of a causal-tracing run (Options.Causal). The sim drivers
-// are single-goroutine, so plain slices suffice; the concurrent
-// transports keep their own atomic counters.
+// stamp on one goroutine (causal stamps need a trace sink, and a trace
+// sink makes round delivery serial), so plain slices suffice; the
+// concurrent transports keep their own atomic counters.
 type causalState struct {
 	seq   []uint64
 	clock []uint64
@@ -193,8 +203,8 @@ type Stats struct {
 	// MessagesSent counts sent messages, including those dropped at
 	// crashed destinations.
 	MessagesSent int
-	// MessagesDropped counts messages addressed to crashed nodes or
-	// lost to DropProb.
+	// MessagesDropped counts messages addressed to crashed nodes, lost
+	// to DropProb, or in an inbox whose Receive failed.
 	MessagesDropped int
 	// PayloadSize accumulates SizeFunc over sent messages.
 	PayloadSize int
@@ -231,7 +241,8 @@ func newCounters(reg *metrics.Registry) counters {
 func (c *counters) incRound()        { c.local.Rounds++; c.rounds.Inc() }
 func (c *counters) incStep()         { c.local.Steps++; c.steps.Inc() }
 func (c *counters) incSent()         { c.local.MessagesSent++; c.sent.Inc() }
-func (c *counters) incDropped()      { c.local.MessagesDropped++; c.dropped.Inc() }
+func (c *counters) incDropped()      { c.addDropped(1) }
+func (c *counters) addDropped(n int) { c.local.MessagesDropped += n; c.dropped.Add(int64(n)) }
 func (c *counters) incCrash()        { c.local.Crashes++; c.crashes.Inc() }
 func (c *counters) addPayload(n int) { c.local.PayloadSize += n; c.payload.Add(int64(n)) }
 
@@ -355,6 +366,8 @@ func pickNeighbor(g *topology.Graph, i int, policy Policy, rr []int, r *rng.RNG)
 // as a single batch; finally crash injection runs. Messages to crashed
 // nodes are dropped, and pulls from crashed nodes return nothing
 // (their weight is lost — exactly the failure mode Figure 4 studies).
+// The send and crash phases run on the calling goroutine, since they
+// draw from the driver's RNG; delivery runs on several (deliverAll).
 func (n *Network[M]) Round() error {
 	round := n.c.local.Rounds
 	// transfer moves one split half from src to dst.
@@ -414,25 +427,7 @@ func (n *Network[M]) Round() error {
 			}
 		}
 	})
-	err := prof.PhaseErr("sim.deliver", func() error {
-		for i, batch := range n.inbox {
-			if len(batch) == 0 {
-				continue
-			}
-			err := n.deliver(round, i, batch)
-			n.emptyInbox(i)
-			if err != nil {
-				// Drop what this round left undelivered, so none of it
-				// resurfaces in a later round.
-				for j := range n.inbox {
-					n.emptyInbox(j)
-				}
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := prof.PhaseErr("sim.deliver", func() error { return n.deliverAll(round) }); err != nil {
 		return err
 	}
 	if n.opts.CrashProb > 0 {
@@ -450,6 +445,75 @@ func (n *Network[M]) Round() error {
 	}
 	n.c.incRound()
 	return nil
+}
+
+// deliverChunk is the number of consecutive nodes a deliver worker
+// claims at a time: enough that the shared cursor is touched rarely,
+// few enough that the workers finish within one chunk of each other.
+const deliverChunk = 32
+
+// deliverAll hands every non-empty inbox to its agent and empties it.
+// A Receive reads and writes only its own agent's state and inbox, so
+// GOMAXPROCS workers share the inboxes, claiming deliverChunk nodes at
+// a time from an atomic cursor, and the result does not depend on
+// which worker delivers which inbox. With a trace sink one worker
+// delivers in node order: agents may record into the same sink from
+// Receive, and the event order is part of the trace.
+//
+// A failed Receive does not stop delivery. Every other inbox is still
+// delivered, the failed inbox's messages count as dropped (their
+// weight is lost with them), and the error of the lowest-indexed
+// failed node is returned, so the outcome is the same for any worker
+// count and nothing resurfaces in a later round.
+func (n *Network[M]) deliverAll(round int) error {
+	workers := runtime.GOMAXPROCS(0)
+	if n.opts.Trace != nil {
+		workers = 1
+	}
+	var (
+		cursor  atomic.Int64
+		mu      sync.Mutex
+		failed  = len(n.inbox) // lowest failed node; guarded by mu
+		failErr error          // guarded by mu
+		dropped int            // guarded by mu
+	)
+	work := func() {
+		for {
+			hi := int(cursor.Add(deliverChunk))
+			lo := hi - deliverChunk
+			if lo >= len(n.inbox) {
+				return
+			}
+			for i := lo; i < min(hi, len(n.inbox)); i++ {
+				batch := n.inbox[i]
+				if len(batch) == 0 {
+					continue
+				}
+				err := n.deliver(round, i, batch)
+				n.emptyInbox(i)
+				if err != nil {
+					mu.Lock()
+					dropped += len(batch)
+					if i < failed {
+						failed, failErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	n.c.addDropped(dropped)
+	return failErr
 }
 
 // deliver hands node i its round inbox and records the receive events.

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"distclass/internal/aggregate"
@@ -685,15 +688,26 @@ func BenchmarkAsyncStepDense(b *testing.B) {
 
 // countAgent sends a unit message every opportunity and counts what it
 // receives; failAt, when positive, makes its failAt'th Receive fail.
+// A failing Receive first waits for wait to close, when set, and the
+// first Receive closes entered, when set, so a test can order
+// deliveries in time.
 type countAgent struct {
 	received, calls, failAt int
+	wait, entered           chan struct{}
 }
 
 func (a *countAgent) Emit() (int, bool) { return 1, true }
 
 func (a *countAgent) Receive(batch []int) error {
 	a.calls++
+	if a.entered != nil {
+		close(a.entered)
+		a.entered = nil
+	}
 	if a.calls == a.failAt {
+		if a.wait != nil {
+			<-a.wait
+		}
 		return errors.New("injected receive failure")
 	}
 	for _, m := range batch {
@@ -702,7 +716,7 @@ func (a *countAgent) Receive(batch []int) error {
 	return nil
 }
 
-func newCountRing(t *testing.T, n int) (*Network[int], []*countAgent) {
+func newCountRing(t *testing.T, n int, mode Mode) (*Network[int], []*countAgent) {
 	t.Helper()
 	g, err := topology.Ring(n)
 	if err != nil {
@@ -714,7 +728,7 @@ func newCountRing(t *testing.T, n int) (*Network[int], []*countAgent) {
 		raw[i] = &countAgent{}
 		agents[i] = raw[i]
 	}
-	net, err := NewNetwork(g, agents, rng.New(1), Options[int]{Policy: RoundRobin})
+	net, err := NewNetwork(g, agents, rng.New(1), Options[int]{Policy: RoundRobin, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +740,7 @@ func newCountRing(t *testing.T, n int) (*Network[int], []*countAgent) {
 // constant whatever the network size.
 func TestRoundAllocsFlatInN(t *testing.T) {
 	allocs := func(n int) float64 {
-		net, _ := newCountRing(t, n)
+		net, _ := newCountRing(t, n, ModePush)
 		for i := 0; i < 4; i++ {
 			if err := net.Round(); err != nil {
 				t.Fatal(err)
@@ -743,29 +757,82 @@ func TestRoundAllocsFlatInN(t *testing.T) {
 	}
 }
 
-// TestRoundFailureDropsUndelivered checks that messages left undelivered
-// by a failed round never reach their receivers in a later round.
+// TestRoundFailureDropsUndelivered pins the failure path for any
+// worker count: a failed Receive stops no other delivery, the error
+// names the lowest-indexed failed node, the failed inboxes' messages
+// are counted as dropped, and none of them is delivered in a later
+// round. The largest ring puts the failures in different worker
+// chunks, and on several workers the higher-indexed failure is
+// recorded first.
 func TestRoundFailureDropsUndelivered(t *testing.T) {
-	const n = 8
-	net, raw := newCountRing(t, n)
-	raw[0].failAt = 1
-	if err := net.Round(); err == nil {
-		t.Fatal("round with a failing receiver returned no error")
+	cases := []struct {
+		n     int
+		mode  Mode
+		fails []int // failing nodes, lowest index first
+		// reorder makes fails[0] fail only once the worker that failed
+		// fails[1] has moved on to the next node, which must lie in
+		// fails[1]'s chunk but not in fails[0]'s. Several workers only.
+		reorder bool
+	}{
+		{8, ModePush, []int{0}, false},
+		{8, ModePushPull, []int{3, 5}, false},
+		{4 * deliverChunk, ModePushPull, []int{deliverChunk + 3, 2*deliverChunk + 1}, true},
 	}
-	total := func() int {
+	total := func(as []*countAgent) int {
 		sum := 0
-		for _, a := range raw {
+		for _, a := range as {
 			sum += a.received
 		}
 		return sum
 	}
-	before := total()
-	if err := net.Round(); err != nil {
-		t.Fatal(err)
-	}
-	// Every node sends one unit per round, so a round delivers n units;
-	// more means messages of the failed round were redelivered.
-	if got := total() - before; got != n {
-		t.Errorf("round after the failure delivered %d units, want %d", got, n)
+	for _, tc := range cases {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("n=%d/%v/fails=%v/GOMAXPROCS=%d", tc.n, tc.mode, tc.fails, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				// ref runs the same schedule with no failures.
+				net, raw := newCountRing(t, tc.n, tc.mode)
+				ref, refRaw := newCountRing(t, tc.n, tc.mode)
+				failed := make([]bool, tc.n)
+				for _, f := range tc.fails {
+					raw[f].failAt = 1
+					failed[f] = true
+				}
+				if tc.reorder && procs > 1 {
+					ch := make(chan struct{})
+					raw[tc.fails[0]].wait, raw[tc.fails[1]+1].entered = ch, ch
+				}
+				err := net.Round()
+				if want := fmt.Sprintf("node %d receive", tc.fails[0]); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("round error = %v, want node %d's failure", err, tc.fails[0])
+				}
+				if err := ref.Round(); err != nil {
+					t.Fatal(err)
+				}
+				lost := 0
+				for i, a := range raw {
+					want := refRaw[i].received
+					if failed[i] {
+						lost += want
+						want = 0
+					}
+					if a.received != want {
+						t.Errorf("node %d absorbed %d units, want %d", i, a.received, want)
+					}
+				}
+				if got := net.Stats().MessagesDropped; lost == 0 || got != lost {
+					t.Errorf("dropped %d messages, want the failed inboxes' %d", got, lost)
+				}
+				before, refBefore := total(raw), total(refRaw)
+				if err := net.Round(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Round(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := total(raw)-before, total(refRaw)-refBefore; got != want {
+					t.Errorf("round after the failure delivered %d units, want %d", got, want)
+				}
+			})
+		}
 	}
 }

@@ -145,18 +145,26 @@ func (g *Graph) Diameter() (int, error) {
 }
 
 // Full returns the complete graph on n nodes (the paper's simulation
-// topology, §5.3).
+// topology, §5.3). It fills the adjacency directly: every list is
+// 0..n-1 without its own node, sorted and duplicate-free by
+// construction, so neither an edge list nor New's checks are needed.
 func Full(n int) (*Graph, error) {
-	var edges [][2]int
-	if n > 1 {
-		edges = make([][2]int, 0, n*(n-1)/2)
+	if n <= 0 {
+		return nil, fmt.Errorf("topology: n = %d must be positive", n)
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, [2]int{i, j})
+	flat := make([]int, n*(n-1))
+	adj := make([][]int, n)
+	for i := range adj {
+		a := flat[i*(n-1) : (i+1)*(n-1) : (i+1)*(n-1)]
+		for j := range a {
+			a[j] = j
+			if j >= i {
+				a[j]++
+			}
 		}
+		adj[i] = a
 	}
-	return New(n, edges)
+	return &Graph{n: n, adj: adj}, nil
 }
 
 // Ring returns the cycle on n nodes (n >= 3), or the single edge for

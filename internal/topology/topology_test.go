@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,33 @@ func TestFull(t *testing.T) {
 		if g.Degree(i) != 5 {
 			t.Errorf("Degree(%d) = %d, want 5", i, g.Degree(i))
 		}
+	}
+}
+
+// TestFullMatchesNew pins Full's direct fill against the complete graph
+// built from its edge list.
+func TestFullMatchesNew(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 257} {
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+		want, err := New(n, edges)
+		if err != nil {
+			t.Fatalf("New(%d): %v", n, err)
+		}
+		got, err := Full(n)
+		if err != nil {
+			t.Fatalf("Full(%d): %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Full(%d) differs from New over all pairs", n)
+		}
+	}
+	if _, err := Full(0); err == nil {
+		t.Error("Full(0) accepted")
 	}
 }
 

@@ -149,8 +149,8 @@ func CausalRunHeader(backend string) Event {
 
 // MergeClock applies the Lamport receive rule to the atomic clock c —
 // c = max(c, msg)+1 — and returns the updated value. The concurrent
-// transports share it; the single-goroutine sim drivers keep plain
-// counters.
+// transports share it; the sim drivers, which stamp on one goroutine,
+// keep plain counters.
 func MergeClock(c *atomic.Uint64, msg uint64) uint64 {
 	for {
 		cur := c.Load()
@@ -173,8 +173,9 @@ type CollectionRecord struct {
 }
 
 // Sink consumes events. Implementations must be safe for concurrent
-// Record calls: sim drivers are single-goroutine, but livenet nodes
-// record from one goroutine per node.
+// Record calls: sim drivers record from one goroutine (a sink makes
+// round delivery serial), but livenet nodes record from one goroutine
+// per node.
 type Sink interface {
 	Record(e Event) error
 }
