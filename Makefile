@@ -35,7 +35,7 @@ fmt:
 # Custom static analysis (internal/lint): the determinism/numerics
 # rules (norand, nowallclock, floatcmp, mapiter, globalstate, layering)
 # plus the concurrency contract (lockguard, gorolifecycle, errconserve,
-# chanmisuse). Runs in parallel behind a content-hash cache in
+# chanmisuse). Runs behind a content-hash cache in
 # .lintcache (gitignored); exits nonzero with file:line:col diagnostics
 # on any unannotated finding. See DESIGN.md for the rules and the
 # //lint:allow escape hatch; `make lint-allows` audits the escape

@@ -6,14 +6,14 @@
 // Usage:
 //
 //	distclass-lint [-list] [-list-allows] [-format text|json]
-//	               [-cache dir] [-workers n] [pattern ...]
+//	               [-cache dir] [pattern ...]
 //
 // Patterns are module-relative directories, optionally ending in /...
 // for a recursive walk; the default is ./... from the enclosing module
-// root. Package directories are type-checked concurrently across a
-// worker pool; with -cache, directories whose contents (and transitive
-// module-local imports) are unchanged are served from a content-hash
-// diagnostic cache without re-checking.
+// root. Package directories are type-checked one by one; with -cache,
+// directories whose contents (and transitive module-local imports) are
+// unchanged are served from a content-hash diagnostic cache without
+// re-checking.
 //
 // With -format text (the default) findings print as
 // file:line:col: rule: message, one per line. With -format json a
@@ -56,7 +56,6 @@ func main() {
 	listAllows := flag.Bool("list-allows", false, "audit //lint:allow directives: report each as used or STALE, then exit")
 	format := flag.String("format", "text", "output format: text or json")
 	cacheDir := flag.String("cache", "", "diagnostic cache directory (empty disables caching)")
-	workers := flag.Int("workers", 0, "type-checking concurrency (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *format != "text" && *format != "json" {
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 
-	opts := lint.Options{CacheDir: *cacheDir, Workers: *workers}
+	opts := lint.Options{CacheDir: *cacheDir}
 	n, err := runLint(os.Stdout, root, patterns, *format, opts)
 	if err != nil {
 		log.Print(err)

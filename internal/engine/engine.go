@@ -57,9 +57,11 @@ const (
 	BackendTCP
 	// BackendShard runs the concurrent protocol on a sharded scheduler:
 	// nodes partitioned across a small worker pool (default GOMAXPROCS
-	// shards), per-shard run queues, cross-shard frames batched once per
-	// scheduling quantum. No per-node goroutines, so it reaches scales
-	// (N in the hundreds of thousands) a goroutine per node cannot.
+	// shards), each worker ticking its shard a bounded slice of nodes
+	// per scheduling quantum and flushing cross-shard frames in one
+	// batch per destination shard at the end of every slice. No
+	// per-node goroutines, so it reaches scales (N in the hundreds of
+	// thousands) a goroutine per node cannot.
 	BackendShard
 )
 
@@ -437,7 +439,9 @@ func New(cfg Config) (Engine, error) {
 	case BackendPipe, BackendTCP:
 		return newLiveEngine(cfg, graph, nodes, nodeCfg, root)
 	case BackendShard:
-		return newShardEngine(cfg, graph, nodes, nodeCfg, root)
+		e := newShardEngine(cfg, graph, nodes, nodeCfg, root)
+		e.start()
+		return e, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown backend %d", int(cfg.Backend))
 	}

@@ -19,16 +19,21 @@ import (
 // goroutine per node tops out around a thousand nodes; here the node
 // population is partitioned across a small worker pool (default
 // GOMAXPROCS shards) and each worker drives its shard in scheduling
-// quanta:
+// quanta of at most sliceNodes nodes:
 //
 //  1. drain the shard mailbox — frames other shards handed over —
 //     absorbing data frames and serving pull requests;
-//  2. tick every alive local node once (choose a peer under the
-//     Policy, act out the Mode); intra-shard sends absorb
-//     synchronously, cross-shard sends append to per-destination-shard
-//     batches;
+//  2. tick every alive local node in the next slice, from the shard's
+//     cursor (choose a peer under the Policy, act out the Mode);
+//     intra-shard sends absorb synchronously, cross-shard sends append
+//     to per-destination-shard batches;
 //  3. flush the batches: one mailbox handover per destination shard
 //     per quantum, no matter how many frames it carries.
+//
+// A sweep is the run of quanta that takes the cursor from the shard's
+// first node round to it again; the worker paces once per sweep, so
+// every alive node still gets one gossip opportunity per Interval,
+// while churn, shutdown and cross-shard frames wait at most one slice.
 //
 // A node's splits, its pull responses and its RNG draws all execute on
 // its owning worker, so per-node protocol state (round-robin cursor,
@@ -89,6 +94,11 @@ type shardFrame struct {
 	weight float64
 }
 
+// sliceNodes bounds one quantum's ticks: about 2 ms of GM splits, so
+// Kill, Restart and a queued cross-shard frame wait out a slice rather
+// than a whole shard.
+const sliceNodes = 256
+
 // shard is one worker's domain: a contiguous node range, the mailbox
 // other shards deliver into, and worker-local scratch that makes the
 // steady-state quantum allocation-free.
@@ -102,12 +112,14 @@ type shard struct {
 	}
 
 	// Worker-local state, touched only by the owning worker.
+	cursor      int            // first node of the next slice, in [lo, hi)
 	local       []shardFrame   // drain buffer, swapped with pending
 	out         [][]shardFrame // per-destination-shard batches
 	peerScratch []int          // alive-neighbor buffer for tick
 }
 
-func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeCfg core.Config, root *rng.RNG) (Engine, error) {
+// newShardEngine builds the scheduler; start launches its workers.
+func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeCfg core.Config, root *rng.RNG) *shardEngine {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -134,12 +146,17 @@ func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeC
 	for s := 0; s < nShards; s++ {
 		lo := s * len(nodes) / nShards
 		hi := (s + 1) * len(nodes) / nShards
-		sh := &shard{id: s, lo: lo, hi: hi, out: make([][]shardFrame, nShards)}
+		sh := &shard{id: s, lo: lo, hi: hi, cursor: lo, out: make([][]shardFrame, nShards)}
 		e.shards[s] = sh
 		for i := lo; i < hi; i++ {
 			e.shardOf[i] = s
 		}
 	}
+	return e
+}
+
+// start launches one worker per shard and the monitor probe.
+func (e *shardEngine) start() {
 	for _, sh := range e.shards {
 		sh := sh
 		e.wg.Add(1)
@@ -149,35 +166,43 @@ func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeC
 		}()
 	}
 	e.startMonitor()
-	return e, nil
 }
 
-// worker drives one shard: a quantum under the shared pause lock, then
-// a pacing sleep so every node gets roughly one gossip opportunity per
-// Interval. When a quantum's work exceeds the Interval the worker runs
+// worker drives one shard: quanta under the shared pause lock and,
+// after each full sweep, a pacing sleep so every node gets roughly one
+// gossip opportunity per Interval, measured from the sweep's start.
+// When a sweep's work exceeds the Interval the worker runs
 // back-to-back — pacing never throttles a loaded shard.
 func (e *shardEngine) worker(s *shard) {
 	prof.Label("shard.worker")
+	start := time.Now()
 	for {
-		start := time.Now()
 		e.pauseMu.RLock()
 		if e.stopped.Load() {
 			e.pauseMu.RUnlock()
 			return
 		}
-		e.quantum(s)
+		wrapped := e.quantum(s)
 		e.pauseMu.RUnlock()
+		if !wrapped {
+			continue
+		}
 		if rem := e.cfg.Interval - time.Since(start); rem > 0 {
 			time.Sleep(rem)
 		}
+		start = time.Now()
 	}
 }
 
-// quantum is one scheduling slice of a shard: drain, tick, flush. The
-// out-batches are always flushed before the quantum ends, so whenever
-// pauseMu is held exclusively every queued frame sits in a mailbox —
-// the property Kill's purge and Stop's drain rely on.
-func (e *shardEngine) quantum(s *shard) {
+// quantum is one scheduling slice of a shard: drain, tick the next
+// slice, flush. It reports whether the slice ended the sweep, wrapping
+// the cursor back to the shard's first node. The out-batches are
+// always flushed before the quantum ends, so whenever pauseMu is held
+// exclusively every queued frame sits in a mailbox — the property
+// Kill's purge and Stop's drain rely on. Drained and flushed buffers
+// are cleared before reuse so they do not pin absorbed
+// classifications.
+func (e *shardEngine) quantum(s *shard) (wrapped bool) {
 	s.mailbox.mu.Lock()
 	s.local, s.mailbox.pending = s.mailbox.pending, s.local[:0]
 	s.mailbox.mu.Unlock()
@@ -188,7 +213,9 @@ func (e *shardEngine) quantum(s *shard) {
 			e.deliverData(f)
 		}
 	}
-	for i := s.lo; i < s.hi; i++ {
+	clear(s.local)
+	end := min(s.cursor+sliceNodes, s.hi)
+	for i := s.cursor; i < end; i++ {
 		if e.ns[i].alive.Load() {
 			e.tick(s, i)
 		}
@@ -201,8 +228,15 @@ func (e *shardEngine) quantum(s *shard) {
 		dst.mailbox.mu.Lock()
 		dst.mailbox.pending = append(dst.mailbox.pending, batch...)
 		dst.mailbox.mu.Unlock()
+		clear(batch)
 		s.out[d] = batch[:0]
 	}
+	if end == s.hi {
+		s.cursor = s.lo
+		return true
+	}
+	s.cursor = end
+	return false
 }
 
 // tick is one gossip opportunity for local node i: pick an alive
@@ -370,7 +404,7 @@ func (e *shardEngine) Kill(i int) (float64, error) {
 // Restart revives a killed node with a fresh value and weight 1. On
 // this backend a restart is just a state swap under the pause lock —
 // there is no per-node goroutine or endpoint to rebuild; the owning
-// worker resumes ticking the node at its next quantum.
+// worker resumes ticking the node when its cursor next reaches it.
 func (e *shardEngine) Restart(i int, value core.Value) error {
 	e.pauseMu.Lock()
 	defer e.pauseMu.Unlock()

@@ -29,59 +29,84 @@ func shardConfig(n int, seed uint64, tol float64) engine.Config {
 	}
 }
 
-// TestShardBackendChurn kills a quarter of a shard cluster mid-run,
+// TestShardBackendChurn kills part of a shard cluster mid-run,
 // restarts half of the victims, and audits the weight ledger to
-// float-exact tolerance: final = initial - destroyed + restarted.
+// float-exact tolerance: final = initial - destroyed + restarted. The
+// multi-slice case gives each shard four scheduling slices, so kills
+// and restarts land mid-sweep, between the slices of a shard.
 func TestShardBackendChurn(t *testing.T) {
-	const (
-		n   = 64
-		tol = 0.05
-	)
-	cfg := shardConfig(n, 29, tol)
-	cfg.Shards = 4
-	eng, err := engine.New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	cases := []struct {
+		name    string
+		n       int
+		shards  int
+		seed    uint64
+		method  distclass.Method
+		topo    topology.Kind
+		victims []int
+	}{
+		{
+			name: "gm 64 nodes 4 shards", n: 64, shards: 4, seed: 29,
+			method: distclass.GaussianMixture(), topo: topology.KindFull,
+			victims: []int{3, 17, 21, 40, 41, 42, 55, 63},
+		},
+		{
+			name: "centroids 2048 nodes 2 shards multi-slice", n: 2048, shards: 2, seed: 31,
+			method: distclass.Centroids(), topo: topology.KindRegular,
+			victims: []int{5, 300, 700, 1023, 1024, 1300, 1800, 2047},
+		},
 	}
-	defer eng.Stop()
-	// Let gossip smear weight across nodes so kills destroy fractional,
-	// in-flight-adjacent amounts — the hard case for the ledger.
-	if err := eng.Run(20); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	expected := float64(n)
-	victims := []int{3, 17, 21, 40, 41, 42, 55, 63}
-	for _, v := range victims {
-		destroyed, err := eng.Kill(v)
-		if err != nil {
-			t.Fatalf("Kill(%d): %v", v, err)
-		}
-		expected -= destroyed
-	}
-	if got := eng.AliveCount(); got != n-len(victims) {
-		t.Fatalf("AliveCount = %d, want %d", got, n-len(victims))
-	}
-	values := monitorWorkload(n, 7)
-	for _, v := range victims[:4] {
-		if err := eng.Restart(v, values[v]); err != nil {
-			t.Fatalf("Restart(%d): %v", v, err)
-		}
-		expected++
-	}
-	_, converged, err := eng.RunUntilConverged(30 * time.Second)
-	eng.Stop()
-	if err == nil {
-		err = eng.Err()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !converged {
-		t.Fatal("churned shard cluster did not converge")
-	}
-	got := eng.TotalWeight()
-	if diff := got - expected; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("weight ledger drifted: have %v, want %v (diff %g)", got, expected, diff)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			cfg := shardConfig(n, tc.seed, 0.05)
+			cfg.Method = tc.method
+			cfg.Topology = tc.topo
+			cfg.Shards = tc.shards
+			eng, err := engine.New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer eng.Stop()
+			// Let gossip smear weight across nodes so kills destroy fractional,
+			// in-flight-adjacent amounts — the hard case for the ledger.
+			if err := eng.Run(20); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			expected := float64(n)
+			victims := tc.victims
+			for _, v := range victims {
+				destroyed, err := eng.Kill(v)
+				if err != nil {
+					t.Fatalf("Kill(%d): %v", v, err)
+				}
+				expected -= destroyed
+			}
+			if got := eng.AliveCount(); got != n-len(victims) {
+				t.Fatalf("AliveCount = %d, want %d", got, n-len(victims))
+			}
+			values := monitorWorkload(n, 7)
+			for _, v := range victims[:4] {
+				if err := eng.Restart(v, values[v]); err != nil {
+					t.Fatalf("Restart(%d): %v", v, err)
+				}
+				expected++
+			}
+			_, converged, err := eng.RunUntilConverged(30 * time.Second)
+			eng.Stop()
+			if err == nil {
+				err = eng.Err()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !converged {
+				t.Fatal("churned shard cluster did not converge")
+			}
+			got := eng.TotalWeight()
+			if diff := got - expected; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("weight ledger drifted: have %v, want %v (diff %g)", got, expected, diff)
+			}
+		})
 	}
 }
 

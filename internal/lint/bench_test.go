@@ -1,13 +1,10 @@
 package lint
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
-// BenchmarkLintModule measures the three operating points of the suite
-// over the fixture module: the serial uncached baseline, the parallel
-// cold run, and the parallel warm-cache run (the steady state of
+// BenchmarkLintModule measures the two operating points of the suite
+// over the fixture module: the uncached run, which type-checks every
+// directory in turn, and the warm-cache run (the steady state of
 // `make lint`, which should be dominated by file hashing, not type
 // checking).
 func BenchmarkLintModule(b *testing.B) {
@@ -15,23 +12,14 @@ func BenchmarkLintModule(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := LintModule(fixtureRoot, patterns, Options{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("parallel-cold", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			if _, err := LintModule(fixtureRoot, patterns, Options{Workers: workers}); err != nil {
+			if _, err := LintModule(fixtureRoot, patterns, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
 	b.Run("warm-cache", func(b *testing.B) {
-		opts := Options{CacheDir: b.TempDir(), Workers: runtime.GOMAXPROCS(0)}
+		opts := Options{CacheDir: b.TempDir()}
 		if _, err := LintModule(fixtureRoot, patterns, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -19,8 +19,8 @@
 // The suite is built purely on the standard library's go/ast, go/parser,
 // go/token and go/types (with the source importer), keeping the module
 // dependency-free. cmd/distclass-lint is the CLI front end; `make lint`
-// runs it over the whole module, in parallel across a worker pool and
-// behind a content-hash diagnostic cache (see LintModule).
+// runs it over the whole module behind a content-hash diagnostic cache
+// (see LintModule).
 //
 // # Suppressing a finding
 //

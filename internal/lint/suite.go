@@ -7,8 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"runtime"
-	"sync"
 )
 
 // Options configures LintModule.
@@ -20,9 +18,6 @@ type Options struct {
 	// unchanged since a previous run with the same analyzer set and
 	// toolchain is served from disk without type-checking.
 	CacheDir string
-	// Workers bounds the type-checking concurrency; <= 0 means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // Result is the outcome of a LintModule run.
@@ -37,20 +32,16 @@ type Result struct {
 	CacheHits int
 }
 
-// LintModule is the parallel, incrementally cached front end over the
-// suite: it expands patterns to package directories, hashes each
-// directory (contents plus transitive module-local imports), serves
-// unchanged directories from the cache, and type-checks the rest
-// concurrently across a worker pool. The per-directory results are
-// identical to a serial Load + Run over the same patterns.
+// LintModule is the incrementally cached front end over the suite: it
+// expands patterns to package directories, hashes each directory
+// (contents plus transitive module-local imports), serves unchanged
+// directories from the cache, and type-checks the rest one by one
+// through one shared source importer. The per-directory results are
+// identical to a Load + Run over the same patterns.
 func LintModule(root string, patterns []string, opts Options) (*Result, error) {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	module, err := modulePath(root)
@@ -115,54 +106,31 @@ func LintModule(root string, patterns []string, opts Options) (*Result, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := &lockedImporter{imp: &moduleFallbackImporter{
+	imp := &moduleFallbackImporter{
 		imp:    importer.ForCompiler(fset, "source", nil),
 		module: module,
 		cache:  make(map[string]*types.Package),
-	}}
+	}
 
-	perDir := make([][]Diagnostic, len(dirs))
-	hits := make([]bool, len(dirs))
-	errs := make([]error, len(dirs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	res := &Result{Module: module, Dirs: len(dirs)}
 	for i, dir := range dirs {
 		if cache != nil {
 			if diags, ok := cache.get(keys[i]); ok {
-				perDir[i] = diags
-				hits[i] = true
+				res.Diagnostics = append(res.Diagnostics, diags...)
+				res.CacheHits++
 				continue
 			}
 		}
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			units, err := loadDir(fset, imp, root, module, dir)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			diags := Run(units, analyzers)
-			perDir[i] = diags
-			if cache != nil {
-				// A failed write only costs the next run a recheck.
-				_ = cache.put(keys[i], diags)
-			}
-		}(i, dir)
-	}
-	wg.Wait()
-
-	res := &Result{Module: module, Dirs: len(dirs)}
-	for i := range dirs {
-		if errs[i] != nil {
-			return nil, errs[i]
+		units, err := loadDir(fset, imp, root, module, dir)
+		if err != nil {
+			return nil, err
 		}
-		if hits[i] {
-			res.CacheHits++
+		diags := Run(units, analyzers)
+		res.Diagnostics = append(res.Diagnostics, diags...)
+		if cache != nil {
+			// A failed write only costs the next run a recheck.
+			_ = cache.put(keys[i], diags)
 		}
-		res.Diagnostics = append(res.Diagnostics, perDir[i]...)
 	}
 	sortDiagnostics(res.Diagnostics)
 	return res, nil
@@ -175,22 +143,4 @@ func relOf(root, dir string) string {
 		return filepath.ToSlash(dir)
 	}
 	return filepath.ToSlash(rel)
-}
-
-// lockedImporter serializes a non-thread-safe importer so concurrent
-// type-checking goroutines can share one (the source importer caches
-// each package after its first import, so contention fades quickly).
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.ImporterFrom
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, ".", 0)
-}
-
-func (l *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.imp.ImportFrom(path, dir, mode)
 }

@@ -6,30 +6,28 @@ import (
 	"testing"
 )
 
-// TestLintModuleMatchesRun pins the parallel engine to the serial
+// TestLintModuleMatchesRun pins the per-directory front end to the
 // reference: LintModule over the fixture module must produce exactly
-// the diagnostics of Load + Run, at any worker count.
+// the diagnostics of Load + Run.
 func TestLintModuleMatchesRun(t *testing.T) {
 	want := loadFixtures(t)
-	for _, workers := range []int{1, 4} {
-		res, err := LintModule(fixtureRoot, []string{"./..."}, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("LintModule(workers=%d): %v", workers, err)
-		}
-		if res.Module != "fixmod" {
-			t.Errorf("module = %q, want fixmod", res.Module)
-		}
-		if res.Dirs == 0 || res.CacheHits != 0 {
-			t.Errorf("dirs = %d, cache hits = %d; want dirs > 0 and no hits without a cache", res.Dirs, res.CacheHits)
-		}
-		assertSameDiags(t, res.Diagnostics, want)
+	res, err := LintModule(fixtureRoot, []string{"./..."}, Options{})
+	if err != nil {
+		t.Fatalf("LintModule: %v", err)
 	}
+	if res.Module != "fixmod" {
+		t.Errorf("module = %q, want fixmod", res.Module)
+	}
+	if res.Dirs == 0 || res.CacheHits != 0 {
+		t.Errorf("dirs = %d, cache hits = %d; want dirs > 0 and no hits without a cache", res.Dirs, res.CacheHits)
+	}
+	assertSameDiags(t, res.Diagnostics, want)
 }
 
 // TestLintModuleCache runs twice against one cache: the second run must
 // be served entirely from it, with identical diagnostics.
 func TestLintModuleCache(t *testing.T) {
-	opts := Options{CacheDir: t.TempDir(), Workers: 4}
+	opts := Options{CacheDir: t.TempDir()}
 	cold, err := LintModule(fixtureRoot, []string{"./..."}, opts)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
@@ -67,7 +65,7 @@ func TestLintModuleCacheInvalidation(t *testing.T) {
 	write("a/a.go", "package a\n\nimport _ \"tmpmod/b\"\n\n// A is exported.\nfunc A() int { return 1 }\n")
 	write("b/b.go", "package b\n\n// B is exported.\nfunc B() int { return 2 }\n")
 
-	opts := Options{CacheDir: t.TempDir(), Workers: 2}
+	opts := Options{CacheDir: t.TempDir()}
 	if _, err := LintModule(root, []string{"./..."}, opts); err != nil {
 		t.Fatalf("prime: %v", err)
 	}
