@@ -9,12 +9,22 @@
 //	experiments -fig 2            # Figure 2 GM classification (n=1000, k=7)
 //	experiments -fig 3            # Figure 3 outlier sweep (delta 0..25)
 //	experiments -fig 4            # Figure 4 crash/convergence traces
-//	experiments -ablation topology|k|q|policy|methods|histogram
+//	experiments -ablation NAME    # one ablation study (names below)
 //	experiments -live-churn       # live Figure 4: kill real cluster nodes mid-run
-//	experiments -engine-smoke     # tiny workload on every engine backend
-//	experiments -monitor-smoke    # online monitor + HTTP plane on every backend
-//	experiments -wire-smoke       # v2 codec + frame batching on the wire backends
+//	experiments -smoke NAME,...   # smoke gates (names below, or all)
 //	experiments -all              # everything (long)
+//
+// The ablations, in the order -all runs them, are topology, k, q,
+// policy, mode, methods, reducer, crash, loss, outliermethods,
+// scalability, dimension, relatedwork and histogram.
+//
+// The smoke gates run a two-cluster workload to convergence and audit
+// its final weight; they are engine (every backend), shard
+// (512 nodes through kill/restart churn), monitor (the HTTP monitoring
+// plane on every backend), causal (happens-before and provenance on
+// every backend) and wire (v2 codec and frame batching on pipe and
+// tcp). -smoke-out DIR keeps the traced gates' traces as
+// DIR/<gate>.<backend>.trace.
 //
 // Use -quick for reduced network sizes (fast smoke runs). The live
 // churn ablation takes -churn-fracs (comma-separated kill fractions)
@@ -25,30 +35,22 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"distclass"
-	"distclass/internal/causal"
 	"distclass/internal/engine"
 	"distclass/internal/experiments"
 	"distclass/internal/experiments/live"
 	"distclass/internal/metrics"
-	"distclass/internal/monitor"
 	"distclass/internal/plot"
 	"distclass/internal/prof"
-	"distclass/internal/rng"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
 )
@@ -80,7 +82,7 @@ func main() {
 
 	var (
 		fig         = flag.Int("fig", 0, "figure to reproduce (1-4)")
-		ablation    = flag.String("ablation", "", "ablation to run: topology, k, q, policy, mode, methods, reducer, relatedwork, histogram")
+		ablation    = flag.String("ablation", "", "ablation to run: "+strings.Join(ablationNames(), ", "))
 		all         = flag.Bool("all", false, "run every figure and ablation")
 		quick       = flag.Bool("quick", false, "smaller networks for a fast smoke run")
 		seed        = flag.Uint64("seed", 1, "random seed")
@@ -94,28 +96,20 @@ func main() {
 		churnFracs  = flag.String("churn-fracs", "0,0.1,0.2,0.3", "comma-separated kill fractions for -live-churn")
 		strict      = flag.Bool("strict", false, "with -live-churn: fail on non-convergence, cluster errors or broken weight conservation")
 		backendFlag = flag.String("backend", "", "engine backend for -fig 4, -ablation crash and -live-churn: round, async, pipe, tcp or shard (default: round for the sim figures, pipe for -live-churn)")
-		engineSmoke = flag.Bool("engine-smoke", false, "run a tiny two-cluster workload on every engine backend and audit convergence and weight conservation")
-		shardSmoke  = flag.Bool("shard-smoke", false, "run a 512-node two-cluster workload on the sharded scheduler, audit convergence and exact conservation through a kill/restart cycle")
+		smokeList   = flag.String("smoke", "", "comma-separated smoke gates to run ("+strings.Join(smokeNames(), ", ")+") or all: a two-cluster workload per backend, audited for convergence and weight conservation")
+		smokeOut    = flag.String("smoke-out", "", "with -smoke: also write each traced gate's traces to DIR/<gate>.<backend>.trace")
 		monitorAddr = flag.String("monitor", "", "attach a passive online monitor to the event stream and serve /status, /health and /events (plus the -metrics endpoints) on this address; state aggregates across every experiment of the invocation")
-		monSmoke    = flag.Bool("monitor-smoke", false, "run the engine-smoke workload on every backend with the online monitor attached and assert /health converged and /status conservation exact over HTTP")
-		causSmoke   = flag.Bool("causal-smoke", false, "run the engine-smoke workload on every backend with causal tracing and assert clean happens-before matching and an exact provenance ledger")
-		causalOut   = flag.String("causal-out", "", "with -causal-smoke: also write each backend's causal trace to <prefix>.<backend>.trace")
-		wireSmoke   = flag.Bool("wire-smoke", false, "run the two-cluster workload on both wire backends under the v2 codec with frame batching, audit conservation and the causal ledger, and assert v2+batching cuts wire bytes per message by at least 40% vs v1")
-		wireOut     = flag.String("wire-out", "", "with -wire-smoke: also write each wire backend's batched causal trace to <prefix>.<backend>.trace")
 		codecFlag   = flag.String("codec", "", "wire codec for the -live-churn clusters on wire backends: v1, v2 or v2f32")
 		frameBatch  = flag.Int("frame-batch", 0, "coalesce up to this many queued messages per wire frame in the -live-churn clusters (wire backends; 0 or 1 disables)")
 	)
 	flag.Parse()
 
-	if *causalOut != "" && !*causSmoke {
-		log.Print("-causal-out needs -causal-smoke")
+	smokeRows, err := parseSmokes(*smokeList, *smokeOut)
+	if err != nil {
+		log.Print(err)
 		os.Exit(2)
 	}
-	if *wireOut != "" && !*wireSmoke {
-		log.Print("-wire-out needs -wire-smoke")
-		os.Exit(2)
-	}
-	if !*all && *fig == 0 && *ablation == "" && !*liveChurn && !*engineSmoke && !*shardSmoke && !*monSmoke && !*causSmoke && !*wireSmoke {
+	if !*all && *fig == 0 && *ablation == "" && !*liveChurn && len(smokeRows) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -150,10 +144,7 @@ func main() {
 		fig: *fig, ablation: *ablation, all: *all, quick: *quick,
 		seed: *seed, csvDir: *csvDir, traceFile: *traceFile,
 		metricsAddr: *metricsAddr, churn: churn, figBackend: backends.fig,
-		engineSmoke: *engineSmoke, shardSmoke: *shardSmoke,
-		monitorAddr: *monitorAddr, monitorSmoke: *monSmoke,
-		causalSmoke: *causSmoke, causalOut: *causalOut,
-		wireSmoke: *wireSmoke, wireOut: *wireOut,
+		monitorAddr: *monitorAddr, smokes: smokeRows, smokeOut: *smokeOut,
 	})
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -199,17 +190,9 @@ type mainOpts struct {
 	metricsAddr string
 	churn       churnOpts
 	figBackend  engine.Backend
-	engineSmoke bool
-	shardSmoke  bool
-
-	monitorAddr  string
-	monitorSmoke bool
-
-	causalSmoke bool
-	causalOut   string
-
-	wireSmoke bool
-	wireOut   string
+	monitorAddr string
+	smokes      []smoke
+	smokeOut    string // -smoke-out directory
 }
 
 // realMain sets up the trace recorder and metrics endpoint (so their
@@ -273,16 +256,12 @@ func realMain(m mainOpts) error {
 
 func run(m mainOpts, o obs) error {
 	figs := []int{m.fig}
-	ablations := []string{m.ablation}
+	names := []string{m.ablation}
 	if m.all {
 		figs = []int{1, 2, 3, 4}
-		ablations = []string{"topology", "k", "q", "policy", "mode", "methods", "reducer", "crash", "loss", "outliermethods", "scalability", "dimension", "relatedwork", "histogram"}
+		names = ablationNames()
 		m.churn.enabled = true
-		m.engineSmoke = true
-		m.shardSmoke = true
-		m.monitorSmoke = true
-		m.causalSmoke = true
-		m.wireSmoke = true
+		m.smokes = smokes()
 	}
 	for _, f := range figs {
 		if f == 0 {
@@ -292,7 +271,7 @@ func run(m mainOpts, o obs) error {
 			return err
 		}
 	}
-	for _, a := range ablations {
+	for _, a := range names {
 		if a == "" {
 			continue
 		}
@@ -305,601 +284,12 @@ func run(m mainOpts, o obs) error {
 			return err
 		}
 	}
-	if m.engineSmoke {
-		if err := runEngineSmoke(m.seed, o); err != nil {
-			return err
-		}
-	}
-	if m.shardSmoke {
-		if err := runShardSmoke(m.seed, o); err != nil {
-			return err
-		}
-	}
-	if m.monitorSmoke {
-		if err := runMonitorSmoke(m.seed, o); err != nil {
-			return err
-		}
-	}
-	if m.causalSmoke {
-		if err := runCausalSmoke(m.seed, m.causalOut, o); err != nil {
-			return err
-		}
-	}
-	if m.wireSmoke {
-		if err := runWireSmoke(m.seed, m.wireOut, o); err != nil {
+	for _, s := range m.smokes {
+		if err := runSmoke(s, m.seed, m.smokeOut, o); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// runEngineSmoke is the engine-smoke CI gate: the same tiny two-cluster
-// workload on every backend, each audited for convergence and exact
-// weight conservation. One protocol, five substrates, one readout.
-func runEngineSmoke(seed uint64, o obs) error {
-	fmt.Println("=== Engine smoke: tiny two-cluster workload on every backend ===")
-	const n = 16
-	out := make([][]string, 0, len(engine.Backends()))
-	for _, b := range engine.Backends() {
-		r := rng.New(seed)
-		values := make([]distclass.Value, n)
-		for i := range values {
-			c := -4.0
-			if i%2 == 1 {
-				c = 4
-			}
-			values[i] = distclass.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
-		}
-		opts := []distclass.Option{
-			distclass.WithK(2),
-			distclass.WithSeed(seed),
-			distclass.WithBackend(b),
-			distclass.WithTolerance(0.05),
-			distclass.WithMetrics(o.reg),
-		}
-		if o.sink != nil {
-			opts = append(opts, distclass.WithTrace(o.sink), distclass.WithRunHeader())
-		}
-		var (
-			converged bool
-			rounds    string
-			weight    float64
-		)
-		switch b {
-		case engine.BackendRound, engine.BackendAsync:
-			sys, err := distclass.New(values, distclass.GaussianMixture(), opts...)
-			if err != nil {
-				return fmt.Errorf("engine-smoke %s: %w", b, err)
-			}
-			ran, ok, err := sys.RunUntilConverged()
-			if err != nil {
-				return fmt.Errorf("engine-smoke %s: %w", b, err)
-			}
-			converged, rounds = ok, strconv.Itoa(ran)
-			weight = sys.TotalWeight()
-		default:
-			opts = append(opts, distclass.WithInterval(time.Millisecond))
-			cl, err := distclass.StartLive(values, distclass.GaussianMixture(), opts...)
-			if err != nil {
-				return fmt.Errorf("engine-smoke %s: %w", b, err)
-			}
-			ok, err := cl.WaitConverged(10*time.Second, 0.05)
-			cl.Stop()
-			if err == nil {
-				err = cl.Err()
-			}
-			if err != nil {
-				return fmt.Errorf("engine-smoke %s: %w", b, err)
-			}
-			converged, rounds = ok, "-"
-			weight = cl.TotalWeight()
-		}
-		if !converged {
-			return fmt.Errorf("engine-smoke %s: did not converge", b)
-		}
-		if drift := weight - n; drift > 1e-6 || drift < -1e-6 {
-			return fmt.Errorf("engine-smoke %s: weight not conserved: %v vs %d (drift %v)", b, weight, n, drift)
-		}
-		out = append(out, []string{b.String(), "yes", rounds, experiments.F(weight)})
-	}
-	fmt.Println(experiments.FormatTable([]string{"backend", "converged", "rounds", "weight"}, out))
-	return nil
-}
-
-// runShardSmoke is the shard-smoke CI gate: a 512-node two-cluster
-// workload on the sharded scheduler — a scale the per-goroutine
-// backends make painful in CI — audited for convergence, then for
-// exact weight accounting through a kill/restart cycle: weight after
-// the churn must equal n minus what the kills destroyed plus one unit
-// per restarted node.
-func runShardSmoke(seed uint64, o obs) error {
-	fmt.Println("=== Shard smoke: 512-node workload on the sharded scheduler, with churn ===")
-	const (
-		n        = 512
-		kills    = 16
-		restarts = 8
-		tol      = 0.05
-	)
-	r := rng.New(seed)
-	values := make([]distclass.Value, n)
-	for i := range values {
-		c := -4.0
-		if i%2 == 1 {
-			c = 4
-		}
-		values[i] = distclass.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
-	}
-	cl, err := distclass.StartLive(values, distclass.GaussianMixture(),
-		distclass.WithK(2),
-		distclass.WithSeed(seed),
-		distclass.WithBackend(distclass.BackendShard),
-		distclass.WithInterval(time.Millisecond),
-		distclass.WithTolerance(tol),
-		distclass.WithMetrics(o.reg),
-	)
-	if err != nil {
-		return fmt.Errorf("shard-smoke: %w", err)
-	}
-	defer cl.Stop()
-	ok, err := cl.WaitConverged(30*time.Second, tol)
-	if err != nil {
-		return fmt.Errorf("shard-smoke: %w", err)
-	}
-	if !ok {
-		return fmt.Errorf("shard-smoke: did not converge")
-	}
-	expected := float64(n)
-	var destroyed float64
-	for k := 0; k < kills; k++ {
-		w, err := cl.Kill(k * (n / kills))
-		if err != nil {
-			return fmt.Errorf("shard-smoke: %w", err)
-		}
-		destroyed += w
-	}
-	expected -= destroyed
-	for k := 0; k < restarts; k++ {
-		i := k * (n / kills)
-		if err := cl.Restart(i, values[i]); err != nil {
-			return fmt.Errorf("shard-smoke: %w", err)
-		}
-		expected++
-	}
-	if _, err := cl.WaitConverged(30*time.Second, tol); err != nil {
-		return fmt.Errorf("shard-smoke: %w", err)
-	}
-	cl.Stop() // drain the shard mailboxes so the audit is exact
-	if err := cl.Err(); err != nil {
-		return fmt.Errorf("shard-smoke: %w", err)
-	}
-	weight := cl.TotalWeight()
-	if drift := weight - expected; drift > 1e-6 || drift < -1e-6 {
-		return fmt.Errorf("shard-smoke: weight not conserved through churn: %v vs %v (drift %v)", weight, expected, drift)
-	}
-	fmt.Println(experiments.FormatTable(
-		[]string{"nodes", "converged", "killed", "restarted", "destroyed", "weight"},
-		[][]string{{strconv.Itoa(n), "yes", strconv.Itoa(kills), strconv.Itoa(restarts),
-			experiments.F(destroyed), experiments.F(weight)}}))
-	return nil
-}
-
-// runCausalSmoke is the causal-smoke CI gate: the engine-smoke workload
-// on every backend with causal tracing on, each trace analyzed for a
-// clean happens-before reconstruction — zero anomalies, every receive
-// matched, and a provenance ledger that conserves the initial weight
-// exactly. With outPrefix != "" each backend's trace is also written to
-// <prefix>.<backend>.trace so the distclass-analyze CLI can re-audit
-// the same bytes.
-func runCausalSmoke(seed uint64, outPrefix string, o obs) error {
-	fmt.Println("=== Causal smoke: happens-before + provenance audit on every backend ===")
-	const n = 16
-	out := make([][]string, 0, len(engine.Backends()))
-	for _, b := range engine.Backends() {
-		rep, err := causalSmokeBackend(b, seed, outPrefix, o)
-		if err != nil {
-			return err
-		}
-		out = append(out, []string{
-			b.String(),
-			fmt.Sprintf("%d/%d", rep.Matched, rep.Sends),
-			strconv.FormatUint(rep.MaxClock, 10),
-			strconv.Itoa(rep.MaxDepth),
-			experiments.F(rep.Ledger.ActualTotal),
-		})
-	}
-	fmt.Println(experiments.FormatTable(
-		[]string{"backend", "matched", "clock", "depth", "weight"}, out))
-	return nil
-}
-
-// causalSmokeBackend runs one causally traced workload on backend b
-// and audits the resulting trace. Extra options (a non-default codec,
-// frame batching) ride along so the wire-smoke gate can rerun the same
-// audit over the batched v2 transport.
-func causalSmokeBackend(b engine.Backend, seed uint64, outPrefix string, o obs, extra ...distclass.Option) (*causal.Report, error) {
-	const n = 16
-	r := rng.New(seed)
-	values := make([]distclass.Value, n)
-	for i := range values {
-		c := -4.0
-		if i%2 == 1 {
-			c = 4
-		}
-		values[i] = distclass.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
-	}
-	const tol = 0.05
-	var buf bytes.Buffer
-	opts := []distclass.Option{
-		distclass.WithK(2),
-		distclass.WithSeed(seed),
-		distclass.WithBackend(b),
-		distclass.WithTolerance(tol),
-		distclass.WithMetrics(o.reg),
-		distclass.WithTrace(trace.NewRecorder(&buf)),
-		distclass.WithCausal(),
-	}
-	opts = append(opts, extra...)
-	switch b {
-	case engine.BackendRound, engine.BackendAsync:
-		sys, err := distclass.New(values, distclass.GaussianMixture(), opts...)
-		if err != nil {
-			return nil, fmt.Errorf("causal-smoke %s: %w", b, err)
-		}
-		_, ok, err := sys.RunUntilConverged()
-		if err != nil {
-			return nil, fmt.Errorf("causal-smoke %s: %w", b, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("causal-smoke %s: did not converge", b)
-		}
-	default:
-		opts = append(opts, distclass.WithInterval(time.Millisecond))
-		cl, err := distclass.StartLive(values, distclass.GaussianMixture(), opts...)
-		if err != nil {
-			return nil, fmt.Errorf("causal-smoke %s: %w", b, err)
-		}
-		ok, err := cl.WaitConverged(10*time.Second, tol)
-		cl.Stop()
-		if err == nil {
-			err = cl.Err()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("causal-smoke %s: %w", b, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("causal-smoke %s: did not converge", b)
-		}
-	}
-	if outPrefix != "" {
-		path := outPrefix + "." + b.String() + ".trace"
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return nil, fmt.Errorf("causal-smoke %s: %w", b, err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	rep, err := causal.Analyze(bytes.NewReader(buf.Bytes()), causal.Options{Tolerance: tol})
-	if err != nil {
-		return nil, fmt.Errorf("causal-smoke %s: analyze: %w", b, err)
-	}
-	if len(rep.Anomalies) != 0 {
-		return nil, fmt.Errorf("causal-smoke %s: %d anomalies (first: %s)", b, len(rep.Anomalies), rep.Anomalies[0].Detail)
-	}
-	if rep.Sends == 0 || rep.Matched != rep.Receives || rep.Duplicates != 0 || rep.UnmatchedReceives != 0 {
-		return nil, fmt.Errorf("causal-smoke %s: dirty matching: sends %d receives %d matched %d duplicates %d unmatched %d",
-			b, rep.Sends, rep.Receives, rep.Matched, rep.Duplicates, rep.UnmatchedReceives)
-	}
-	// Only the async driver may stop with messages still queued; every
-	// other backend drains on Stop, so each send must have matched.
-	if b != engine.BackendAsync && rep.Matched != rep.Sends {
-		return nil, fmt.Errorf("causal-smoke %s: %d of %d sends unmatched", b, rep.Sends-rep.Matched, rep.Sends)
-	}
-	lr := rep.Ledger
-	if math.Float64bits(lr.ExpectedTotal) != math.Float64bits(float64(n)) {
-		return nil, fmt.Errorf("causal-smoke %s: ledger expected %v, want exactly %d", b, lr.ExpectedTotal, n)
-	}
-	if lr.MaxColumnDrift > 1e-9 {
-		return nil, fmt.Errorf("causal-smoke %s: ledger column drift %v beyond 1e-9", b, lr.MaxColumnDrift)
-	}
-	if drift := lr.ActualTotal - lr.ExpectedTotal; drift > 1e-9 || drift < -1e-9 {
-		return nil, fmt.Errorf("causal-smoke %s: ledger total %v drifts from %v", b, lr.ActualTotal, lr.ExpectedTotal)
-	}
-	if lr.Destroyed > 0 {
-		return nil, fmt.Errorf("causal-smoke %s: %v weight destroyed on a crash-free run", b, lr.Destroyed)
-	}
-	return rep, nil
-}
-
-// runWireSmoke is the wire-smoke CI gate for the v2 transport stack.
-// Phase one reruns the causal-smoke audit on both wire backends under
-// the v2 codec with frame batching: batching and quantization must not
-// disturb convergence, the exact weight-conservation audit, or the
-// happens-before/provenance reconstruction (with outPrefix != "" the
-// batched traces are written to <prefix>.<backend>.trace so
-// distclass-analyze can re-audit the same bytes). Phase two measures
-// the deployment claim on uninstrumented traffic: the same two-cluster
-// workload per codec config, compared by wire bytes per logical
-// message, asserting the batched v2 stack spends at least 40% less
-// than v1 on tcp.
-func runWireSmoke(seed uint64, outPrefix string, o obs) error {
-	fmt.Println("=== Wire smoke: v2 codec + frame batching on the wire backends ===")
-	wireBackends := []engine.Backend{engine.BackendPipe, engine.BackendTCP}
-	for _, b := range wireBackends {
-		if _, err := causalSmokeBackend(b, seed, outPrefix, o,
-			distclass.WithCodec(distclass.CodecV2),
-			distclass.WithFrameBatch(8),
-		); err != nil {
-			return fmt.Errorf("wire-smoke batched causal audit: %w", err)
-		}
-	}
-
-	configs := []struct {
-		name  string
-		codec distclass.Codec
-		batch int
-	}{
-		{"v1", distclass.CodecV1, 0},
-		{"v2+batch8", distclass.CodecV2, 8},
-		{"v2f32+batch8", distclass.CodecV2F32, 8},
-	}
-	const dropWant = 0.40
-	out := make([][]string, 0, len(wireBackends)*len(configs))
-	perMsg := map[engine.Backend]map[string]float64{}
-	for _, b := range wireBackends {
-		perMsg[b] = map[string]float64{}
-		for _, c := range configs {
-			bytesPerMsg, msgs, frames, err := wireSmokeBytes(b, seed, c.codec, c.batch)
-			if err != nil {
-				return fmt.Errorf("wire-smoke %s %s: %w", b, c.name, err)
-			}
-			perMsg[b][c.name] = bytesPerMsg
-			drop := "-"
-			if base := perMsg[b]["v1"]; c.codec != distclass.CodecV1 && base > 0 {
-				drop = fmt.Sprintf("%.1f%%", 100*(1-bytesPerMsg/base))
-			}
-			out = append(out, []string{
-				b.String(), c.name, fmt.Sprintf("%.1f", bytesPerMsg),
-				strconv.FormatInt(msgs, 10), strconv.FormatInt(frames, 10), drop,
-			})
-		}
-	}
-	fmt.Println(experiments.FormatTable(
-		[]string{"backend", "config", "bytes/msg", "messages", "frames", "drop"}, out))
-	base := perMsg[engine.BackendTCP]["v1"]
-	best := perMsg[engine.BackendTCP]["v2f32+batch8"]
-	if base <= 0 || best <= 0 {
-		return fmt.Errorf("wire-smoke: missing byte measurements (v1 %.1f, v2f32+batch8 %.1f)", base, best)
-	}
-	if drop := 1 - best/base; drop < dropWant {
-		return fmt.Errorf("wire-smoke: tcp bytes/message dropped only %.1f%% (v1 %.1f -> v2f32+batch8 %.1f), want >= %.0f%%",
-			100*drop, base, best, 100*dropWant)
-	}
-	fmt.Printf("wire-smoke: tcp bytes/message %.1f -> %.1f (-%.1f%%)\n", base, best, 100*(1-best/base))
-	return nil
-}
-
-// wireSmokeBytes runs one uninstrumented (no causal stamps) workload
-// on wire backend b under the given codec and batch bound, audits
-// convergence and conservation, and returns the measured wire bytes
-// per logical message plus the raw message and frame counts.
-func wireSmokeBytes(b engine.Backend, seed uint64, codec distclass.Codec, batch int) (float64, int64, int64, error) {
-	const n = 16
-	const tol = 0.05
-	r := rng.New(seed)
-	values := make([]distclass.Value, n)
-	for i := range values {
-		c := -4.0
-		if i%2 == 1 {
-			c = 4
-		}
-		values[i] = distclass.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
-	}
-	// A fresh registry per run: the byte and message counters must
-	// describe exactly this cluster, not the invocation's aggregate.
-	// The tick is deliberately aggressive — deployment-grade load makes
-	// send queues actually build, so the coalescing path is exercised
-	// rather than degenerating to one message per frame.
-	reg := distclass.NewRegistry()
-	opts := []distclass.Option{
-		distclass.WithK(2),
-		distclass.WithSeed(seed),
-		distclass.WithBackend(b),
-		distclass.WithTolerance(tol),
-		distclass.WithInterval(200 * time.Microsecond),
-		distclass.WithMetrics(reg),
-	}
-	if codec != distclass.CodecV1 {
-		opts = append(opts, distclass.WithCodec(codec))
-	}
-	if batch != 0 {
-		opts = append(opts, distclass.WithFrameBatch(batch))
-	}
-	cl, err := distclass.StartLive(values, distclass.GaussianMixture(), opts...)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ok, err := cl.WaitConverged(10*time.Second, tol)
-	if err == nil && ok {
-		// Hold the converged cluster at steady state so full-k traffic
-		// dominates the byte average; a run stopped at the convergence
-		// instant over-weights the small single-collection startup
-		// frames and the measurement becomes trajectory noise.
-		time.Sleep(time.Second)
-	}
-	cl.Stop()
-	if err == nil {
-		err = cl.Err()
-	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("did not converge")
-	}
-	if drift := cl.TotalWeight() - n; drift > 1e-6 || drift < -1e-6 {
-		return 0, 0, 0, fmt.Errorf("weight not conserved: %v vs %d (drift %v)", cl.TotalWeight(), n, drift)
-	}
-	msgs := reg.Counter("livenet.sent").Value()
-	wireBytes := reg.Counter("livenet.bytes_sent").Value()
-	frames := reg.Counter("livenet.frames_sent").Value()
-	if msgs == 0 || wireBytes == 0 {
-		return 0, 0, 0, fmt.Errorf("no traffic measured (messages %d, bytes %d)", msgs, wireBytes)
-	}
-	return float64(wireBytes) / float64(msgs), msgs, frames, nil
-}
-
-// runMonitorSmoke runs the engine-smoke workload on every backend with
-// the online monitor attached, serves the monitor over HTTP on a
-// loopback port and asserts the plane end to end: /health answers 200
-// converged, /status reports an exact conservation audit with zero
-// violations, and /events streams the run's trace tail.
-func runMonitorSmoke(seed uint64, o obs) error {
-	fmt.Println("=== Monitor smoke: online watcher + HTTP plane on every backend ===")
-	const n = 16
-	out := make([][]string, 0, len(engine.Backends()))
-	for _, b := range engine.Backends() {
-		st, err := monitorSmokeBackend(b, seed, o)
-		if err != nil {
-			return err
-		}
-		out = append(out, []string{
-			b.String(), st.Health,
-			strconv.Itoa(st.Convergence.Samples),
-			experiments.F(st.Conservation.Latest),
-			strconv.FormatBool(st.Conservation.Exact),
-		})
-	}
-	fmt.Println(experiments.FormatTable(
-		[]string{"backend", "health", "samples", "weight", "exact"}, out))
-	return nil
-}
-
-// monitorSmokeBackend runs one monitored workload on backend b and
-// returns the /status snapshot after the HTTP assertions pass.
-func monitorSmokeBackend(b engine.Backend, seed uint64, o obs) (*monitor.Status, error) {
-	const n = 16
-	r := rng.New(seed)
-	values := make([]distclass.Value, n)
-	for i := range values {
-		c := -4.0
-		if i%2 == 1 {
-			c = 4
-		}
-		values[i] = distclass.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
-	}
-	mon := distclass.NewMonitor()
-	opts := []distclass.Option{
-		distclass.WithK(2),
-		distclass.WithSeed(seed),
-		distclass.WithBackend(b),
-		distclass.WithTolerance(0.05),
-		distclass.WithMetrics(o.reg),
-		distclass.WithMonitor(mon),
-	}
-	if o.sink != nil {
-		opts = append(opts, distclass.WithTrace(o.sink), distclass.WithRunHeader())
-	}
-	switch b {
-	case engine.BackendRound, engine.BackendAsync:
-		sys, err := distclass.New(values, distclass.GaussianMixture(), opts...)
-		if err != nil {
-			return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-		}
-		if _, _, err := sys.RunUntilConverged(); err != nil {
-			return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-		}
-	default:
-		opts = append(opts, distclass.WithInterval(time.Millisecond),
-			distclass.WithMonitorInterval(2*time.Millisecond))
-		cl, err := distclass.StartLive(values, distclass.GaussianMixture(), opts...)
-		if err != nil {
-			return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-		}
-		ok, err := cl.WaitConverged(10*time.Second, 0.05)
-		if err == nil && ok {
-			// The cluster's own spread probe saw convergence; give the
-			// monitor's independent probe time to reach the same verdict
-			// (converged AND currently below threshold) before tearing
-			// the cluster down.
-			deadline := time.Now().Add(10 * time.Second)
-			for mon.Status().Health != monitor.HealthConverged && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-		cl.Stop()
-		if err == nil {
-			err = cl.Err()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("monitor-smoke %s: did not converge", b)
-		}
-	}
-
-	// Serve the monitor on a loopback port and assert over real HTTP.
-	mux := http.NewServeMux()
-	mon.Attach(mux)
-	srv, err := metrics.ServeMux("127.0.0.1:0", mux)
-	if err != nil {
-		return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	body, code, err := httpGet(base + "/health")
-	if err != nil {
-		return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-	}
-	if code != http.StatusOK || !strings.Contains(body, monitor.HealthConverged) {
-		return nil, fmt.Errorf("monitor-smoke %s: /health = %d %q, want 200 converged", b, code, strings.TrimSpace(body))
-	}
-	body, code, err = httpGet(base + "/status")
-	if err != nil {
-		return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("monitor-smoke %s: /status = %d", b, code)
-	}
-	var st monitor.Status
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		return nil, fmt.Errorf("monitor-smoke %s: /status decode: %w", b, err)
-	}
-	if st.Backend != b.String() {
-		return nil, fmt.Errorf("monitor-smoke %s: /status backend = %q", b, st.Backend)
-	}
-	if st.Nodes != n {
-		return nil, fmt.Errorf("monitor-smoke %s: /status nodes = %d, want %d", b, st.Nodes, n)
-	}
-	if !st.Conservation.Audited || !st.Conservation.Exact || st.Conservation.Violations != 0 {
-		return nil, fmt.Errorf("monitor-smoke %s: conservation audit failed: audited=%v exact=%v violations=%d drift=%v",
-			b, st.Conservation.Audited, st.Conservation.Exact, st.Conservation.Violations, st.Conservation.Drift)
-	}
-	if len(st.SpreadCurve) == 0 {
-		return nil, fmt.Errorf("monitor-smoke %s: empty spread curve", b)
-	}
-	body, code, err = httpGet(base + "/events?kind=spread&n=4")
-	if err != nil {
-		return nil, fmt.Errorf("monitor-smoke %s: %w", b, err)
-	}
-	if code != http.StatusOK || strings.TrimSpace(body) == "" {
-		return nil, fmt.Errorf("monitor-smoke %s: /events = %d, want a non-empty JSONL tail", b, code)
-	}
-	return &st, nil
-}
-
-// httpGet fetches a URL and returns its body and status code.
-func httpGet(url string) (string, int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(body), resp.StatusCode, nil
 }
 
 // parseFracs parses the -churn-fracs comma-separated list.
@@ -1031,176 +421,214 @@ func runFigure(fig int, quick bool, seed uint64, csvDir string, backend engine.B
 	return nil
 }
 
+// ablation is one study of the -ablation table. run gets the shared
+// config (seed, observability, and N = 36 under -quick).
+type ablation struct {
+	name  string
+	title string // the banner, between "=== " and " ==="
+	run   func(cfg experiments.AblationConfig, quick bool, backend engine.Backend) error
+}
+
+// ablations is the -ablation table, in the order -all runs it.
+func ablations() []ablation {
+	return []ablation{
+		{"topology", "Ablation A: rounds to convergence by topology", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			kinds := []topology.Kind{
+				topology.KindFull, topology.KindGrid, topology.KindTorus,
+				topology.KindER, topology.KindGeometric, topology.KindTree,
+				topology.KindStar,
+			}
+			cfg.MaxRounds = 400
+			runs, err := experiments.RunTopologyAblation(kinds, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.ConvergenceTable(runs))
+			fmt.Println("(rings mix in Theta(n^2) rounds; run with a larger budget separately)")
+			return nil
+		}},
+		{"k", "Ablation B: classification quality by k (Figure 2 data)", func(cfg experiments.AblationConfig, quick bool, _ engine.Backend) error {
+			n, rounds := 400, 60
+			if quick {
+				n, rounds = 120, 40
+			}
+			rows, err := experiments.RunKQuality([]int{2, 3, 4, 5, 7, 10}, n, rounds, cfg.Seed)
+			if err != nil {
+				return err
+			}
+			out := make([][]string, len(rows))
+			for i, r := range rows {
+				out[i] = []string{
+					fmt.Sprintf("%d", r.K),
+					experiments.F(r.MeanCoverError),
+					fmt.Sprintf("%d", r.Components),
+				}
+			}
+			fmt.Println(experiments.FormatTable([]string{"k", "mean cover error", "components"}, out))
+			return nil
+		}},
+		{"q", "Ablation C: weight quantum q (Zeno guard)", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			rows, err := experiments.RunQAblation([]float64{0.25, 1.0 / 64, 1.0 / 4096, 1.0 / (1 << 30)}, cfg)
+			if err != nil {
+				return err
+			}
+			out := make([][]string, len(rows))
+			for i, r := range rows {
+				out[i] = []string{
+					experiments.F(r.Q),
+					fmt.Sprintf("%d", r.Rounds),
+					experiments.F(r.WeightDrift),
+				}
+			}
+			fmt.Println(experiments.FormatTable([]string{"q", "rounds", "weight drift"}, out))
+			return nil
+		}},
+		{"policy", "Ablation D: gossip policy", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			runs, err := experiments.RunPolicyAblation(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.ConvergenceTable(runs))
+			return nil
+		}},
+		{"mode", "Ablation D': gossip mode (push / pull / push-pull)", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			runs, err := experiments.RunModeAblation(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.ConvergenceTable(runs))
+			return nil
+		}},
+		{"methods", "Methods: centroids vs GM on bimodal data", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			rows, err := experiments.RunMethodComparison(cfg)
+			if err != nil {
+				return err
+			}
+			out := make([][]string, len(rows))
+			for i, r := range rows {
+				out[i] = []string{r.Method, fmt.Sprintf("%d", r.Rounds), experiments.F(r.FinalSpread)}
+			}
+			fmt.Println(experiments.FormatTable([]string{"method", "rounds", "spread"}, out))
+			return nil
+		}},
+		{"reducer", "Reducer: EM vs greedy Runnalls merging (Figure 2 data, k=7)", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			rows, err := experiments.RunReducerAblation(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.ReducerTable(rows))
+			return nil
+		}},
+		{"crash", "Crash sweep: final error vs per-round crash probability", func(cfg experiments.AblationConfig, quick bool, backend engine.Backend) error {
+			n := 1000
+			if quick {
+				n = 200
+			}
+			rows, err := experiments.RunCrashSweep(
+				[]float64{0, 0.01, 0.02, 0.05, 0.1, 0.15},
+				experiments.Fig4Config{NGood: n * 19 / 20, NOut: n / 20, Seed: cfg.Seed, Backend: backend, Metrics: cfg.Metrics, Trace: cfg.Trace},
+			)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.CrashSweepTable(rows))
+			return nil
+		}},
+		{"loss", "Message loss: degrading the reliable-channel assumption", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			rows, err := experiments.RunLossAblation([]float64{0, 0.05, 0.1, 0.2, 0.3}, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.LossTable(rows))
+			return nil
+		}},
+		{"outliermethods", "Outlier removal: centroids vs GM on the Figure 3 workload", func(cfg experiments.AblationConfig, quick bool, _ engine.Backend) error {
+			n := 1000
+			rounds := 50
+			if quick {
+				n, rounds = 200, 30
+			}
+			rows, err := experiments.RunOutlierMethodComparison(10, n*19/20, n/20, rounds, cfg.Seed)
+			if err != nil {
+				return err
+			}
+			out := make([][]string, len(rows))
+			for i, r := range rows {
+				out[i] = []string{r.Method, experiments.F(r.RobustErr)}
+			}
+			fmt.Println(experiments.FormatTable([]string{"method", "robust err"}, out))
+			return nil
+		}},
+		{"scalability", "Scalability: rounds and payload vs n", func(cfg experiments.AblationConfig, quick bool, _ engine.Backend) error {
+			sizes := []int{32, 64, 128, 256}
+			if quick {
+				sizes = []int{16, 32, 64}
+			}
+			cfg.MaxRounds = 300
+			rows, err := experiments.RunScalabilityAblation(sizes, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.ScalabilityTable(rows))
+			return nil
+		}},
+		{"dimension", "Dimension sweep: two clusters in R^d", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			dims := []int{1, 2, 3, 5, 8}
+			cfg.MaxRounds = 200
+			rows, err := experiments.RunDimensionAblation(dims, cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.DimensionTable(rows))
+			return nil
+		}},
+		{"relatedwork", "Related work: one-shot classification vs iterative gossip baselines", func(cfg experiments.AblationConfig, _ bool, _ engine.Backend) error {
+			cfg.MaxRounds = 300
+			rows, err := experiments.RunRelatedWorkComparison(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.RelatedWorkTable(rows))
+			return nil
+		}},
+		{"histogram", "Related work: GM robust mean vs gossip histogram", func(cfg experiments.AblationConfig, quick bool, _ engine.Backend) error {
+			n, rounds := 500, 40
+			if quick {
+				n, rounds = 200, 30
+			}
+			res, err := experiments.RunHistogramComparison(n, 15, rounds, cfg.Seed)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.FormatTable(
+				[]string{"estimator", "mean error"},
+				[][]string{
+					{"gm robust (k=2)", experiments.F(res.RobustErr)},
+					{"gossip histogram", experiments.F(res.HistogramErr)},
+				}))
+			return nil
+		}},
+	}
+}
+
+func ablationNames() []string {
+	var names []string
+	for _, a := range ablations() {
+		names = append(names, a.name)
+	}
+	return names
+}
+
 func runAblation(name string, quick bool, seed uint64, backend engine.Backend, o obs) error {
 	cfg := experiments.AblationConfig{Seed: seed, Metrics: o.reg, Trace: o.sink}
 	if quick {
 		cfg.N = 36
 	}
-	switch name {
-	case "topology":
-		fmt.Println("=== Ablation A: rounds to convergence by topology ===")
-		kinds := []topology.Kind{
-			topology.KindFull, topology.KindGrid, topology.KindTorus,
-			topology.KindER, topology.KindGeometric, topology.KindTree,
-			topology.KindStar,
+	for _, a := range ablations() {
+		if a.name == name {
+			fmt.Printf("=== %s ===\n", a.title)
+			return a.run(cfg, quick, backend)
 		}
-		cfg.MaxRounds = 400
-		runs, err := experiments.RunTopologyAblation(kinds, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ConvergenceTable(runs))
-		fmt.Println("(rings mix in Theta(n^2) rounds; run with a larger budget separately)")
-	case "k":
-		fmt.Println("=== Ablation B: classification quality by k (Figure 2 data) ===")
-		n, rounds := 400, 60
-		if quick {
-			n, rounds = 120, 40
-		}
-		rows, err := experiments.RunKQuality([]int{2, 3, 4, 5, 7, 10}, n, rounds, seed)
-		if err != nil {
-			return err
-		}
-		out := make([][]string, len(rows))
-		for i, r := range rows {
-			out[i] = []string{
-				fmt.Sprintf("%d", r.K),
-				experiments.F(r.MeanCoverError),
-				fmt.Sprintf("%d", r.Components),
-			}
-		}
-		fmt.Println(experiments.FormatTable([]string{"k", "mean cover error", "components"}, out))
-	case "q":
-		fmt.Println("=== Ablation C: weight quantum q (Zeno guard) ===")
-		rows, err := experiments.RunQAblation([]float64{0.25, 1.0 / 64, 1.0 / 4096, 1.0 / (1 << 30)}, cfg)
-		if err != nil {
-			return err
-		}
-		out := make([][]string, len(rows))
-		for i, r := range rows {
-			out[i] = []string{
-				experiments.F(r.Q),
-				fmt.Sprintf("%d", r.Rounds),
-				experiments.F(r.WeightDrift),
-			}
-		}
-		fmt.Println(experiments.FormatTable([]string{"q", "rounds", "weight drift"}, out))
-	case "policy":
-		fmt.Println("=== Ablation D: gossip policy ===")
-		runs, err := experiments.RunPolicyAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ConvergenceTable(runs))
-	case "mode":
-		fmt.Println("=== Ablation D': gossip mode (push / pull / push-pull) ===")
-		runs, err := experiments.RunModeAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ConvergenceTable(runs))
-	case "methods":
-		fmt.Println("=== Methods: centroids vs GM on bimodal data ===")
-		rows, err := experiments.RunMethodComparison(cfg)
-		if err != nil {
-			return err
-		}
-		out := make([][]string, len(rows))
-		for i, r := range rows {
-			out[i] = []string{r.Method, fmt.Sprintf("%d", r.Rounds), experiments.F(r.FinalSpread)}
-		}
-		fmt.Println(experiments.FormatTable([]string{"method", "rounds", "spread"}, out))
-	case "reducer":
-		fmt.Println("=== Reducer: EM vs greedy Runnalls merging (Figure 2 data, k=7) ===")
-		rows, err := experiments.RunReducerAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ReducerTable(rows))
-	case "crash":
-		fmt.Println("=== Crash sweep: final error vs per-round crash probability ===")
-		n := 1000
-		if quick {
-			n = 200
-		}
-		rows, err := experiments.RunCrashSweep(
-			[]float64{0, 0.01, 0.02, 0.05, 0.1, 0.15},
-			experiments.Fig4Config{NGood: n * 19 / 20, NOut: n / 20, Seed: seed, Backend: backend, Metrics: o.reg, Trace: o.sink},
-		)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.CrashSweepTable(rows))
-	case "loss":
-		fmt.Println("=== Message loss: degrading the reliable-channel assumption ===")
-		rows, err := experiments.RunLossAblation([]float64{0, 0.05, 0.1, 0.2, 0.3}, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.LossTable(rows))
-	case "outliermethods":
-		fmt.Println("=== Outlier removal: centroids vs GM on the Figure 3 workload ===")
-		n := 1000
-		rounds := 50
-		if quick {
-			n, rounds = 200, 30
-		}
-		rows, err := experiments.RunOutlierMethodComparison(10, n*19/20, n/20, rounds, seed)
-		if err != nil {
-			return err
-		}
-		out := make([][]string, len(rows))
-		for i, r := range rows {
-			out[i] = []string{r.Method, experiments.F(r.RobustErr)}
-		}
-		fmt.Println(experiments.FormatTable([]string{"method", "robust err"}, out))
-	case "relatedwork":
-		fmt.Println("=== Related work: one-shot classification vs iterative gossip baselines ===")
-		cfg.MaxRounds = 300
-		rows, err := experiments.RunRelatedWorkComparison(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RelatedWorkTable(rows))
-	case "scalability":
-		fmt.Println("=== Scalability: rounds and payload vs n ===")
-		sizes := []int{32, 64, 128, 256}
-		if quick {
-			sizes = []int{16, 32, 64}
-		}
-		cfg.MaxRounds = 300
-		rows, err := experiments.RunScalabilityAblation(sizes, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ScalabilityTable(rows))
-	case "dimension":
-		fmt.Println("=== Dimension sweep: two clusters in R^d ===")
-		dims := []int{1, 2, 3, 5, 8}
-		cfg.MaxRounds = 200
-		rows, err := experiments.RunDimensionAblation(dims, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.DimensionTable(rows))
-	case "histogram":
-		fmt.Println("=== Related work: GM robust mean vs gossip histogram ===")
-		n, rounds := 500, 40
-		if quick {
-			n, rounds = 200, 30
-		}
-		res, err := experiments.RunHistogramComparison(n, 15, rounds, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTable(
-			[]string{"estimator", "mean error"},
-			[][]string{
-				{"gm robust (k=2)", experiments.F(res.RobustErr)},
-				{"gossip histogram", experiments.F(res.HistogramErr)},
-			}))
-	default:
-		return fmt.Errorf("unknown ablation %q", name)
 	}
-	return nil
+	return fmt.Errorf("unknown ablation %q (valid: %s)", name, strings.Join(ablationNames(), ", "))
 }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"distclass"
 	"distclass/internal/engine"
 	"distclass/internal/metrics"
 	"distclass/internal/trace"
@@ -121,60 +125,143 @@ func TestRealMainObservability(t *testing.T) {
 	}
 }
 
-// TestRunEngineSmoke runs the engine-smoke gate: the tiny two-cluster
-// workload on all five backends with convergence and conservation
-// audits.
-func TestRunEngineSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up live clusters")
-	}
-	if err := runEngineSmoke(1, testObs()); err != nil {
-		t.Fatalf("runEngineSmoke: %v", err)
-	}
-}
-
-// TestRunMonitorSmoke runs the monitor-smoke gate: every backend with
-// the online monitor attached, asserted over real HTTP. Under -race
-// (make race) this doubles as the concurrency check for the whole
-// monitoring plane.
-func TestRunMonitorSmoke(t *testing.T) {
+// TestSmoke runs every gate of the smoke table — the same gates make
+// check runs as engine-, shard-, monitor-, causal- and wire-smoke. Under
+// -race (make race) the monitor gate doubles as the concurrency check
+// for the whole monitoring plane, and the causal and wire gates
+// exercise the concurrent recorders' causal stamping.
+func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up live clusters and HTTP servers")
 	}
-	if err := runMonitorSmoke(1, testObs()); err != nil {
-		t.Fatalf("runMonitorSmoke: %v", err)
+	for _, s := range smokes() {
+		t.Run(s.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := runSmoke(s, 1, dir, testObs()); err != nil {
+				t.Fatal(err)
+			}
+			// -smoke-out keeps exactly one trace per backend of the
+			// traced gates, each starting with a schema-2 run header
+			// naming its backend — the contract the Makefile gates'
+			// distclass-analyze re-audit depends on.
+			var traced []engine.Backend
+			if s.name == "causal" || s.name == "wire" {
+				traced = s.backends
+			}
+			var want []string
+			for _, b := range traced {
+				want = append(want, s.name+"."+b.String()+".trace")
+			}
+			slices.Sort(want)
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("-smoke-out wrote %v, want %v", got, want)
+			}
+			for _, b := range traced {
+				path := filepath.Join(dir, s.name+"."+b.String()+".trace")
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatalf("trace artifact: %v", err)
+				}
+				events, err := trace.Read(f)
+				f.Close()
+				if err != nil {
+					t.Fatalf("read %s: %v", path, err)
+				}
+				if len(events) == 0 || events[0].Kind != trace.KindRunHeader ||
+					events[0].Backend != b.String() || events[0].Schema != trace.SchemaCausal {
+					t.Errorf("%s does not start with a schema-%d %s run header", path, trace.SchemaCausal, b)
+				}
+			}
+		})
 	}
 }
 
-// TestRunCausalSmoke runs the causal-smoke gate: every backend with
-// causal tracing, each trace audited for clean happens-before matching
-// and an exact provenance ledger. Under -race (make race) this also
-// exercises the concurrent recorders' causal stamping.
-func TestRunCausalSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up live clusters")
+func TestParseSmokes(t *testing.T) {
+	cases := []struct {
+		name, list, out string
+		want            []string // picked gate names; nil with errWant
+		errWant         string
+	}{
+		{name: "none", list: ""},
+		{name: "all", list: "all", want: []string{"engine", "shard", "monitor", "causal", "wire"}},
+		{name: "subset in flag order", list: "wire,engine", out: "d", want: []string{"wire", "engine"}},
+		{name: "unknown", list: "engine,bogus", errWant: `unknown smoke "bogus" (valid: engine, shard, monitor, causal, wire, or all)`},
+		{name: "empty name", list: "engine,", errWant: `unknown smoke ""`},
+		{name: "out without smoke", out: "d", errWant: "-smoke-out needs -smoke"},
 	}
-	prefix := filepath.Join(t.TempDir(), "causal")
-	if err := runCausalSmoke(1, prefix, testObs()); err != nil {
-		t.Fatalf("runCausalSmoke: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			picked, err := parseSmokes(c.list, c.out)
+			if c.errWant != "" {
+				if err == nil || !strings.Contains(err.Error(), c.errWant) {
+					t.Fatalf("error = %v, want %q", err, c.errWant)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, s := range picked {
+				got = append(got, s.name)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("picked %v, want %v", got, c.want)
+			}
+		})
 	}
-	// The -causal-out artifacts must each start with a schema-2 run
-	// header naming their backend — the contract the Makefile gate's
-	// distclass-analyze re-audit depends on.
-	for _, b := range engine.Backends() {
-		path := prefix + "." + b.String() + ".trace"
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("trace artifact: %v", err)
+}
+
+// TestSmokeAudit pins the shared weight audit: bit equality on the
+// exact paths, so a drift of one quantum fails; the benchmark's
+// relative 1e-9 bound on runs pinning a quantizing v2 codec.
+func TestSmokeAudit(t *testing.T) {
+	const q = 1.0 / (1 << 30)
+	cases := []struct {
+		name         string
+		codec        distclass.Codec
+		weight, want float64
+		ok           bool
+	}{
+		{"v1 exact", distclass.CodecV1, 504.5, 504.5, true},
+		{"v1 one quantum light", distclass.CodecV1, 504.5 - q, 504.5, false},
+		{"v1 one quantum heavy", distclass.CodecV1, 16 + q, 16, false},
+		{"v2 within 1e-9", distclass.CodecV2, 16 + 1e-12, 16, true},
+		{"v2 beyond 1e-9", distclass.CodecV2F32, 16 + 1e-6, 16, false},
+	}
+	for _, c := range cases {
+		r := smokeRun{codec: c.codec, weight: c.weight, want: c.want}
+		if err := r.audit(); (err == nil) != c.ok {
+			t.Errorf("%s: audit = %v, want ok %v", c.name, err, c.ok)
 		}
-		events, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("read %s: %v", path, err)
-		}
-		if len(events) == 0 || events[0].Kind != trace.KindRunHeader ||
-			events[0].Backend != b.String() || events[0].Schema != trace.SchemaCausal {
-			t.Errorf("%s does not start with a schema-%d %s run header", path, trace.SchemaCausal, b)
+	}
+}
+
+// TestPackageDocListsTables keeps the package doc's lists of ablations
+// and smoke gates in step with the tables the flags read.
+func TestPackageDocListsTables(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Join(strings.Fields(f.Doc.Text()), " ")
+	names := ablationNames()
+	want := "The ablations, in the order -all runs them, are " +
+		strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1] + "."
+	if !strings.Contains(doc, want) {
+		t.Errorf("package doc does not list the ablation table; want %q", want)
+	}
+	for _, s := range smokes() {
+		if !strings.Contains(doc, " "+s.name+" (") {
+			t.Errorf("package doc does not describe smoke gate %q", s.name)
 		}
 	}
 }

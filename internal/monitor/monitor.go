@@ -33,7 +33,9 @@ import (
 
 const (
 	// weightTolerance bounds |expected - observed| for the conservation
-	// audit to count as exact (the engine-smoke drift bound).
+	// audit to count as exact. It is a tolerance, not equality,
+	// because the v2 wire codecs decode weights that are not multiples
+	// of the quantum q.
 	weightTolerance = 1e-6
 	// eventBuffer caps the ring of recent events served by /events.
 	eventBuffer = 4096
