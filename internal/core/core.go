@@ -208,7 +208,9 @@ type Node struct {
 	// rests on two invariants: the Method contract (Partition/Merge
 	// never retain their input slice) and the fact that absorb copies
 	// collections into scratchBig before rebuilding cls in place — see
-	// the aliasing mutation test.
+	// the aliasing mutation test. Each buffer is cleared once its
+	// contents are dead, so scratch capacity never pins a superseded
+	// summary or aux vector (TestScratchPinsNoSummary).
 	scratchKept Classification // split's kept half; swaps with cls
 	scratchBig  Classification // absorb's union of cls + incoming
 	scratchMem  []Collection   // absorb's per-merge-group members
@@ -334,6 +336,7 @@ func (n *Node) Split() Classification {
 		kept = append(kept, keepC)
 		sent = append(sent, sendC)
 	}
+	clear(n.cls)
 	n.scratchKept = n.cls[:0]
 	n.cls = kept
 	if len(sent) > 0 {
@@ -371,7 +374,7 @@ func (n *Node) Absorb(incoming ...Classification) error {
 	}
 	groups, err := n.cfg.Method.Partition(big, n.cfg.K, n.cfg.Q)
 	if err != nil {
-		n.scratchBig = big[:0]
+		n.parkBig(big)
 		return fmt.Errorf("core: node %d: partition: %w", n.id, err)
 	}
 	if cap(n.scratchSeen) < len(big) {
@@ -380,7 +383,7 @@ func (n *Node) Absorb(incoming ...Classification) error {
 	seen := n.scratchSeen[:len(big)]
 	clear(seen)
 	if err := validatePartition(groups, n.cfg.K, seen); err != nil {
-		n.scratchBig = big[:0]
+		n.parkBig(big)
 		return fmt.Errorf("core: node %d: %w", n.id, err)
 	}
 	// scratchKept holds no live data between operations (split swapped
@@ -408,9 +411,10 @@ func (n *Node) Absorb(incoming ...Classification) error {
 			}
 		}
 		s, err := n.cfg.Method.Merge(members)
+		clear(members)
 		n.scratchMem = members[:0]
 		if err != nil {
-			n.scratchBig = big[:0]
+			n.parkBig(big)
 			return fmt.Errorf("core: node %d: merge: %w", n.id, err)
 		}
 		if n.merges != nil {
@@ -424,13 +428,22 @@ func (n *Node) Absorb(incoming ...Classification) error {
 		}
 		next = append(next, Collection{Summary: s, Weight: weight, Aux: aux})
 	}
+	clear(n.cls)
 	n.scratchKept = n.cls[:0]
 	n.cls = next
-	n.scratchBig = big[:0]
+	n.parkBig(big)
 	if n.collections != nil {
 		n.collections.Observe(float64(len(next)))
 	}
 	return nil
+}
+
+// parkBig empties the absorb union into scratchBig for the next
+// Absorb, dropping its references so the superseded summaries it held
+// can be collected.
+func (n *Node) parkBig(big Classification) {
+	clear(big)
+	n.scratchBig = big[:0]
 }
 
 // ValidatePartition checks that groups is an exact partition of [0, n)

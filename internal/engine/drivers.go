@@ -19,7 +19,10 @@ import (
 // the module targets go 1.22, which predates them.)
 type Agent[M any] interface {
 	// Emit produces the message for one send opportunity; ok reports
-	// whether there is anything to send.
+	// whether there is anything to send. In push mode without
+	// Options.Trace the round driver runs Emit concurrently for
+	// distinct agents, ahead of routing, so it obeys the same rule as
+	// Receive and draws no randomness from the driver.
 	Emit() (msg M, ok bool)
 	// Receive consumes a batch of delivered messages. Implementations
 	// must not retain batch beyond the call: the round driver reuses

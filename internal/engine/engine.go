@@ -452,9 +452,10 @@ func New(cfg Config) (Engine, error) {
 func ClassificationSize(cl core.Classification) int { return len(cl) }
 
 // classifierAgent adapts a classification node (Algorithm 1) to the
-// generic drivers. Receive touches only its own node, whose shared
-// instruments are atomic and whose trace sink is Config.Trace — the
-// sink the round driver also gets, which makes traced delivery serial.
+// generic drivers. Emit and Receive touch only their own node, whose
+// shared instruments are atomic and whose trace sink is Config.Trace —
+// the sink the round driver also gets, which makes a traced round
+// serial with every Emit inline.
 type classifierAgent struct {
 	node *core.Node
 }

@@ -1,8 +1,10 @@
-// The round backend delivers inboxes on GOMAXPROCS workers, or on one
-// when a trace sink is attached. Each Receive touches only its own
-// node, so the worker count must never show in the outcome: these
-// tests pin every node's classification, bit for bit, and the driver
-// counters across worker counts.
+// The round backend emits (push mode), scatters and delivers on
+// GOMAXPROCS workers, or on one with everything inline when a trace
+// sink is attached. Each Emit and Receive touches only its own node,
+// so neither the worker count nor emitting ahead may show in the
+// outcome: these tests pin every node's classification, bit for bit,
+// and the driver counters across worker counts and against the traced
+// run, whose emits stay inline in the route order.
 package engine_test
 
 import (
@@ -78,10 +80,13 @@ func roundOutcome(t *testing.T, cfg engine.Config, rounds, procs int, traced boo
 }
 
 // TestRoundParallelMatchesSerial runs each workload serially, on four
-// workers, and traced (which delivers on one worker whatever
-// GOMAXPROCS is): classifications and counters must match bit for
-// bit, and the trace must not depend on GOMAXPROCS. Both networks
-// span several delivery chunks, so the workers really share them.
+// workers, and traced (which emits inline and delivers on one worker
+// whatever GOMAXPROCS is): classifications and counters must match bit
+// for bit, and the trace must not depend on GOMAXPROCS. The networks
+// span several worker chunks, so the workers really share them, and
+// the cases cover every send path: push (emitted ahead untraced),
+// pull and push-pull (emitted inline), round-robin, message loss and
+// crashes.
 func TestRoundParallelMatchesSerial(t *testing.T) {
 	fig2, err := experiments.Figure2Dataset(300, rng.New(17))
 	if err != nil {
@@ -100,6 +105,26 @@ func TestRoundParallelMatchesSerial(t *testing.T) {
 			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(1000, 5),
 			K: 2, Topology: topology.KindRegular, Seed: 5,
 		}, 20},
+		{"centroids-pull", engine.Config{
+			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(600, 6),
+			K: 2, Topology: topology.KindRegular, Seed: 6, Mode: engine.ModePull,
+		}, 15},
+		{"centroids-push-pull", engine.Config{
+			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(600, 7),
+			K: 2, Topology: topology.KindRegular, Seed: 7, Mode: engine.ModePushPull,
+		}, 15},
+		{"centroids-round-robin", engine.Config{
+			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(600, 8),
+			K: 2, Topology: topology.KindRegular, Seed: 8, Policy: engine.RoundRobin,
+		}, 15},
+		{"centroids-drop", engine.Config{
+			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(600, 9),
+			K: 2, Topology: topology.KindRegular, Seed: 9, DropProb: 0.05,
+		}, 15},
+		{"centroids-crash", engine.Config{
+			Backend: engine.BackendRound, Method: centroids.Method{}, Values: fig1Values(600, 10),
+			K: 2, Topology: topology.KindRegular, Seed: 10, CrashProb: 0.01,
+		}, 15},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

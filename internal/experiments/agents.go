@@ -14,9 +14,9 @@ import (
 )
 
 // ClassifierAgent adapts a generic classification node (Algorithm 1) to
-// the simulator. The round driver absorbs distinct agents' inboxes
-// concurrently unless it has a trace sink, so a node built with a
-// trace sink must run on a driver given the same sink.
+// the simulator. The round driver splits (push mode) and absorbs for
+// distinct agents concurrently unless it has a trace sink, so a node
+// built with a trace sink must run on a driver given the same sink.
 type ClassifierAgent struct {
 	Node *core.Node
 }

@@ -3,8 +3,9 @@
 // and one-call setup for the standard -cpuprofile / -memprofile /
 // -traceout flags.
 //
-// The round driver labels its three phases each round (sim.send,
-// sim.deliver, sim.crash) with Phase; the concurrent backends label
+// The round driver labels its phases each round (sim.emit, sim.send,
+// sim.scatter, sim.deliver, sim.crash) with Phase, and the workers it
+// starts inherit the label; the concurrent backends label
 // each long-lived goroutine once when it starts with Label
 // (engine.gossip, engine.monitor, livenet.write, livenet.receive,
 // shard.worker). Labels are visible in `go tool pprof -tags` and in

@@ -38,6 +38,13 @@ type Agent[M any] interface {
 	// Emit produces the message for one send opportunity. ok reports
 	// whether there is anything to send (a false skips the send without
 	// consuming the opportunity's effects).
+	//
+	// In push mode without Options.Trace the round driver calls Emit
+	// ahead of routing, concurrently for distinct agents, once per
+	// round on every alive node that has a neighbor. Like Receive, Emit
+	// may then touch only its own agent's state and concurrency-safe
+	// shared state, and must not depend on the order of other agents'
+	// emits.
 	Emit() (msg M, ok bool)
 	// Receive consumes a batch of delivered messages. The round driver
 	// passes a node's entire inbox at once; the async driver passes
@@ -266,6 +273,22 @@ type Network[M any] struct {
 	// nothing per node.
 	inbox [][]M
 	meta  [][]msgMeta
+
+	// out/ok hold each node's emit-ahead result for the route stage
+	// (push mode without a trace sink), and route lists the round's
+	// transfers in send order for the scatter stage. All three keep
+	// their capacity across rounds and are cleared once read, so they
+	// pin no message between rounds.
+	out   []M
+	ok    []bool
+	route []routed[M]
+}
+
+// routed is one transfer that survived the drop checks: msg goes to
+// inbox[dst].
+type routed[M any] struct {
+	msg M
+	dst int
 }
 
 // NewNetwork builds a round driver over the graph; agents[i] runs on
@@ -304,6 +327,8 @@ func NewNetwork[M any](g *topology.Graph, agents []Agent[M], r *rng.RNG, opts Op
 		rr:     make([]int, g.N()),
 		c:      newCounters(opts.Metrics),
 		inbox:  make([][]M, g.N()),
+		out:    make([]M, g.N()),
+		ok:     make([]bool, g.N()),
 	}
 	if opts.Causal {
 		n.cz = newCausalState(g.N())
@@ -366,13 +391,35 @@ func pickNeighbor(g *topology.Graph, i int, policy Policy, rr []int, r *rng.RNG)
 // as a single batch; finally crash injection runs. Messages to crashed
 // nodes are dropped, and pulls from crashed nodes return nothing
 // (their weight is lost — exactly the failure mode Figure 4 studies).
-// The send and crash phases run on the calling goroutine, since they
-// draw from the driver's RNG; delivery runs on several (deliverAll).
+//
+// The send half runs in three stages. Emit-ahead (push mode without a
+// trace sink) calls every sender's Emit on several workers; route walks
+// the nodes in order on the calling goroutine, since it draws from the
+// driver's RNG, and lists each transfer; scatter appends the listed
+// messages to their inboxes on several workers, each owning a range of
+// destinations. Delivery then runs on several workers (deliverAll) and
+// crash injection on the calling goroutine.
 func (n *Network[M]) Round() error {
 	round := n.c.local.Rounds
+	workers := runtime.GOMAXPROCS(0)
+	if n.opts.Trace != nil {
+		workers = 1
+	}
+	// Emit-ahead needs each agent to emit at most once per round, from
+	// a sender the RNG does not choose, and no split event to interleave
+	// with send events: push mode without a trace sink. Emit draws no
+	// randomness and every Emit of a round precedes every Receive, so
+	// agent state ends up exactly as with inline emits.
+	ahead := n.opts.Mode == ModePush && n.opts.Trace == nil
+	if ahead {
+		prof.Phase("sim.emit", func() { n.emitAll(workers) })
+	}
 	// transfer moves one split half from src to dst.
 	transfer := func(src, dst int) {
-		msg, ok := n.agents[src].Emit()
+		msg, ok := n.out[src], n.ok[src]
+		if !ahead {
+			msg, ok = n.agents[src].Emit()
+		}
 		if !ok {
 			return
 		}
@@ -398,8 +445,11 @@ func (n *Network[M]) Round() error {
 			n.c.incDropped()
 			return
 		}
-		n.inbox[dst] = append(n.inbox[dst], msg)
+		n.route = append(n.route, routed[M]{msg: msg, dst: dst})
 		if n.cz != nil {
+			// Causal mode has a trace sink, so scatter runs on one
+			// worker in route order and meta[dst] stays aligned with
+			// inbox[dst].
 			n.meta[dst] = append(n.meta[dst], m)
 		}
 	}
@@ -426,8 +476,12 @@ func (n *Network[M]) Round() error {
 				transfer(i, peer)
 			}
 		}
+		if ahead {
+			clear(n.out)
+		}
 	})
-	if err := prof.PhaseErr("sim.deliver", func() error { return n.deliverAll(round) }); err != nil {
+	prof.Phase("sim.scatter", func() { n.scatter(workers) })
+	if err := prof.PhaseErr("sim.deliver", func() error { return n.deliverAll(round, workers) }); err != nil {
 		return err
 	}
 	if n.opts.CrashProb > 0 {
@@ -447,15 +501,77 @@ func (n *Network[M]) Round() error {
 	return nil
 }
 
-// deliverChunk is the number of consecutive nodes a deliver worker
-// claims at a time: enough that the shared cursor is touched rarely,
-// few enough that the workers finish within one chunk of each other.
-const deliverChunk = 32
+// workChunk is the number of consecutive nodes a worker claims at a
+// time in the emit and deliver stages: enough that the shared cursor
+// is touched rarely, few enough that the workers finish within one
+// chunk of each other.
+const workChunk = 32
+
+// runWorkers runs work(0), …, work(workers-1) concurrently, work(0) on
+// the calling goroutine, and returns once every one has returned.
+func runWorkers(workers int, work func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+}
+
+// forEachNode calls fn(i) once for every node on workers goroutines,
+// which claim workChunk nodes at a time from a shared cursor.
+func (n *Network[M]) forEachNode(workers int, fn func(i int)) {
+	var cursor atomic.Int64
+	runWorkers(workers, func(int) {
+		for {
+			hi := int(cursor.Add(workChunk))
+			lo := hi - workChunk
+			if lo >= len(n.agents) {
+				return
+			}
+			for i := lo; i < min(hi, len(n.agents)); i++ {
+				fn(i)
+			}
+		}
+	})
+}
+
+// emitAll calls Emit for every alive node that has a neighbor — the
+// nodes the push-mode route loop sends from — and parks the result in
+// out/ok for the route stage. An Emit touches only its own agent, so
+// the order of the calls does not show.
+func (n *Network[M]) emitAll(workers int) {
+	n.forEachNode(workers, func(i int) {
+		if n.alive[i] && n.graph.Degree(i) > 0 {
+			n.out[i], n.ok[i] = n.agents[i].Emit()
+		}
+	})
+}
+
+// scatter appends every routed message to its destination's inbox and
+// empties the route list. Worker w owns one contiguous range of
+// destinations and walks the whole list in order, so each inbox
+// receives its messages in transfer order whatever the worker count.
+func (n *Network[M]) scatter(workers int) {
+	runWorkers(workers, func(w int) {
+		lo, hi := w*len(n.inbox)/workers, (w+1)*len(n.inbox)/workers
+		for _, r := range n.route {
+			if r.dst >= lo && r.dst < hi {
+				n.inbox[r.dst] = append(n.inbox[r.dst], r.msg)
+			}
+		}
+	})
+	clear(n.route)
+	n.route = n.route[:0]
+}
 
 // deliverAll hands every non-empty inbox to its agent and empties it.
 // A Receive reads and writes only its own agent's state and inbox, so
-// GOMAXPROCS workers share the inboxes, claiming deliverChunk nodes at
-// a time from an atomic cursor, and the result does not depend on
+// the workers share the inboxes and the result does not depend on
 // which worker delivers which inbox. With a trace sink one worker
 // delivers in node order: agents may record into the same sink from
 // Receive, and the event order is part of the trace.
@@ -465,53 +581,29 @@ const deliverChunk = 32
 // weight is lost with them), and the error of the lowest-indexed
 // failed node is returned, so the outcome is the same for any worker
 // count and nothing resurfaces in a later round.
-func (n *Network[M]) deliverAll(round int) error {
-	workers := runtime.GOMAXPROCS(0)
-	if n.opts.Trace != nil {
-		workers = 1
-	}
+func (n *Network[M]) deliverAll(round, workers int) error {
 	var (
-		cursor  atomic.Int64
 		mu      sync.Mutex
 		failed  = len(n.inbox) // lowest failed node; guarded by mu
 		failErr error          // guarded by mu
 		dropped int            // guarded by mu
 	)
-	work := func() {
-		for {
-			hi := int(cursor.Add(deliverChunk))
-			lo := hi - deliverChunk
-			if lo >= len(n.inbox) {
-				return
-			}
-			for i := lo; i < min(hi, len(n.inbox)); i++ {
-				batch := n.inbox[i]
-				if len(batch) == 0 {
-					continue
-				}
-				err := n.deliver(round, i, batch)
-				n.emptyInbox(i)
-				if err != nil {
-					mu.Lock()
-					dropped += len(batch)
-					if i < failed {
-						failed, failErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
+	n.forEachNode(workers, func(i int) {
+		batch := n.inbox[i]
+		if len(batch) == 0 {
+			return
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		err := n.deliver(round, i, batch)
+		n.emptyInbox(i)
+		if err != nil {
+			mu.Lock()
+			dropped += len(batch)
+			if i < failed {
+				failed, failErr = i, err
+			}
+			mu.Unlock()
+		}
+	})
 	n.c.addDropped(dropped)
 	return failErr
 }

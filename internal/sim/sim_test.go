@@ -776,7 +776,7 @@ func TestRoundFailureDropsUndelivered(t *testing.T) {
 	}{
 		{8, ModePush, []int{0}, false},
 		{8, ModePushPull, []int{3, 5}, false},
-		{4 * deliverChunk, ModePushPull, []int{deliverChunk + 3, 2*deliverChunk + 1}, true},
+		{4 * workChunk, ModePushPull, []int{workChunk + 3, 2*workChunk + 1}, true},
 	}
 	total := func(as []*countAgent) int {
 		sum := 0
@@ -834,5 +834,104 @@ func TestRoundFailureDropsUndelivered(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// emitAgent sends its own id and counts its Emit calls; Receive notes
+// any batch whose senders are not in ascending order.
+type emitAgent struct {
+	id, emits, received int
+	unordered           bool
+}
+
+func (a *emitAgent) Emit() (int, bool) {
+	a.emits++
+	return a.id, true
+}
+
+func (a *emitAgent) Receive(batch []int) error {
+	for j, src := range batch {
+		if j > 0 && src <= batch[j-1] {
+			a.unordered = true
+		}
+	}
+	a.received += len(batch)
+	return nil
+}
+
+// TestRoundEmitAheadCallsEachSenderOnce pins push mode's emit-ahead
+// stage: every round calls Emit exactly once on each alive node that
+// has a neighbor and never on a dead or isolated one, and every inbox
+// reaches its agent in ascending source order (the route order) for
+// any worker count.
+func TestRoundEmitAheadCallsEachSenderOnce(t *testing.T) {
+	const n = 10 * workChunk
+	// Every tenth node is isolated; the rest form a ring plus chords.
+	var linked []int
+	for i := 0; i < n; i++ {
+		if i%10 != 9 {
+			linked = append(linked, i)
+		}
+	}
+	var edges [][2]int
+	for j, u := range linked {
+		edges = append(edges, [2]int{u, linked[(j+1)%len(linked)]})
+		if j < len(linked)/2 {
+			edges = append(edges, [2]int{u, linked[j+len(linked)/2]})
+		}
+	}
+	g, err := topology.New(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			raw := make([]*emitAgent, n)
+			agents := make([]Agent[int], n)
+			for i := range raw {
+				raw[i] = &emitAgent{id: i}
+				agents[i] = raw[i]
+			}
+			net, err := NewNetwork(g, agents, rng.New(3), Options[int]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 6; round++ {
+				if round == 2 {
+					for i := 0; i < n; i += 13 {
+						net.Kill(i)
+					}
+				}
+				before := net.Stats()
+				received := 0
+				for _, a := range raw {
+					a.emits = 0
+					received -= a.received
+				}
+				if err := net.Round(); err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range raw {
+					want := 0
+					if net.Alive(i) && g.Degree(i) > 0 {
+						want = 1
+					}
+					if a.emits != want {
+						t.Fatalf("round %d: node %d (alive %v, degree %d) emitted %d times, want %d", round, i, net.Alive(i), g.Degree(i), a.emits, want)
+					}
+					received += a.received
+				}
+				after := net.Stats()
+				if delivered := (after.MessagesSent - before.MessagesSent) - (after.MessagesDropped - before.MessagesDropped); received != delivered {
+					t.Fatalf("round %d: agents received %d messages, driver delivered %d", round, received, delivered)
+				}
+			}
+			for i, a := range raw {
+				if a.unordered {
+					t.Errorf("node %d received a batch out of source order", i)
+				}
+			}
+		})
 	}
 }

@@ -313,6 +313,75 @@ func TestRegular(t *testing.T) {
 	}
 }
 
+// regularMap is Regular as it was built before the adjacency was
+// filled directly: the draws deduplicated through an edge map into an
+// edge list for New. It is the oracle for TestRegularMatchesMapOracle.
+func regularMap(n, d int, r *rng.RNG, maxTries int) (*Graph, error) {
+	if d >= n {
+		return Full(n)
+	}
+	for try := 0; try < maxTries; try++ {
+		seen := make(map[[2]int]bool, n*d)
+		edges := make([][2]int, 0, n*d)
+		for i := 0; i < n; i++ {
+			for picked := 0; picked < d; {
+				j := r.IntN(n)
+				if j == i {
+					continue
+				}
+				u, v := i, j
+				if u > v {
+					u, v = v, u
+				}
+				key := [2]int{u, v}
+				picked++ // a duplicate draw still consumes the slot
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				edges = append(edges, key)
+			}
+		}
+		g, err := New(n, edges)
+		if err != nil {
+			return nil, err
+		}
+		if g.IsConnected() {
+			return g, nil
+		}
+	}
+	return nil, ErrDisconnected
+}
+
+// TestRegularMatchesMapOracle pins Regular to the map-deduplicated
+// construction: the same neighbor lists and the same RNG state after,
+// over sizes, degrees (d = 1 and 2 often need resampling) and seeds.
+func TestRegularMatchesMapOracle(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 64, 500} {
+		for _, d := range []int{1, 2, 3, 8} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				r, ro := rng.New(seed), rng.New(seed)
+				g, err := Regular(n, d, r, 5)
+				want, errWant := regularMap(n, d, ro, 5)
+				if (err != nil) != (errWant != nil) {
+					t.Fatalf("n=%d d=%d seed=%d: error %v, oracle %v", n, d, seed, err, errWant)
+				}
+				if next, nextWant := r.Uint64(), ro.Uint64(); next != nextWant {
+					t.Fatalf("n=%d d=%d seed=%d: RNG diverged from the oracle's", n, d, seed)
+				}
+				if err != nil {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if !reflect.DeepEqual(g.Neighbors(i), want.Neighbors(i)) {
+						t.Fatalf("n=%d d=%d seed=%d: node %d neighbors %v, oracle %v", n, d, seed, i, g.Neighbors(i), want.Neighbors(i))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBuildAllKinds(t *testing.T) {
 	kinds := []Kind{KindFull, KindRing, KindGrid, KindTorus, KindStar, KindTree, KindER, KindGeometric, KindRegular}
 	for _, kind := range kinds {
