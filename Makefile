@@ -90,8 +90,8 @@ churn-smoke:
 # The next five gates are rows of the experiments smoke table
 # (cmd/experiments/smoke.go), which TestSmoke also runs. Every row runs
 # the two-cluster workload to convergence and audits its final
-# weight bit for bit (within 1e-9 relative where a quantizing v2 codec
-# is pinned).
+# weight bit for bit; the wire codec carries weights exactly, so that
+# holds on the wire backends too.
 #
 # Backend-parity smoke gate: the same tiny two-cluster workload must
 # converge with exact weight conservation on every engine backend —
@@ -124,20 +124,20 @@ causal-smoke:
 	echo "causal-smoke: happens-before clean and ledger exact on all backends"
 
 # Wire-transport smoke gate: the two-cluster workload on both wire
-# backends (pipe, tcp) under the v2 codec with frame batching. The
-# harness audits convergence, weight conservation (within 1e-9
-# relative: v2 quantizes weights on the wire) and a clean
-# causal/provenance reconstruction over the batched frames, asserts
-# the deployment claim (v2+batching cuts wire bytes per message by at
-# least 40% vs v1 on tcp), and the distclass-analyze CLI re-audits the
-# batched causal traces — batching must be invisible to the ledger.
+# backends (pipe, tcp) with frame batching. The harness audits
+# convergence, exact weight conservation and a clean causal/provenance
+# reconstruction over the batched frames, asserts the deployment claim
+# (v2f32+batching spends at least 40% fewer wire bytes per message on
+# tcp than the closed-form all-float64 message), and the
+# distclass-analyze CLI re-audits the batched causal traces — batching
+# must be invisible to the ledger.
 wire-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -smoke wire -smoke-out "$$dir" >/dev/null && \
 	for b in pipe tcp; do \
 		$(GO) run ./cmd/distclass-analyze -causal -fail-anomalies -format json -o "$$dir/wire.$$b.json" "$$dir/wire.$$b.trace" || exit 1; \
 	done && \
-	echo "wire-smoke: v2+batching conserves weight, ledger exact, >=40% fewer bytes/message"
+	echo "wire-smoke: v2+batching conserves weight exactly, ledger exact, >=40% fewer bytes/message"
 
 # Sharded-scheduler smoke gate: a 512-node cluster on the shard
 # backend must converge, survive a kill/restart churn cycle and end

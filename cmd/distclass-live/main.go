@@ -51,7 +51,7 @@ func main() {
 	flag.Float64Var(&cfg.tol, "tol", 0.05, "spread below which the run stops early")
 	flag.StringVar(&cfg.backend, "backend", "pipe", "concurrent backend: pipe, tcp or shard")
 	flag.IntVar(&cfg.shards, "shards", 0, "worker-pool size for -backend shard (default GOMAXPROCS)")
-	flag.StringVar(&cfg.codec, "codec", "v1", "wire codec for -backend pipe/tcp: v1, v2 or v2f32")
+	flag.StringVar(&cfg.codec, "codec", "v2", "wire codec for -backend pipe/tcp: v2 or v2f32")
 	flag.IntVar(&cfg.frameBatch, "frame-batch", 0, "coalesce up to this many queued messages per wire frame on -backend pipe/tcp (0 or 1 disables)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a JSONL protocol event trace to this file")
 	flag.BoolVar(&cfg.causal, "causal", false, "stamp trace events with causal metadata (per-sender seq, peer, Lamport clock, moved weight) for distclass-analyze -causal; requires -trace")
@@ -193,7 +193,7 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-		if codec != distclass.CodecV1 {
+		if codec != distclass.CodecV2 {
 			opts = append(opts, distclass.WithCodec(codec))
 		}
 	}

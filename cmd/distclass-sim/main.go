@@ -32,7 +32,7 @@ func main() {
 		method     = flag.String("method", "gm", "classification method: gm or centroids")
 		topo       = flag.String("topology", "full", "topology: full, ring, grid, torus, star, tree, er, geometric, regular")
 		backend    = flag.String("backend", "round", "simulation backend: round or async")
-		codec      = flag.String("codec", "v1", "wire codec: v1, v2 or v2f32 (wire backends only; the simulator backends reject non-default values)")
+		codec      = flag.String("codec", "v2", "wire codec: v2 or v2f32 (wire backends only; the simulator backends reject non-default values)")
 		frameBatch = flag.Int("frame-batch", 0, "coalesce up to this many queued messages per wire frame (wire backends only; 0 or 1 disables)")
 		policy     = flag.String("policy", "push", "gossip policy: push or roundrobin")
 		mode       = flag.String("mode", "push", "gossip mode: push, pull or pushpull")
@@ -134,7 +134,7 @@ func run(n, k int, method, topo, backend, policy, mode string, seed uint64, roun
 	// Pass wire options through only when set: the engine rejects them
 	// on backends without a wire format, and this command's simulator
 	// backends have none.
-	if wireCodec != distclass.CodecV1 {
+	if wireCodec != distclass.CodecV2 {
 		opts = append(opts, distclass.WithCodec(wireCodec))
 	}
 	if frameBatch != 0 {

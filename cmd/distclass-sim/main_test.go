@@ -17,49 +17,49 @@ func TestRunValidation(t *testing.T) {
 		{
 			"unknown method",
 			func() error {
-				return run(10, 2, "bogus", "full", "round", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "bogus", "full", "round", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"unknown method",
 		},
 		{
 			"unknown policy",
 			func() error {
-				return run(10, 2, "gm", "full", "round", "bogus", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "full", "round", "bogus", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"unknown policy",
 		},
 		{
 			"unknown mode",
 			func() error {
-				return run(10, 2, "gm", "full", "round", "push", "bogus", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "full", "round", "push", "bogus", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"unknown mode",
 		},
 		{
 			"bad clusters",
 			func() error {
-				return run(10, 2, "gm", "full", "round", "push", "push", 1, 5, 10, 0, 0, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "full", "round", "push", "push", 1, 5, 10, 0, 0, 1, false, "", false, "", "", "v2", 0)
 			},
 			"clusters",
 		},
 		{
 			"bad topology",
 			func() error {
-				return run(10, 2, "gm", "nope", "round", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "nope", "round", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"unknown kind",
 		},
 		{
 			"unknown backend",
 			func() error {
-				return run(10, 2, "gm", "full", "bogus", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "full", "bogus", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"unknown backend",
 		},
 		{
 			"live backend rejected",
 			func() error {
-				return run(10, 2, "gm", "full", "pipe", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v1", 0)
+				return run(10, 2, "gm", "full", "pipe", "push", "push", 1, 5, 10, 0, 2, 1, false, "", false, "", "", "v2", 0)
 			},
 			"StartLive",
 		},
@@ -78,25 +78,25 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunFixedRounds(t *testing.T) {
-	if err := run(12, 2, "centroids", "ring", "round", "roundrobin", "pushpull", 3, 8, 10, 0, 2, 0.5, false, "", false, "", "", "v1", 0); err != nil {
+	if err := run(12, 2, "centroids", "ring", "round", "roundrobin", "pushpull", 3, 8, 10, 0, 2, 0.5, false, "", false, "", "", "v2", 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunUntilConverged(t *testing.T) {
-	if err := run(16, 2, "gm", "full", "round", "push", "pull", 5, 0, 120, 0, 2, 0.5, true, "", false, "", "", "v1", 0); err != nil {
+	if err := run(16, 2, "gm", "full", "round", "push", "pull", 5, 0, 120, 0, 2, 0.5, true, "", false, "", "", "v2", 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunWithCrashes(t *testing.T) {
-	if err := run(20, 2, "gm", "full", "round", "push", "push", 7, 10, 10, 0.1, 2, 1, false, "", false, "", "", "v1", 0); err != nil {
+	if err := run(20, 2, "gm", "full", "round", "push", "push", 7, 10, 10, 0.1, 2, 1, false, "", false, "", "", "v2", 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunAsyncBackend(t *testing.T) {
-	if err := run(12, 2, "gm", "full", "async", "push", "push", 11, 0, 200, 0, 2, 0.5, false, "", false, "", "", "v1", 0); err != nil {
+	if err := run(12, 2, "gm", "full", "async", "push", "push", 11, 0, 200, 0, 2, 0.5, false, "", false, "", "", "v2", 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestRunWithTraceAndPlot(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := dir + "/trace.jsonl"
 	metricsFile := dir + "/metrics.json"
-	if err := run(10, 2, "gm", "full", "round", "push", "push", 9, 6, 10, 0, 2, 0.5, true, traceFile, false, metricsFile, "", "v1", 0); err != nil {
+	if err := run(10, 2, "gm", "full", "round", "push", "push", 9, 6, 10, 0, 2, 0.5, true, traceFile, false, metricsFile, "", "v2", 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(traceFile)
@@ -138,7 +138,7 @@ func TestRunWithMonitor(t *testing.T) {
 	// possible from outside; the run succeeding with the endpoint bound
 	// (any free port) is the CLI contract, and the monitor internals
 	// are covered in internal/monitor and cmd/experiments.
-	if err := run(12, 2, "gm", "full", "round", "push", "push", 3, 0, 120, 0, 2, 0.5, false, "", false, "", "127.0.0.1:0", "v1", 0); err != nil {
+	if err := run(12, 2, "gm", "full", "round", "push", "push", 3, 0, 120, 0, 2, 0.5, false, "", false, "", "127.0.0.1:0", "v2", 0); err != nil {
 		t.Fatalf("run with -monitor: %v", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestRunWithMonitor(t *testing.T) {
 // stamped send/receive events throughout.
 func TestRunWithCausalTrace(t *testing.T) {
 	traceFile := t.TempDir() + "/causal.jsonl"
-	if err := run(12, 2, "gm", "full", "round", "push", "push", 9, 6, 10, 0, 2, 0.5, false, traceFile, true, "", "", "v1", 0); err != nil {
+	if err := run(12, 2, "gm", "full", "round", "push", "push", 9, 6, 10, 0, 2, 0.5, false, traceFile, true, "", "", "v2", 0); err != nil {
 		t.Fatalf("run with -causal: %v", err)
 	}
 	f, err := os.Open(traceFile)
@@ -180,14 +180,14 @@ func TestRunWithCausalTrace(t *testing.T) {
 // TestRunCausalRequiresTrace pins the flag contract: -causal without
 // -trace has nowhere to record and must be refused.
 func TestRunCausalRequiresTrace(t *testing.T) {
-	err := run(8, 2, "gm", "full", "round", "push", "push", 1, 3, 10, 0, 2, 1, false, "", true, "", "", "v1", 0)
+	err := run(8, 2, "gm", "full", "round", "push", "push", 1, 3, 10, 0, 2, 1, false, "", true, "", "", "v2", 0)
 	if err == nil || !strings.Contains(err.Error(), "-causal requires -trace") {
 		t.Errorf("error = %v, want -causal requires -trace", err)
 	}
 }
 
 func TestRunPlotRequiresGM(t *testing.T) {
-	err := run(8, 2, "centroids", "full", "round", "push", "push", 1, 3, 10, 0, 2, 1, true, "", false, "", "", "v1", 0)
+	err := run(8, 2, "centroids", "full", "round", "push", "push", 1, 3, 10, 0, 2, 1, true, "", false, "", "", "v2", 0)
 	if err == nil || !strings.Contains(err.Error(), "-plot requires") {
 		t.Errorf("error = %v", err)
 	}

@@ -30,8 +30,9 @@
 // churn ablation takes -churn-fracs (comma-separated kill fractions)
 // and -strict (fail on non-convergence or conservation violations).
 // -backend moves the Figure 4 crash runs and the churn ablation onto
-// another engine substrate (round, async, pipe, tcp, shard); -codec and
-// -frame-batch move the churn clusters onto the v2 wire stack.
+// another engine substrate (round, async, pipe, tcp, shard); -codec
+// (v2 or v2f32) and -frame-batch set the churn clusters' wire
+// encoding and frame batching.
 package main
 
 import (
@@ -99,7 +100,7 @@ func main() {
 		smokeList   = flag.String("smoke", "", "comma-separated smoke gates to run ("+strings.Join(smokeNames(), ", ")+") or all: a two-cluster workload per backend, audited for convergence and weight conservation")
 		smokeOut    = flag.String("smoke-out", "", "with -smoke: also write each traced gate's traces to DIR/<gate>.<backend>.trace")
 		monitorAddr = flag.String("monitor", "", "attach a passive online monitor to the event stream and serve /status, /health and /events (plus the -metrics endpoints) on this address; state aggregates across every experiment of the invocation")
-		codecFlag   = flag.String("codec", "", "wire codec for the -live-churn clusters on wire backends: v1, v2 or v2f32")
+		codecFlag   = flag.String("codec", "v2", "wire codec for the -live-churn clusters on wire backends: v2 or v2f32")
 		frameBatch  = flag.Int("frame-batch", 0, "coalesce up to this many queued messages per wire frame in the -live-churn clusters (wire backends; 0 or 1 disables)")
 	)
 	flag.Parse()
@@ -113,14 +114,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var churnCodec distclass.Codec
-	if *codecFlag != "" {
-		c, err := distclass.ParseCodec(*codecFlag)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		churnCodec = c
+	churnCodec, err := distclass.ParseCodec(*codecFlag)
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 	backends := backendChoice{fig: engine.BackendRound, churn: engine.BackendPipe}
 	if *backendFlag != "" {

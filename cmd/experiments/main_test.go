@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"distclass"
 	"distclass/internal/engine"
 	"distclass/internal/metrics"
 	"distclass/internal/trace"
@@ -220,25 +219,21 @@ func TestParseSmokes(t *testing.T) {
 	}
 }
 
-// TestSmokeAudit pins the shared weight audit: bit equality on the
-// exact paths, so a drift of one quantum fails; the benchmark's
-// relative 1e-9 bound on runs pinning a quantizing v2 codec.
+// TestSmokeAudit pins the shared weight audit: bit equality on every
+// backend, so a drift of one quantum fails either way.
 func TestSmokeAudit(t *testing.T) {
 	const q = 1.0 / (1 << 30)
 	cases := []struct {
 		name         string
-		codec        distclass.Codec
 		weight, want float64
 		ok           bool
 	}{
-		{"v1 exact", distclass.CodecV1, 504.5, 504.5, true},
-		{"v1 one quantum light", distclass.CodecV1, 504.5 - q, 504.5, false},
-		{"v1 one quantum heavy", distclass.CodecV1, 16 + q, 16, false},
-		{"v2 within 1e-9", distclass.CodecV2, 16 + 1e-12, 16, true},
-		{"v2 beyond 1e-9", distclass.CodecV2F32, 16 + 1e-6, 16, false},
+		{"exact", 504.5, 504.5, true},
+		{"one quantum light", 504.5 - q, 504.5, false},
+		{"one quantum heavy", 16 + q, 16, false},
 	}
 	for _, c := range cases {
-		r := smokeRun{codec: c.codec, weight: c.weight, want: c.want}
+		r := smokeRun{weight: c.weight, want: c.want}
 		if err := r.audit(); (err == nil) != c.ok {
 			t.Errorf("%s: audit = %v, want ok %v", c.name, err, c.ok)
 		}

@@ -32,6 +32,7 @@ import (
 
 const (
 	smokeN      = 16               // nodes in the per-backend workload
+	smokeK      = 2                // collections per classification
 	smokeTol    = 0.05             // spread below which a run has converged
 	smokeBudget = 10 * time.Second // default live convergence budget
 )
@@ -138,8 +139,7 @@ type smokeRun struct {
 	backend engine.Backend
 	n       int
 	seed    uint64
-	codec   distclass.Codec // v2 formats quantize weights on the wire
-	budget  time.Duration   // live convergence budget (0: smokeBudget)
+	budget  time.Duration // live convergence budget (0: smokeBudget)
 	opts    []distclass.Option
 	// after, when set, runs on a converged live cluster before Stop.
 	// It may move want, the weight the audit expects.
@@ -159,11 +159,10 @@ func (r *smokeRun) run() error {
 	r.values = twoClusterValues(r.n, r.seed)
 	r.want = float64(r.n)
 	opts := append([]distclass.Option{
-		distclass.WithK(2),
+		distclass.WithK(smokeK),
 		distclass.WithSeed(r.seed),
 		distclass.WithBackend(r.backend),
 		distclass.WithTolerance(smokeTol),
-		distclass.WithCodec(r.codec),
 	}, r.opts...)
 	if r.backend.Caps().Rounds {
 		sys, err := distclass.New(r.values, distclass.GaussianMixture(), opts...)
@@ -209,19 +208,12 @@ func (r *smokeRun) run() error {
 }
 
 // audit checks the final weight against want. Nodes start at weight 1
-// and move weight in multiples of the quantum q = 2^-30, so every sum
-// is exact and the audit is bit equality. The v2 codecs quantize
-// weights on the wire, so a run pinning one gets the benchmark's
-// relative bound instead.
+// and move weight in multiples of the quantum q = 2^-30, which the
+// wire carries exactly, so every sum is exact and the audit is bit
+// equality on every backend.
 func (r *smokeRun) audit() error {
-	if r.codec == distclass.CodecV1 {
-		if math.Float64bits(r.weight) != math.Float64bits(r.want) {
-			return fmt.Errorf("weight not conserved: %v, want exactly %v (drift %v)", r.weight, r.want, r.weight-r.want)
-		}
-		return nil
-	}
-	if math.Abs(r.weight-r.want) > 1e-9*r.want {
-		return fmt.Errorf("weight not conserved: %v, want %v within 1e-9 (drift %v)", r.weight, r.want, r.weight-r.want)
+	if math.Float64bits(r.weight) != math.Float64bits(r.want) {
+		return fmt.Errorf("weight not conserved: %v, want exactly %v (drift %v)", r.weight, r.want, r.weight-r.want)
 	}
 	return nil
 }
@@ -435,16 +427,22 @@ func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 	return rep, nil
 }
 
+// f64Message is the baseline of the wire smoke's byte claim: the
+// wire bytes of one steady-state smoke message (GM, k = smokeK, d = 2)
+// with every number a float64 and one message per frame. That is a
+// 4-byte length prefix and a kind byte, a 6-byte header, then per
+// collection a weight, a mean and a packed covariance, 8 bytes each.
+const f64Message = 4 + 1 + 6 + smokeK*8*(1+2+2*3/2)
+
 // wireSmoke gates the v2 transport stack on one wire backend. First it
-// reruns the causal audit under the v2 codec with frame batching:
-// batching and quantization must not disturb convergence, the weight
-// audit or the happens-before/provenance reconstruction. Then it
-// measures the deployment claim on uninstrumented traffic, the same
-// workload per codec config compared by wire bytes per logical
-// message: on tcp the batched v2f32 stack must spend at least 40% less
-// than v1.
+// reruns the causal audit with frame batching: batching must not
+// disturb convergence, the exact weight audit or the
+// happens-before/provenance reconstruction. Then it measures the
+// deployment claim on uninstrumented traffic, the same workload per
+// codec config compared by wire bytes per logical message: on tcp the
+// batched v2f32 stack must spend at least 40% less than f64Message.
 func wireSmoke(b engine.Backend, seed uint64, o obs, prefix string) ([][]string, error) {
-	if _, err := causalAudit(smokeRun{backend: b, n: smokeN, seed: seed, codec: distclass.CodecV2,
+	if _, err := causalAudit(smokeRun{backend: b, n: smokeN, seed: seed,
 		opts: []distclass.Option{distclass.WithMetrics(o.reg), distclass.WithFrameBatch(8)}}, prefix); err != nil {
 		return nil, fmt.Errorf("batched causal audit: %w", err)
 	}
@@ -453,31 +451,25 @@ func wireSmoke(b engine.Backend, seed uint64, o obs, prefix string) ([][]string,
 		codec distclass.Codec
 		batch int
 	}{
-		{"v1", distclass.CodecV1, 0},
 		{"v2+batch8", distclass.CodecV2, 8},
 		{"v2f32+batch8", distclass.CodecV2F32, 8},
 	}
 	const dropWant = 0.40
-	var rows [][]string
-	var base, best float64 // v1 and v2f32+batch8 bytes per message
+	rows := [][]string{{b.String(), "all-f64 (closed form)", fmt.Sprintf("%.1f", float64(f64Message)), "-", "-", "-"}}
+	var best float64 // v2f32+batch8 bytes per message
 	for _, c := range configs {
 		perMsg, msgs, frames, err := wireBytes(b, seed, c.codec, c.batch)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		drop := "-"
-		if c.codec == distclass.CodecV1 {
-			base = perMsg
-		} else {
-			drop = fmt.Sprintf("%.1f%%", 100*(1-perMsg/base))
-		}
 		best = perMsg
 		rows = append(rows, []string{b.String(), c.name, fmt.Sprintf("%.1f", perMsg),
-			strconv.FormatInt(msgs, 10), strconv.FormatInt(frames, 10), drop})
+			strconv.FormatInt(msgs, 10), strconv.FormatInt(frames, 10),
+			fmt.Sprintf("%.1f%%", 100*(1-perMsg/f64Message))})
 	}
-	if drop := 1 - best/base; b == engine.BackendTCP && drop < dropWant {
-		return nil, fmt.Errorf("bytes/message dropped only %.1f%% (v1 %.1f -> v2f32+batch8 %.1f), want >= %.0f%%",
-			100*drop, base, best, 100*dropWant)
+	if drop := 1 - best/f64Message; b == engine.BackendTCP && drop < dropWant {
+		return nil, fmt.Errorf("bytes/message dropped only %.1f%% (all-f64 %d -> v2f32+batch8 %.1f), want >= %.0f%%",
+			100*drop, f64Message, best, 100*dropWant)
 	}
 	return rows, nil
 }
@@ -492,10 +484,11 @@ func wireBytes(b engine.Backend, seed uint64, codec distclass.Codec, batch int) 
 	// send queues actually build, so the coalescing path is exercised
 	// rather than degenerating to one message per frame.
 	reg := distclass.NewRegistry()
-	r := smokeRun{backend: b, n: smokeN, seed: seed, codec: codec,
+	r := smokeRun{backend: b, n: smokeN, seed: seed,
 		opts: []distclass.Option{
 			distclass.WithInterval(200 * time.Microsecond),
 			distclass.WithMetrics(reg),
+			distclass.WithCodec(codec),
 			distclass.WithFrameBatch(batch),
 		},
 		// Hold the converged cluster at steady state so full-k traffic

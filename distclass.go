@@ -151,19 +151,18 @@ const (
 // "tcp", "shard") to a Backend.
 func ParseBackend(s string) (Backend, error) { return engine.ParseBackend(s) }
 
-// Wire codecs for the wire backends (pipe, tcp). CodecV1 is the
-// original float64 format; CodecV2 quantizes collection weights to
-// 32-bit fixed point with an exact-sum residual (weight conservation
-// audits stay exact); CodecV2F32 additionally carries coordinates as
-// float32 — the smallest frames, at ~1e-7 relative coordinate error.
+// Wire codecs for the wire backends (pipe, tcp). Both carry each
+// collection weight exactly, as an integer count of the message's
+// lowest set bit, so weights on the q-lattice stay on it and weight
+// conservation audits are bit-exact. CodecV2 (the default) carries
+// float64 coordinates; CodecV2F32 carries them as float32 — the
+// smallest frames, at ~1e-7 relative coordinate error.
 const (
-	CodecV1    = wire.CodecV1
 	CodecV2    = wire.CodecV2
 	CodecV2F32 = wire.CodecV2F32
 )
 
-// ParseCodec maps a -codec flag value ("v1", "v2", "v2f32") to a
-// Codec.
+// ParseCodec maps a -codec flag value ("v2", "v2f32") to a Codec.
 func ParseCodec(s string) (Codec, error) { return wire.ParseCodec(s) }
 
 // Centroids returns the paper's Algorithm 2 instantiation: centroid
@@ -268,7 +267,9 @@ type Option func(*options)
 // WithK bounds the number of collections per classification (default 2).
 func WithK(k int) Option { return func(o *options) { o.k = k } }
 
-// WithQ sets the weight quantum (default core.DefaultQ = 2^-30).
+// WithQ sets the weight quantum (default core.DefaultQ = 2^-30). It
+// must be a power of two no larger than 0.5, so weights stay exact
+// multiples of it in float64 and on the wire.
 func WithQ(q float64) Option { return func(o *options) { o.q = q } }
 
 // WithSeed seeds all randomness (default 1).
@@ -360,9 +361,9 @@ func WithMonitorInterval(d time.Duration) Option { return func(o *options) { o.m
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // WithCodec selects the wire encoding on the wire backends (pipe,
-// tcp; default CodecV1). Every node of a cluster must run the same
-// codec: a receiver rejects frames newer than it understands and
-// downs that link. Rejected on backends without a wire format.
+// tcp; default CodecV2). Receivers decode either codec, so the choice
+// only sets what each node sends. Non-default codecs are rejected on
+// backends without a wire format.
 func WithCodec(c Codec) Option { return func(o *options) { o.codec = c } }
 
 // WithFrameBatch lets each wire-backend writer coalesce up to n

@@ -152,7 +152,10 @@ type Config struct {
 	// K bounds the number of collections in a classification. K >= 1.
 	K int
 	// Q is the weight quantum (the paper's q). If zero, DefaultQ is
-	// used. Initial weights (1.0) must be integer multiples of Q.
+	// used. It must be a power of two in (0, 0.5]: halving and summing
+	// multiples of a dyadic q is exact in float64, the unit initial
+	// weight is a multiple of it, and the wire carries such weights
+	// exactly, so conservation audits can compare bit for bit.
 	Q float64
 	// Metrics, when non-nil, receives the node's protocol counters:
 	// core.splits, core.merges, core.quantize_drops and the
@@ -178,8 +181,9 @@ func (cfg *Config) validate() error {
 	if cfg.Q < 0 || cfg.Q > 0.5 {
 		return fmt.Errorf("core: Config.Q = %v outside (0, 0.5]", cfg.Q)
 	}
-	if r := math.Abs(1/cfg.Q - math.Round(1/cfg.Q)); r > 1e-9 {
-		return fmt.Errorf("core: Config.Q = %v does not divide the unit weight", cfg.Q)
+	// Frexp's fraction is exactly 1/2 for a power of two.
+	if frac, _ := math.Frexp(cfg.Q); math.Float64bits(frac) != math.Float64bits(0.5) {
+		return fmt.Errorf("core: Config.Q = %v is not a power of two", cfg.Q)
 	}
 	return nil
 }

@@ -47,26 +47,29 @@ func TestNewNode(t *testing.T) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := core.NewNode(0, vec.Of(1), nil, core.Config{K: 1}); err == nil {
-		t.Errorf("missing method should error")
+	tests := []struct {
+		name  string
+		value vec.Vector
+		cfg   core.Config
+		ok    bool
+	}{
+		{"missing method", vec.Of(1), core.Config{K: 1}, false},
+		{"K=0", vec.Of(1), cfg(0, 0), false},
+		{"empty value", nil, cfg(1, 0), false},
+		{"Q > 0.5", vec.Of(1), cfg(1, 0.7), false},
+		{"Q not dividing 1", vec.Of(1), cfg(1, 0.3), false},
+		{"negative Q", vec.Of(1), cfg(1, -0.25), false},
+		{"Q=0.1 not a power of two", vec.Of(1), cfg(1, 0.1), false},
+		{"Q=1/3 not a power of two", vec.Of(1), cfg(1, 1.0/3), false},
+		{"Q=0.25", vec.Of(1), cfg(1, 0.25), true},
+		{"Q=0.5", vec.Of(1), cfg(1, 0.5), true},
+		{"Q=2^-30", vec.Of(1), cfg(1, 1.0/(1<<30)), true},
 	}
-	if _, err := core.NewNode(0, vec.Of(1), nil, cfg(0, 0)); err == nil {
-		t.Errorf("K=0 should error")
-	}
-	if _, err := core.NewNode(0, nil, nil, cfg(1, 0)); err == nil {
-		t.Errorf("empty value should error")
-	}
-	if _, err := core.NewNode(0, vec.Of(1), nil, cfg(1, 0.7)); err == nil {
-		t.Errorf("Q > 0.5 should error")
-	}
-	if _, err := core.NewNode(0, vec.Of(1), nil, cfg(1, 0.3)); err == nil {
-		t.Errorf("Q not dividing 1 should error")
-	}
-	if _, err := core.NewNode(0, vec.Of(1), nil, cfg(1, -0.25)); err == nil {
-		t.Errorf("negative Q should error")
-	}
-	if _, err := core.NewNode(0, vec.Of(1), nil, cfg(1, 0.25)); err != nil {
-		t.Errorf("Q=0.25 should be accepted: %v", err)
+	for _, tt := range tests {
+		_, err := core.NewNode(0, tt.value, nil, tt.cfg)
+		if (err == nil) != tt.ok {
+			t.Errorf("%s: NewNode error = %v, want ok %v", tt.name, err, tt.ok)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func TestConfigRejectsUnsupportedOptions(t *testing.T) {
 			name: "round codec",
 			cfg: func() engine.Config {
 				c := baseConfig(engine.BackendRound)
-				c.Codec = wire.CodecV2
+				c.Codec = wire.CodecV2F32
 				return c
 			}(),
 			want: "no wire encoding",

@@ -197,9 +197,9 @@ type Config struct {
 	// FailOnDecodeErrors, when positive, fails wire backends once the
 	// aggregate decode-error count reaches the threshold.
 	FailOnDecodeErrors int
-	// Codec selects the wire encoding of data frames (default
-	// wire.CodecV1; see the wire package for the v2 quantized formats).
-	// Only wire backends encode frames, so any non-default codec is
+	// Codec selects the coordinate encoding of data frames (default
+	// wire.CodecV2, f64; wire.CodecV2F32 halves the coordinates). Only
+	// wire backends encode frames, so any non-default codec is
 	// rejected on backends without Caps.Wire.
 	Codec wire.Codec
 	// FrameBatch, when at least 2, lets wire-backend link writers
@@ -292,11 +292,11 @@ func (c Config) validate() error {
 		return fmt.Errorf("engine: backend %s has no wire decoding; FailOnDecodeErrors does not apply", c.Backend)
 	}
 	switch c.Codec {
-	case wire.CodecV1, wire.CodecV2, wire.CodecV2F32:
+	case wire.CodecV2, wire.CodecV2F32:
 	default:
 		return fmt.Errorf("engine: unknown codec %s", c.Codec)
 	}
-	if c.Codec != wire.CodecV1 && !caps.Wire {
+	if c.Codec != wire.CodecV2 && !caps.Wire {
 		return fmt.Errorf("engine: backend %s has no wire encoding; Codec %s does not apply", c.Backend, c.Codec)
 	}
 	if c.FrameBatch < 0 {

@@ -66,8 +66,8 @@ type ChurnConfig struct {
 	Strict bool
 	// Codec selects the wire encoding and FrameBatch the per-flush
 	// coalescing bound on the wire backends (pipe, tcp). Zero values
-	// mean v1 frames, one message per frame; the engine rejects
-	// non-default values on backends without a wire format.
+	// mean f64 coordinates and one message per frame; the engine
+	// rejects non-default values on backends without a wire format.
 	Codec      wire.Codec
 	FrameBatch int
 	// Metrics and Trace are handed to every cluster; spread and error
@@ -351,11 +351,12 @@ func auditStrict(row ChurnRow, n int) error {
 	}
 	if row.Killed == 0 {
 		// With no kills nothing may destroy weight: every backend must
-		// reproduce N to float addition noise. (All weights are
-		// multiples of the quantum q, so the sums are in fact exact;
-		// on concurrent backends Stop has already drained or accounted
-		// every queue.)
-		if drift := math.Abs(row.WeightDestroyed + row.WeightAtNodes - float64(n)); drift > 1e-6 {
+		// reproduce N exactly. All weights are multiples of the quantum
+		// q, which the wire carries exactly, so the sums are exact; on
+		// concurrent backends Stop has already drained or accounted
+		// every queue.
+		if got := row.WeightDestroyed + row.WeightAtNodes; math.Float64bits(got) != math.Float64bits(float64(n)) {
+			drift := got - float64(n)
 			return fmt.Errorf("conservation not exact: %v destroyed + %v at nodes vs %d started (drift %v)",
 				row.WeightDestroyed, row.WeightAtNodes, n, drift)
 		}
@@ -371,7 +372,7 @@ func auditStrict(row ChurnRow, n int) error {
 	// conn — bounded leaks, never more than the traffic the dead
 	// attracted.
 	survivors := float64(row.Survivors)
-	if row.WeightDestroyed+row.WeightAtNodes > float64(n)+1e-6 {
+	if row.WeightDestroyed+row.WeightAtNodes > float64(n) {
 		return fmt.Errorf("weight inflated: %v destroyed + %v at nodes > %d started",
 			row.WeightDestroyed, row.WeightAtNodes, n)
 	}

@@ -61,7 +61,13 @@ func New(mean vec.Vector, cov *mat.Matrix) (Gaussian, error) {
 	if !cov.IsSymmetric(1e-8) {
 		return Gaussian{}, errors.New("gauss: covariance is not symmetric")
 	}
-	return Gaussian{Mean: mean.Clone(), Cov: cov.Symmetrize()}, nil
+	// Symmetrizing averages each off-diagonal pair, which overflows
+	// for entries beyond half the largest float64.
+	sym := cov.Symmetrize()
+	if !sym.IsFinite() {
+		return Gaussian{}, errors.New("gauss: covariance overflows when symmetrized")
+	}
+	return Gaussian{Mean: mean.Clone(), Cov: sym}, nil
 }
 
 // Dim returns the dimension of the distribution.

@@ -38,6 +38,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(vec.Of(0, 0), asym); err == nil {
 		t.Errorf("asymmetric covariance should error")
 	}
+	huge, _ := mat.FromRows([][]float64{{1, math.MaxFloat64}, {math.MaxFloat64, 1}})
+	if _, err := New(vec.Of(0, 0), huge); err == nil {
+		t.Errorf("covariance overflowing its symmetrization should error")
+	}
 	g, err := New(vec.Of(0, 0), mat.Identity(2))
 	if err != nil {
 		t.Fatalf("New: %v", err)

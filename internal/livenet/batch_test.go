@@ -1,7 +1,7 @@
-// Frame-batching and cross-version interop tests: coalesced writers
-// must preserve the delivery, causal-identity and weight-conservation
-// contracts of unbatched frames, and version skew must down exactly
-// one link.
+// Frame-batching and version-rejection tests: coalesced writers must
+// preserve the delivery, causal-identity and weight-conservation
+// contracts of unbatched frames, and a payload in an unknown format
+// version must down exactly one link.
 package livenet
 
 import (
@@ -22,7 +22,7 @@ import (
 // then thaws it: the writer must coalesce the backlog into batch
 // frames, and every logical message must still arrive with its weight.
 func TestBatchRoundTrip(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecV1, wire.CodecV2, wire.CodecV2F32} {
+	for _, codec := range wire.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			g, err := topology.Full(2)
 			if err != nil {
@@ -51,7 +51,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				case <-time.After(time.Millisecond):
 				}
 			}
-			if got, want := h.deliveredWeight(), weight*messages; math.Abs(got-want) > 1e-9 {
+			if got, want := h.deliveredWeight(), weight*messages; math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("delivered weight = %v, want %v", got, want)
 			}
 			if n.MessagesSent() != messages {
@@ -151,31 +151,37 @@ func TestBatchCausalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionInteropDownsOnlyLink models an old deployment: every
-// receiver is capped at format version 1 (DecodeMax) while senders
-// emit v2. The first v2 frame must produce one attributed decode error
-// and down that link alone — the rest of the net keeps running.
+// TestVersionInteropDownsOnlyLink writes one data frame whose payload
+// carries an unknown format version onto the 0->1 link. It must
+// produce exactly one attributed decode error and down that link
+// alone: a peer speaking another format will keep speaking it, while
+// the rest of the net keeps running.
 func TestVersionInteropDownsOnlyLink(t *testing.T) {
 	g, err := topology.Full(3)
 	if err != nil {
 		t.Fatalf("Full: %v", err)
 	}
 	h := &testHandler{}
-	n, err := StartNet(g, NetConfig{Handler: h, Codec: wire.CodecV2, DecodeMax: wire.Version})
+	n, err := StartNet(g, NetConfig{Handler: h})
 	if err != nil {
 		t.Fatalf("StartNet: %v", err)
 	}
 	defer n.Stop()
 
-	if !n.Send(0, 1, false, testClassification(t, 0.5)) {
-		t.Fatalf("send refused on a fresh net")
+	payload, err := wire.MarshalClassificationCodec(testClassification(t, 0.5), wire.CodecV2)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	payload[0] = wire.VersionV2 + 1
+	if err := writeFrame(n.peers[0].findLink(1).conn, append([]byte{frameKindData}, payload...)); err != nil {
+		t.Fatalf("writeFrame: %v", err)
 	}
 	attributed := n.reg.Counter(fmt.Sprintf("livenet.node.%d.decode_errors.from.%d", 1, 0))
 	deadline := time.After(5 * time.Second)
 	for attributed.Value() < 1 {
 		select {
 		case <-deadline:
-			t.Fatalf("v2 frame at a v1 receiver produced no attributed decode error")
+			t.Fatalf("unknown version produced no attributed decode error")
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -183,70 +189,24 @@ func TestVersionInteropDownsOnlyLink(t *testing.T) {
 	for hasPeer(n, 1, 0) {
 		select {
 		case <-deadline:
-			t.Fatalf("link 1<-0 still up after a version mismatch")
+			t.Fatalf("link 1<-0 still up after an unknown version")
 		case <-time.After(time.Millisecond):
 		}
 	}
 	if !hasPeer(n, 1, 2) || !hasPeer(n, 2, 1) || !hasPeer(n, 2, 0) {
-		t.Errorf("version mismatch on 0->1 downed unrelated links: peers(1)=%v peers(2)=%v", n.Peers(1), n.Peers(2))
+		t.Errorf("unknown version on 0->1 downed unrelated links: peers(1)=%v peers(2)=%v", n.Peers(1), n.Peers(2))
+	}
+	if got := attributed.Value(); got != 1 {
+		t.Errorf("attributed decode errors = %d, want exactly 1", got)
 	}
 	if h.dataCount() != 0 {
 		t.Errorf("undecodable frame was delivered %d times", h.dataCount())
 	}
 	if err := n.Err(); err != nil {
-		t.Errorf("version mismatch must stay non-fatal, Err = %v", err)
+		t.Errorf("unknown version must stay non-fatal, Err = %v", err)
 	}
-	if n.DecodeErrors() < 1 {
-		t.Errorf("DecodeErrors = %d, want at least 1", n.DecodeErrors())
-	}
-}
-
-// TestBatchFrameAtV1ReceiverDownsLink is the frame-kind half of
-// interop: a receiver capped below v2 does not know batch frames at
-// all, so one arriving downs the link with an attributed error —
-// persistent skew, not transient corruption.
-func TestBatchFrameAtV1ReceiverDownsLink(t *testing.T) {
-	g, err := topology.Full(2)
-	if err != nil {
-		t.Fatalf("Full: %v", err)
-	}
-	h := &testHandler{gate: make(chan struct{})}
-	n, err := StartNet(g, NetConfig{
-		Handler: h, Codec: wire.CodecV1, FrameBatch: 4, SendQueue: 8,
-		DecodeMax: wire.Version,
-	})
-	if err != nil {
-		t.Fatalf("StartNet: %v", err)
-	}
-	defer n.Stop()
-
-	// The receiver blocks on the first (plain, decodable) frame while
-	// the rest of the backlog coalesces into a batch frame behind it.
-	const messages = 5
-	for i := 0; i < messages; i++ {
-		if !n.Send(0, 1, false, testClassification(t, 0.5)) {
-			t.Fatalf("send %d refused", i)
-		}
-	}
-	close(h.gate)
-	attributed := n.reg.Counter("livenet.node.1.decode_errors.from.0")
-	deadline := time.After(5 * time.Second)
-	for attributed.Value() < 1 {
-		select {
-		case <-deadline:
-			t.Fatalf("batch frame at a v1 receiver produced no attributed decode error (FramesSent=%d)", n.FramesSent())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	for hasPeer(n, 1, 0) {
-		select {
-		case <-deadline:
-			t.Fatalf("link 1<-0 still up after an unknown batch frame")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if err := n.Err(); err != nil {
-		t.Errorf("unknown batch frame must stay non-fatal, Err = %v", err)
+	if got := n.DecodeErrors(); got != 1 {
+		t.Errorf("DecodeErrors = %d, want 1", got)
 	}
 }
 
@@ -318,7 +278,7 @@ func writerHarness(h Handler, frameBatch int, conn net.Conn) (*Net, *peer, *link
 
 // dataFrame builds a queued outbound data frame the way Send does.
 func dataFrame(t testing.TB, weight float64) outFrame {
-	return dataFrameCodec(t, weight, wire.CodecV1)
+	return dataFrameCodec(t, weight, wire.CodecV2)
 }
 
 func dataFrameCodec(t testing.TB, weight float64, codec wire.Codec) outFrame {
@@ -482,8 +442,6 @@ func benchmarkWriter(b *testing.B, codec wire.Codec, batch bool) {
 	b.ReportMetric(float64(conn.bytes)/float64(b.N*run), "wire_bytes/msg")
 }
 
-func BenchmarkWriterV1Unbatched(b *testing.B)    { benchmarkWriter(b, wire.CodecV1, false) }
-func BenchmarkWriterV1Batch16(b *testing.B)      { benchmarkWriter(b, wire.CodecV1, true) }
 func BenchmarkWriterV2Batch16(b *testing.B)      { benchmarkWriter(b, wire.CodecV2, true) }
 func BenchmarkWriterV2F32Unbatched(b *testing.B) { benchmarkWriter(b, wire.CodecV2F32, false) }
 func BenchmarkWriterV2F32Batch16(b *testing.B)   { benchmarkWriter(b, wire.CodecV2F32, true) }

@@ -147,10 +147,10 @@ type NetConfig struct {
 	// keeps decode errors non-fatal: the frame is skipped, counted and
 	// attributed per peer, and the link stays up.
 	FailOnDecodeErrors int
-	// Codec selects the wire encoding of outbound data frames (default
-	// wire.CodecV1). Receivers decode by the version byte on the frame,
-	// not by this setting, so mixed-codec nets interoperate as long as
-	// DecodeMax admits the version.
+	// Codec selects the coordinate encoding of outbound data frames
+	// (default wire.CodecV2, f64). Receivers decode either codec from
+	// the tag byte on the frame, not by this setting, so mixed-codec
+	// nets interoperate.
 	Codec wire.Codec
 	// FrameBatch, when at least 2, lets each link's writer coalesce up
 	// to that many consecutively queued data messages to the same peer
@@ -160,14 +160,6 @@ type NetConfig struct {
 	// batch torn by a write error returns every one of its messages to
 	// the sender. 0 or 1 disables coalescing.
 	FrameBatch int
-	// DecodeMax, when positive, caps the wire format version this net's
-	// receivers accept — a stand-in for an old peer in cross-version
-	// deployments. 0 means the newest supported version. A frame
-	// rejected for its version (including batch frames when DecodeMax
-	// predates them) downs the receiving link after an attributed
-	// decode error: version skew is persistent, unlike transient
-	// corruption, so retrying the link would only repeat the fault.
-	DecodeMax int
 	// Metrics, when non-nil, backs the transport's counters: aggregate
 	// livenet.{sent,received,decode_errors,send_drops} counters (sent
 	// and received count logical messages — classifications and pull
@@ -830,14 +822,6 @@ func (n *Net) recvLoop(p *peer, l *link) {
 			continue
 		}
 		if data[0] == frameKindBatch {
-			if maxVer := n.cfg.DecodeMax; maxVer > 0 && maxVer < wire.VersionV2 {
-				// This receiver predates batch frames. The mismatch is
-				// persistent, so the link comes down after the attributed
-				// error — exactly like a payload version it cannot decode.
-				n.noteDecodeError(p, l, fmt.Errorf("livenet: batch frame but decoder is limited to format version %d", maxVer))
-				n.downLink(l)
-				return
-			}
 			if !n.recvBatch(p, l, data[1:]) {
 				return
 			}
@@ -866,13 +850,13 @@ func (n *Net) recvLoop(p *peer, l *link) {
 			weight = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24]))
 			payload = payload[causalHeaderLen:]
 		}
-		cls, err := wire.UnmarshalClassificationLimit(payload, n.cfg.DecodeMax)
+		cls, err := wire.UnmarshalClassification(payload)
 		if err != nil {
 			if !n.noteDecodeError(p, l, err) {
 				return
 			}
 			if errors.Is(err, wire.ErrVersion) {
-				// A peer speaking a newer format will keep speaking it:
+				// A peer speaking another format will keep speaking it:
 				// down this link only, the rest of the net keeps running.
 				n.downLink(l)
 				return
@@ -910,7 +894,7 @@ func (n *Net) recvBatch(p *peer, l *link, payload []byte) bool {
 			weight = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:24]))
 			rest = rest[causalHeaderLen:]
 		}
-		cls, used, err := wire.UnmarshalNext(rest, n.cfg.DecodeMax)
+		cls, used, err := wire.UnmarshalNext(rest)
 		if err != nil {
 			if !n.noteDecodeError(p, l, err) {
 				return false

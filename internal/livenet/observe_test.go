@@ -177,7 +177,7 @@ func TestDecodeErrorCounted(t *testing.T) {
 	}
 	// The link survived: a valid data frame injected right after the
 	// corrupt one still gets decoded and delivered.
-	payload, err := wire.MarshalClassification(testClassification(t, 0.5))
+	payload, err := wire.MarshalClassificationCodec(testClassification(t, 0.5), wire.CodecV2)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

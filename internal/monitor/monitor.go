@@ -32,11 +32,6 @@ import (
 )
 
 const (
-	// weightTolerance bounds |expected - observed| for the conservation
-	// audit to count as exact. It is a tolerance, not equality,
-	// because the v2 wire codecs decode weights that are not multiples
-	// of the quantum q.
-	weightTolerance = 1e-6
 	// eventBuffer caps the ring of recent events served by /events.
 	eventBuffer = 4096
 	// curveCap caps each retained spread/error curve; the oldest half
@@ -63,7 +58,7 @@ type Monitor struct {
 	latestWeight float64 // guarded by mu
 	weightSeen   int     // guarded by mu
 	maxAbsDrift  float64 // guarded by mu
-	violations   int     // guarded by mu; samples above expected beyond tolerance
+	violations   int     // guarded by mu; samples above expected
 
 	// Causal (schema-2) tracking, active once a causal run header or a
 	// clocked event arrives. nodeClock is each node's latest Lamport
@@ -133,10 +128,11 @@ func (m *Monitor) AddExpectedWeight(dw float64) {
 
 // ObserveWeight feeds one conservation-audit sample: the weight
 // currently held at alive nodes (plus whatever in-flight weight the
-// backend can account). Drift above the expected total beyond the
-// tolerance is always a violation — weight must never appear from
-// nowhere. Drift below is recorded but not judged here: on wire
-// backends weight legitimately rides the queues between samples.
+// backend can account). Weights are multiples of a power-of-two
+// quantum on every backend, wire included, so sums are exact and any
+// surplus over the expected total is a violation — weight must never
+// appear from nowhere. A deficit is recorded but not judged here: on
+// wire backends weight legitimately rides the queues between samples.
 func (m *Monitor) ObserveWeight(total float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -149,7 +145,7 @@ func (m *Monitor) ObserveWeight(total float64) {
 	if a := math.Abs(drift); a > m.maxAbsDrift {
 		m.maxAbsDrift = a
 	}
-	if drift > weightTolerance {
+	if total > m.expected {
 		m.violations++
 	}
 }

@@ -117,6 +117,28 @@ func TestConservationAudit(t *testing.T) {
 	}
 }
 
+// TestConservationAuditOneQuantum pins the audit at the protocol's
+// resolution: weights move in quanta of q = 2^-30, so a surplus of one
+// quantum is weight from nowhere and a deficit of one is not exact.
+func TestConservationAuditOneQuantum(t *testing.T) {
+	const q = 1.0 / (1 << 30)
+	m := New()
+	m.SetExpectedWeight(16)
+	m.ObserveWeight(16 + q)
+	s := m.Status()
+	if s.Conservation.Violations != 1 || s.Conservation.Exact {
+		t.Errorf("one-quantum surplus: %+v, want one violation, not exact", s.Conservation)
+	}
+	m.ObserveWeight(16 - q)
+	if s = m.Status(); s.Conservation.Violations != 1 || s.Conservation.Exact {
+		t.Errorf("one-quantum deficit: %+v, want no new violation, not exact", s.Conservation)
+	}
+	m.ObserveWeight(16)
+	if s = m.Status(); !s.Conservation.Exact {
+		t.Errorf("balanced sample not exact: %+v", s.Conservation)
+	}
+}
+
 func TestCrashAdjustsExpectedWeight(t *testing.T) {
 	m := New()
 	m.SetExpectedWeight(8)

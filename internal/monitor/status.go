@@ -63,7 +63,7 @@ type Messaging struct {
 }
 
 // Conservation is the weight-audit snapshot. Exact means the latest
-// sample matched the expected total within the tolerance; Violations
+// sample equals the expected total bit for bit; Violations
 // counts samples where weight exceeded the expectation — weight from
 // nowhere, always a bug. A transient deficit (negative drift) is
 // normal on wire backends while weight is in flight.
@@ -73,7 +73,6 @@ type Conservation struct {
 	Latest     float64 `json:"latest"`
 	Drift      float64 `json:"drift"`
 	MaxDrift   float64 `json:"max_drift"`
-	Tolerance  float64 `json:"tolerance"`
 	Exact      bool    `json:"exact"`
 	Violations int     `json:"violations"`
 	Samples    int     `json:"samples"`
@@ -167,7 +166,6 @@ func (m *Monitor) Status() Status {
 			Expected:   m.expected,
 			Latest:     m.latestWeight,
 			MaxDrift:   m.maxAbsDrift,
-			Tolerance:  weightTolerance,
 			Violations: m.violations,
 			Samples:    m.weightSeen,
 		},
@@ -188,7 +186,7 @@ func (m *Monitor) Status() Status {
 	}
 	if m.expectedSet && m.weightSeen > 0 {
 		s.Conservation.Drift = m.latestWeight - m.expected
-		s.Conservation.Exact = math.Abs(s.Conservation.Drift) <= weightTolerance
+		s.Conservation.Exact = math.Float64bits(m.latestWeight) == math.Float64bits(m.expected)
 	}
 
 	if m.causalSeen {

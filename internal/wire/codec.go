@@ -1,34 +1,12 @@
-// Codec selection and the version-2 wire format.
-//
-// v2 layout (little-endian):
-//
-//	u8  format version (2)
-//	u8  method tag (1 = centroids, 2 = gm), bit 7 set when coordinates
-//	    are f32
-//	u16 number of collections (count)
-//	u16 value dimension d
-//	f64 total weight (exact)
-//	per collection except the last:
-//	  u32 weight fraction: floor(weight/total * 2^32), clamped to
-//	      [1, 2^32-1]
-//	per collection (all of them, in order):
-//	  centroids: d coordinates (f64, or f32 when bit 7 of the tag is set)
-//	  gm:        d (mean) + d(d+1)/2 (upper-triangular covariance,
-//	             row-major) coordinates
-//
-// The last collection carries no explicit weight: the decoder assigns
-// it total minus the sum of the decoded fractions, so the decoded
-// weights always sum to the transmitted f64 total to within one ulp
-// and the conservation audit stays exact. The marshaller moves the
-// heaviest collection to the last position so the residual is always
-// positive (collections are an unordered set, so the permutation is
-// harmless). Single-collection messages are bit-exact.
+// Codec selection and the encoder and decoder of the version-2 format
+// (the layout is in wire.go).
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"distclass/internal/centroids"
 	"distclass/internal/core"
@@ -38,52 +16,60 @@ import (
 	"distclass/internal/vec"
 )
 
-// VersionV2 is the quantized-weight format version.
+// VersionV2 is the format version byte.
 const VersionV2 = 2
 
-// VersionMax is the newest format version this package decodes.
-const VersionMax = VersionV2
-
-// flagF32 marks f32 coordinates in the v2 method-tag byte.
+// flagF32 marks f32 coordinates in the method-tag byte.
 const flagF32 = 0x80
 
-// headerV2 is the fixed v2 header size: version, tag, count, dim and
-// the exact f64 total weight.
-const headerV2 = 14
+// headerLen is the fixed header size: version, tag, count and dim.
+const headerLen = 6
 
-// twoNeg32 converts a u32 weight fraction back to a fraction of the
-// total.
-const twoNeg32 = 1.0 / (1 << 32)
+// maxExpLen and maxCountLen bound the varint encodings of E (|E| ≤
+// 1074, so its zigzag form stays below 2^14) and of a weight count
+// (below 2^53).
+const (
+	maxExpLen   = 2
+	maxCountLen = 8
+)
 
-// ErrVersion reports a message whose format version is newer than the
-// decoder accepts. It wraps ErrFormat so existing non-fatal
-// decode-error handling catches it; callers that care about version
-// negotiation specifically (a persistent condition, unlike transient
-// corruption) match it with errors.Is.
+// countLimit bounds a weight count: every integer below 2^53 is an
+// exact float64.
+const countLimit = 1 << 53
+
+// minLowExp and maxHighExp bound the set bits of a finite float64: the
+// lowest bit of the smallest subnormal is 2^-1074, the highest bit of
+// the largest finite value 2^1023.
+const (
+	minLowExp  = -1074
+	maxHighExp = 1023
+)
+
+// ErrVersion reports a message whose format version byte is not
+// VersionV2. It wraps ErrFormat so the non-fatal decode-error handling
+// catches it; livenet matches it with errors.Is to down the link,
+// since a peer speaking another format will keep speaking it.
 var ErrVersion = fmt.Errorf("%w: unsupported format version", ErrFormat)
 
-// Codec selects the encoding MarshalClassificationCodec produces.
-// Every codec decodes with the same UnmarshalClassification.
+// Codec selects the coordinate encoding MarshalClassificationCodec
+// produces. Weights are exact under both; UnmarshalClassification
+// decodes either.
 type Codec int
 
 const (
-	// CodecV1 is the original format: f64 weights and coordinates.
-	CodecV1 Codec = iota
-	// CodecV2 quantizes weights to u32 fractions of an exact f64 total
-	// and keeps f64 coordinates.
-	CodecV2
-	// CodecV2F32 is CodecV2 with f32 coordinates — the smallest frames,
-	// at ~1e-7 relative coordinate error.
+	// CodecV2 carries f64 coordinates. It is the zero value, and so
+	// the default.
+	CodecV2 Codec = iota
+	// CodecV2F32 carries f32 coordinates — the smallest frames, at
+	// ~1e-7 relative coordinate error.
 	CodecV2F32
 )
 
 // Codecs returns all codecs in parse order.
-func Codecs() []Codec { return []Codec{CodecV1, CodecV2, CodecV2F32} }
+func Codecs() []Codec { return []Codec{CodecV2, CodecV2F32} }
 
 func (c Codec) String() string {
 	switch c {
-	case CodecV1:
-		return "v1"
 	case CodecV2:
 		return "v2"
 	case CodecV2F32:
@@ -93,14 +79,6 @@ func (c Codec) String() string {
 	}
 }
 
-// Version returns the format version byte the codec emits.
-func (c Codec) Version() int {
-	if c == CodecV1 {
-		return Version
-	}
-	return VersionV2
-}
-
 // ParseCodec converts a flag value to a Codec.
 func ParseCodec(s string) (Codec, error) {
 	for _, c := range Codecs() {
@@ -108,67 +86,89 @@ func ParseCodec(s string) (Codec, error) {
 			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown codec %q (have v1, v2, v2f32)", s)
+	return 0, fmt.Errorf("unknown codec %q (have v2, v2f32)", s)
 }
 
-// MarshalClassificationCodec encodes a classification with the given
-// codec. CodecV1 is byte-identical to MarshalClassification; the v2
-// codecs permute collections (heaviest last) but preserve the weight
-// total exactly.
+// MarshalClassificationCodec encodes a classification produced by one
+// of the built-in methods. All collections must carry the same summary
+// type and dimension, and every weight must be positive, finite and
+// fewer than 2^53 quanta 2^E, E the lowest set-bit exponent among the
+// weights; weights on a q-lattice below 2^53·q always are. An empty
+// classification encodes to a valid empty message with a zero method
+// tag.
 func MarshalClassificationCodec(cls core.Classification, codec Codec) ([]byte, error) {
 	switch codec {
-	case CodecV1:
-		return MarshalClassification(cls)
 	case CodecV2:
-		return marshalV2(cls, false)
+		return marshal(cls, false)
 	case CodecV2F32:
-		return marshalV2(cls, true)
+		return marshal(cls, true)
 	default:
 		return nil, fmt.Errorf("wire: unknown codec %d", int(codec))
 	}
 }
 
-// UnmarshalClassificationLimit decodes a whole message, rejecting
-// format versions newer than maxVersion with ErrVersion. maxVersion 0
-// (or out of range) means VersionMax. Livenet uses the limit to model
-// deployments where an old peer receives new-format frames.
-func UnmarshalClassificationLimit(data []byte, maxVersion int) (core.Classification, error) {
-	cls, n, err := UnmarshalNext(data, maxVersion)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(data)-n)
-	}
-	return cls, nil
-}
-
 // UnmarshalNext decodes one self-delimiting message from the front of
 // data and returns the number of bytes consumed — the primitive batch
-// frames are built on. maxVersion 0 (or out of range) means
-// VersionMax.
-func UnmarshalNext(data []byte, maxVersion int) (core.Classification, int, error) {
-	if maxVersion <= 0 || maxVersion > VersionMax {
-		maxVersion = VersionMax
-	}
+// frames are built on.
+func UnmarshalNext(data []byte) (core.Classification, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("%w: empty message", ErrFormat)
 	}
-	v := int(data[0])
-	if v > maxVersion {
-		return nil, 0, fmt.Errorf("%w %d, newest supported here %d", ErrVersion, v, maxVersion)
+	if data[0] != VersionV2 {
+		return nil, 0, fmt.Errorf("%w %d", ErrVersion, data[0])
 	}
-	switch v {
-	case Version:
-		return unmarshalV1(data)
-	case VersionV2:
-		return unmarshalV2(data)
-	default:
-		return nil, 0, fmt.Errorf("%w %d", ErrVersion, v)
+	if len(data) < headerLen {
+		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the header", ErrFormat, len(data))
 	}
+	tag := data[1] &^ flagF32
+	f32 := data[1]&flagF32 != 0
+	count := int(binary.LittleEndian.Uint16(data[2:4]))
+	d := int(binary.LittleEndian.Uint16(data[4:6]))
+	e, n := binary.Varint(data[headerLen:])
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("%w: bad weight exponent", ErrFormat)
+	}
+	pos := headerLen + n
+	// A count below 2^53 has at most 53 significant bits, so no
+	// exactly representable count·2^E has E outside this range.
+	// Checking it first keeps the per-count bounds free of overflow.
+	if e < minLowExp-52 || e > maxHighExp {
+		return nil, 0, fmt.Errorf("%w: weight exponent %d out of range", ErrFormat, e)
+	}
+	if count == 0 {
+		return core.Classification{}, pos, nil
+	}
+	if tag != tagCentroids && tag != tagGM {
+		return nil, 0, fmt.Errorf("%w: unknown method tag %d", ErrFormat, tag)
+	}
+	cls := make(core.Classification, count)
+	for i := range cls {
+		c, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil, 0, fmt.Errorf("%w: bad weight count at byte %d", ErrFormat, pos)
+		}
+		pos += n
+		if c == 0 || c >= countLimit {
+			return nil, 0, fmt.Errorf("%w: collection %d has weight count %d outside [1, 2^53)", ErrFormat, i, c)
+		}
+		lo, hi := e+int64(bits.TrailingZeros64(c)), e+int64(bits.Len64(c)-1)
+		if lo < minLowExp || hi > maxHighExp {
+			return nil, 0, fmt.Errorf("%w: collection %d weight %d·2^%d is not exactly representable", ErrFormat, i, c, e)
+		}
+		cls[i].Weight = math.Ldexp(float64(c), int(e))
+	}
+	for i := range cls {
+		sum, n, err := readSummary(data[pos:], tag, d, f32, i)
+		if err != nil {
+			return nil, 0, err
+		}
+		pos += n
+		cls[i].Summary = sum
+	}
+	return cls, pos, nil
 }
 
-func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
+func marshal(cls core.Classification, f32 bool) ([]byte, error) {
 	if len(cls) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: %d collections exceed the format limit", len(cls))
 	}
@@ -189,8 +189,7 @@ func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
 	if d > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: dimension %d exceeds the format limit", d)
 	}
-	total := 0.0
-	heaviest := 0
+	e := 0 // the lowest set-bit exponent over the weights
 	for i, c := range cls {
 		if c.Weight <= 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
 			return nil, fmt.Errorf("wire: collection %d has invalid weight %v", i, c.Weight)
@@ -205,36 +204,16 @@ func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: collection %d is inconsistent with the first", i)
 		}
-		total += c.Weight
-		if c.Weight > cls[heaviest].Weight {
-			heaviest = i
+		if _, lo := lowBit(c.Weight); i == 0 || lo < e {
+			e = lo
 		}
-	}
-	if len(cls) > 0 && (total <= 0 || math.IsInf(total, 0)) {
-		return nil, fmt.Errorf("wire: total weight %v is not encodable", total)
-	}
-
-	// Heaviest collection last: it absorbs the quantization residual,
-	// and being at least total/count it always stays positive.
-	order := make([]int, len(cls))
-	for i := range order {
-		order[i] = i
-	}
-	if len(order) > 0 {
-		last := len(order) - 1
-		order[heaviest], order[last] = order[last], order[heaviest]
 	}
 
 	coordBytes := 8
 	if f32 {
 		coordBytes = 4
 	}
-	perCoords := d
-	if tag == tagGM {
-		perCoords += d * (d + 1) / 2
-	}
-	size := headerV2 + 4*max(0, len(cls)-1) + len(cls)*perCoords*coordBytes
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, sizeBound(len(cls), perCoords(tag == tagGM, d), coordBytes))
 	tagByte := tag
 	if f32 {
 		tagByte |= flagF32
@@ -242,9 +221,14 @@ func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
 	buf = append(buf, VersionV2, tagByte)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cls)))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(d))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(total))
-	for _, i := range order[:max(0, len(order)-1)] {
-		buf = binary.LittleEndian.AppendUint32(buf, quantizeWeight(cls[i].Weight, total))
+	buf = binary.AppendVarint(buf, int64(e))
+	for i, c := range cls {
+		m, lo := lowBit(c.Weight)
+		shift := lo - e
+		if bits.Len64(m)+shift > 53 {
+			return nil, fmt.Errorf("wire: collection %d weight %v is 2^53 or more quanta of 2^%d", i, c.Weight, e)
+		}
+		buf = binary.AppendUvarint(buf, m<<shift)
 	}
 	appendCoord := func(x float64) {
 		if f32 {
@@ -253,8 +237,8 @@ func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
 	}
-	for _, i := range order {
-		switch s := cls[i].Summary.(type) {
+	for _, c := range cls {
+		switch s := c.Summary.(type) {
 		case centroids.Centroid:
 			for _, x := range s.Point {
 				appendCoord(x)
@@ -273,122 +257,18 @@ func marshalV2(cls core.Classification, f32 bool) ([]byte, error) {
 	return buf, nil
 }
 
-// quantizeWeight maps a weight to its u32 fraction of the total,
-// rounding down and clamping to [1, 2^32-1] so every decoded weight
-// stays strictly positive.
-func quantizeWeight(w, total float64) uint32 {
-	f := math.Floor(w / total * (1 << 32))
-	if f < 1 {
-		return 1
+// lowBit splits a finite w > 0 into its odd integer mantissa m and the
+// exponent lo of its lowest set bit, so that w = m·2^lo.
+func lowBit(w float64) (m uint64, lo int) {
+	b := math.Float64bits(w)
+	m, biased := b&(1<<52-1), int(b>>52)
+	if biased == 0 {
+		biased = 1 // subnormal: no implicit leading bit
+	} else {
+		m |= 1 << 52
 	}
-	if f >= math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(f)
-}
-
-// unmarshalV1 decodes one version-1 message prefix and reports the
-// bytes consumed.
-func unmarshalV1(data []byte) (core.Classification, int, error) {
-	if len(data) < 6 {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the header", ErrFormat, len(data))
-	}
-	tag := data[1]
-	count := int(binary.LittleEndian.Uint16(data[2:4]))
-	d := int(binary.LittleEndian.Uint16(data[4:6]))
-	pos := 6
-	readF64 := func() (float64, error) {
-		if pos+8 > len(data) {
-			return 0, fmt.Errorf("%w: truncated at byte %d", ErrFormat, pos)
-		}
-		x := math.Float64frombits(binary.LittleEndian.Uint64(data[pos : pos+8]))
-		pos += 8
-		return x, nil
-	}
-	if count == 0 {
-		return core.Classification{}, pos, nil
-	}
-	if tag != tagCentroids && tag != tagGM {
-		return nil, 0, fmt.Errorf("%w: unknown method tag %d", ErrFormat, tag)
-	}
-	cls := make(core.Classification, 0, count)
-	for i := 0; i < count; i++ {
-		w, err := readF64()
-		if err != nil {
-			return nil, 0, err
-		}
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, 0, fmt.Errorf("%w: collection %d has invalid weight %v", ErrFormat, i, w)
-		}
-		sum, n, err := readSummary(data[pos:], tag, d, false, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += n
-		cls = append(cls, core.Collection{Summary: sum, Weight: w})
-	}
-	return cls, pos, nil
-}
-
-// unmarshalV2 decodes one version-2 message prefix and reports the
-// bytes consumed.
-func unmarshalV2(data []byte) (core.Classification, int, error) {
-	if len(data) < headerV2 {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the v2 header", ErrFormat, len(data))
-	}
-	tag := data[1] &^ flagF32
-	f32 := data[1]&flagF32 != 0
-	count := int(binary.LittleEndian.Uint16(data[2:4]))
-	d := int(binary.LittleEndian.Uint16(data[4:6]))
-	total := math.Float64frombits(binary.LittleEndian.Uint64(data[6:headerV2]))
-	pos := headerV2
-	if count == 0 {
-		//lint:allow floatcmp wire validation: an empty message must carry a bit-exact zero total
-		if total != 0 {
-			return nil, 0, fmt.Errorf("%w: empty message with total weight %v", ErrFormat, total)
-		}
-		return core.Classification{}, pos, nil
-	}
-	if tag != tagCentroids && tag != tagGM {
-		return nil, 0, fmt.Errorf("%w: unknown method tag %d", ErrFormat, tag)
-	}
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return nil, 0, fmt.Errorf("%w: invalid total weight %v", ErrFormat, total)
-	}
-	weights := make([]float64, count)
-	partial := 0.0
-	for i := 0; i < count-1; i++ {
-		if pos+4 > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated at byte %d", ErrFormat, pos)
-		}
-		frac := binary.LittleEndian.Uint32(data[pos : pos+4])
-		pos += 4
-		if frac == 0 {
-			return nil, 0, fmt.Errorf("%w: collection %d has zero weight fraction", ErrFormat, i)
-		}
-		weights[i] = float64(frac) * twoNeg32 * total
-		// A subnormal total can scale a nonzero fraction down to 0.
-		if weights[i] <= 0 {
-			return nil, 0, fmt.Errorf("%w: collection %d weight underflows to %v", ErrFormat, i, weights[i])
-		}
-		partial += weights[i]
-	}
-	// The last collection takes the exact residual so the decoded
-	// weights sum back to the transmitted total.
-	weights[count-1] = total - partial
-	if weights[count-1] <= 0 || math.IsNaN(weights[count-1]) {
-		return nil, 0, fmt.Errorf("%w: residual weight %v is not positive", ErrFormat, weights[count-1])
-	}
-	cls := make(core.Classification, 0, count)
-	for i := 0; i < count; i++ {
-		sum, n, err := readSummary(data[pos:], tag, d, f32, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += n
-		cls = append(cls, core.Collection{Summary: sum, Weight: weights[i]})
-	}
-	return cls, pos, nil
+	tz := bits.TrailingZeros64(m)
+	return m >> tz, biased - 1075 + tz
 }
 
 // readSummary decodes one collection summary (point, or mean plus
@@ -453,20 +333,28 @@ func readSummary(data []byte, tag byte, d int, f32 bool, idx int) (core.Summary,
 	}
 }
 
-// MessageSizeCodec returns the encoded size in bytes of a k-collection
-// classification under the given codec — still a function of k and d
-// only, the paper's §2 invariant.
-func MessageSizeCodec(method core.Method, k, d int, codec Codec) int {
-	if codec == CodecV1 {
-		return MessageSize(method, k, d)
+// perCoords is the number of coordinates one collection carries: the
+// point (or mean), plus the packed covariance for gm.
+func perCoords(isGM bool, d int) int {
+	if isGM {
+		return d + d*(d+1)/2
 	}
+	return d
+}
+
+// sizeBound bounds the encoded size of a k-collection message.
+func sizeBound(k, per, coordBytes int) int {
+	return headerLen + maxExpLen + k*(maxCountLen+per*coordBytes)
+}
+
+// MessageSizeCodec bounds the encoded size in bytes of a k-collection
+// classification under the given codec: each weight count takes at
+// most 8 bytes, so the bound is a function of k and d only — the
+// paper's §2 invariant.
+func MessageSizeCodec(method core.Method, k, d int, codec Codec) int {
 	coordBytes := 8
 	if codec == CodecV2F32 {
 		coordBytes = 4
 	}
-	per := d
-	if method.Name() == "gm" {
-		per += d * (d + 1) / 2
-	}
-	return headerV2 + 4*max(0, k-1) + k*per*coordBytes
+	return sizeBound(k, perCoords(method.Name() == "gm", d), coordBytes)
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"testing"
 
 	"distclass/internal/centroids"
@@ -10,9 +11,10 @@ import (
 )
 
 // FuzzUnmarshalClassification feeds arbitrary bytes to the decoder: it
-// must return an error or a classification it can re-encode, never
-// panic. Run with `go test -fuzz FuzzUnmarshal ./internal/wire`;
-// without -fuzz the seed corpus below runs as a regular test.
+// must return an error or a classification that re-encodes and decodes
+// again to bit-identical weights, never panic. Run with
+// `go test -fuzz FuzzUnmarshal ./internal/wire`; without -fuzz the seed
+// corpus below runs as a regular test.
 func FuzzUnmarshalClassification(f *testing.F) {
 	// Seed corpus: valid centroids and GM messages plus mutations.
 	cCls := core.Classification{}
@@ -23,24 +25,11 @@ func FuzzUnmarshalClassification(f *testing.F) {
 		}
 		cCls = append(cCls, core.Collection{Summary: s, Weight: 0.5})
 	}
-	cData, err := MarshalClassification(cCls)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(cData)
-
-	gCls := gmCls(f, rng.New(1), 2, 2)
-	gData, err := MarshalClassification(gCls)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gData)
-
-	// v2 seeds: both quantization modes, single- and multi-collection,
-	// plus a two-payload concatenation like a batched frame body (the
-	// trailing bytes exercise the whole-message reject path while the
-	// fuzzer mutates toward valid batch walks).
-	for _, codec := range []Codec{CodecV2, CodecV2F32} {
+	// Both codecs, single- and multi-collection, plus a two-payload
+	// concatenation like a batched frame body (the trailing bytes
+	// exercise the whole-message reject path while the fuzzer mutates
+	// toward valid batch walks).
+	for _, codec := range Codecs() {
 		v2c, err := MarshalClassificationCodec(cCls, codec)
 		if err != nil {
 			f.Fatal(err)
@@ -53,30 +42,49 @@ func FuzzUnmarshalClassification(f *testing.F) {
 		f.Add(v2g)
 		f.Add(append(append([]byte{}, v2g...), v2c...))
 	}
+	f.Add(rawCentroids(minLowExp, 1, 1<<53-1)) // widest span at the subnormal floor
+	f.Add(rawCentroids(maxHighExp, 1))         // the largest weight exponent
 	f.Add([]byte{})
-	f.Add([]byte{Version})
-	f.Add([]byte{Version, tagGM, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{VersionV2})
 	f.Add([]byte{VersionV2, tagGM | flagF32, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{VersionMax + 1, tagGM, 1, 0, 1, 0})
+	f.Add([]byte{VersionV2 + 1, tagGM, 1, 0, 1, 0, 0})
+	f.Add(rawCentroids(0, 0))            // zero count
+	f.Add(rawCentroids(maxHighExp, 2))   // count·2^E overflows
+	f.Add(rawCentroids(minLowExp-52, 1)) // count·2^E underflows
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The prefix decoder must never panic and never over-consume.
-		if cls, n, err := UnmarshalNext(data, 0); err == nil {
+		if cls, n, err := UnmarshalNext(data); err == nil {
 			if n <= 0 || n > len(data) {
 				t.Fatalf("UnmarshalNext consumed %d of %d bytes", n, len(data))
 			}
-			if _, err := MarshalClassificationCodec(cls, CodecV2); err != nil {
-				t.Fatalf("decoded prefix does not re-encode as v2: %v", err)
-			}
+			reencode(t, cls)
 		}
-		cls, err := UnmarshalClassification(data)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode (empty classifications have no
-		// method tag and re-encode trivially).
-		if _, err := MarshalClassification(cls); err != nil {
-			t.Fatalf("decoded message does not re-encode: %v", err)
+		if cls, err := UnmarshalClassification(data); err == nil {
+			reencode(t, cls)
 		}
 	})
+}
+
+// reencode checks that a decoded classification re-encodes and decodes
+// again to bit-identical weights (empty classifications have no method
+// tag and re-encode trivially).
+func reencode(t *testing.T, cls core.Classification) {
+	t.Helper()
+	data, err := MarshalClassificationCodec(cls, CodecV2)
+	if err != nil {
+		t.Fatalf("decoded message does not re-encode: %v", err)
+	}
+	again, err := UnmarshalClassification(data)
+	if err != nil {
+		t.Fatalf("re-encoded message does not decode: %v", err)
+	}
+	if len(again) != len(cls) {
+		t.Fatalf("re-decoded %d collections, want %d", len(again), len(cls))
+	}
+	for i := range cls {
+		if math.Float64bits(again[i].Weight) != math.Float64bits(cls[i].Weight) {
+			t.Fatalf("weight[%d] %v re-decoded as %v", i, cls[i].Weight, again[i].Weight)
+		}
+	}
 }

@@ -5,40 +5,39 @@
 //
 // Layout (little-endian):
 //
-//	u8  format version (1)
-//	u8  method tag (1 = centroids, 2 = gm)
-//	u16 number of collections
-//	u16 value dimension d
+//	u8      format version (2)
+//	u8      method tag (1 = centroids, 2 = gm), bit 7 set when
+//	        coordinates are f32
+//	u16     number of collections (count)
+//	u16     value dimension d
+//	varint  E, zigzag: the lowest set-bit exponent over the weights
 //	per collection:
-//	  f64 weight
-//	  centroids: d x f64 (the centroid point)
-//	  gm:        d x f64 (mean) + d(d+1)/2 x f64 (upper-triangular
-//	             covariance, row-major)
+//	  uvarint weight·2^-E, a positive integer below 2^53
+//	per collection (all of them, in order):
+//	  centroids: d coordinates (f64, or f32 when bit 7 of the tag is set)
+//	  gm:        d (mean) + d(d+1)/2 (upper-triangular covariance,
+//	             row-major) coordinates
+//
+// Weights travel as integer counts of the message's own quantum 2^E,
+// so decoding is lossless: each decoded weight is bit-identical to the
+// one sent, a weight on the protocol's q-lattice (q a power of two)
+// stays on it, and conservation audits compare bit for bit. E is
+// worked out from the weights themselves, so the codec needs no q.
 //
 // The covariance is packed as its upper triangle — the paper's
 // message-size argument in §2 relies on payloads depending only on k
 // and d, and symmetric storage keeps the constant minimal. Auxiliary
 // vectors are verification instrumentation and are never transmitted.
 //
-// This file defines version 1 (f64 weights and coordinates, one
-// message per frame). codec.go adds the version-2 format — quantized
-// weights with an exact-sum residual and opt-in f32 coordinates — and
-// the Codec type that selects between them.
+// codec.go holds the Codec type and the encoder and decoder.
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
-	"distclass/internal/centroids"
 	"distclass/internal/core"
-	"distclass/internal/gm"
 )
-
-// Version is the current format version.
-const Version = 1
 
 // Method tags.
 const (
@@ -49,84 +48,15 @@ const (
 // ErrFormat reports malformed wire data.
 var ErrFormat = errors.New("wire: malformed message")
 
-// MarshalClassification encodes a classification produced by one of the
-// built-in methods. All collections must carry the same summary type
-// and dimension. An empty classification encodes to a valid empty
-// message with a zero method tag.
-func MarshalClassification(cls core.Classification) ([]byte, error) {
-	if len(cls) > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: %d collections exceed the format limit", len(cls))
-	}
-	var tag byte
-	d := 0
-	if len(cls) > 0 {
-		switch s := cls[0].Summary.(type) {
-		case centroids.Centroid:
-			tag = tagCentroids
-			d = s.Dim()
-		case gm.Summary:
-			tag = tagGM
-			d = s.Dim()
-		default:
-			return nil, fmt.Errorf("wire: unsupported summary type %T", cls[0].Summary)
-		}
-	}
-	if d > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: dimension %d exceeds the format limit", d)
-	}
-	buf := make([]byte, 0, 6+len(cls)*(8+8*d+8*d*(d+1)/2))
-	buf = append(buf, Version, tag)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cls)))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(d))
-	appendF64 := func(x float64) {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	for i, c := range cls {
-		if c.Weight <= 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
-			return nil, fmt.Errorf("wire: collection %d has invalid weight %v", i, c.Weight)
-		}
-		appendF64(c.Weight)
-		switch s := c.Summary.(type) {
-		case centroids.Centroid:
-			if tag != tagCentroids || s.Dim() != d {
-				return nil, fmt.Errorf("wire: collection %d is inconsistent with the first", i)
-			}
-			for _, x := range s.Point {
-				appendF64(x)
-			}
-		case gm.Summary:
-			if tag != tagGM || s.Dim() != d {
-				return nil, fmt.Errorf("wire: collection %d is inconsistent with the first", i)
-			}
-			for _, x := range s.G.Mean {
-				appendF64(x)
-			}
-			for r := 0; r < d; r++ {
-				for col := r; col < d; col++ {
-					appendF64(s.G.Cov.At(r, col))
-				}
-			}
-		default:
-			return nil, fmt.Errorf("wire: unsupported summary type %T", c.Summary)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalClassification decodes a message produced by
-// MarshalClassification or MarshalClassificationCodec, accepting any
-// format version up to VersionMax.
+// UnmarshalClassification decodes a whole message produced by
+// MarshalClassificationCodec.
 func UnmarshalClassification(data []byte) (core.Classification, error) {
-	return UnmarshalClassificationLimit(data, VersionMax)
-}
-
-// MessageSize returns the encoded size in bytes of a classification
-// with the given method tag parameters — the quantity the paper's
-// message-size discussion bounds by a function of k and d only.
-func MessageSize(method core.Method, k, d int) int {
-	per := 8 + 8*d // weight + mean/point
-	if method.Name() == "gm" {
-		per += 8 * d * (d + 1) / 2
+	cls, n, err := UnmarshalNext(data)
+	if err != nil {
+		return nil, err
 	}
-	return 6 + k*per
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(data)-n)
+	}
+	return cls, nil
 }

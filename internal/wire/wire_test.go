@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -12,6 +13,15 @@ import (
 	"distclass/internal/rng"
 	"distclass/internal/vec"
 )
+
+// q30 is the protocol's default quantum, core.DefaultQ.
+const q30 = 1.0 / (1 << 30)
+
+// latticeWeight draws a positive multiple of q30 below limit·q30 — a
+// weight the protocol can hold.
+func latticeWeight(r *rng.RNG, limit int) float64 {
+	return float64(1+r.IntN(limit-1)) * q30
+}
 
 func centroidCls(t testing.TB, weights []float64, points ...vec.Vector) core.Classification {
 	t.Helper()
@@ -41,7 +51,7 @@ func gmCls(t testing.TB, r *rng.RNG, n, d int) core.Classification {
 			if err != nil {
 				t.Fatalf("Summarize: %v", err)
 			}
-			return core.Collection{Summary: s, Weight: r.UniformRange(0.1, 2)}
+			return core.Collection{Summary: s, Weight: latticeWeight(r, 1<<31)}
 		}
 		a, b := mk(), mk()
 		s, err := method.Merge([]core.Collection{a, b})
@@ -53,9 +63,37 @@ func gmCls(t testing.TB, r *rng.RNG, n, d int) core.Classification {
 	return cls
 }
 
+// rawCentroids hand-assembles a d = 1 centroids message with the given
+// weight exponent and counts, one f64 coordinate per collection.
+func rawCentroids(e int64, counts ...uint64) []byte {
+	buf := []byte{VersionV2, tagCentroids, byte(len(counts)), 0, 1, 0}
+	buf = binary.AppendVarint(buf, e)
+	for _, c := range counts {
+		buf = binary.AppendUvarint(buf, c)
+	}
+	for range counts {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+	}
+	return buf
+}
+
+// sameWeights reports whether two classifications carry bit-identical
+// weights in the same order.
+func sameWeights(a, b core.Classification) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Weight) != math.Float64bits(b[i].Weight) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRoundTripCentroids(t *testing.T) {
 	cls := centroidCls(t, []float64{0.5, 1.25}, vec.Of(1, 2, 3), vec.Of(-4, 5, -6))
-	data, err := MarshalClassification(cls)
+	data, err := MarshalClassificationCodec(cls, CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -63,13 +101,10 @@ func TestRoundTripCentroids(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("len = %d", len(got))
+	if !sameWeights(got, cls) {
+		t.Errorf("weights %v, want %v", got, cls)
 	}
 	for i := range cls {
-		if got[i].Weight != cls[i].Weight {
-			t.Errorf("weight[%d] = %v, want %v", i, got[i].Weight, cls[i].Weight)
-		}
 		a := cls[i].Summary.(centroids.Centroid).Point
 		b := got[i].Summary.(centroids.Centroid).Point
 		if !a.Equal(b) {
@@ -81,7 +116,7 @@ func TestRoundTripCentroids(t *testing.T) {
 func TestRoundTripGM(t *testing.T) {
 	r := rng.New(5)
 	cls := gmCls(t, r, 3, 2)
-	data, err := MarshalClassification(cls)
+	data, err := MarshalClassificationCodec(cls, CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -89,8 +124,8 @@ func TestRoundTripGM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if len(got) != len(cls) {
-		t.Fatalf("len = %d", len(got))
+	if !sameWeights(got, cls) {
+		t.Fatalf("weights %v, want %v", got, cls)
 	}
 	for i := range cls {
 		want := cls[i].Summary.(gm.Summary)
@@ -104,10 +139,15 @@ func TestRoundTripGM(t *testing.T) {
 	}
 }
 
+// TestRoundTripEmpty pins the empty message: the header with a zero
+// tag and dimension, then a zero exponent.
 func TestRoundTripEmpty(t *testing.T) {
-	data, err := MarshalClassification(core.Classification{})
+	data, err := MarshalClassificationCodec(core.Classification{}, CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal empty: %v", err)
+	}
+	if want := []byte{VersionV2, 0, 0, 0, 0, 0, 0}; string(data) != string(want) {
+		t.Errorf("empty message = %v, want %v", data, want)
 	}
 	got, err := UnmarshalClassification(data)
 	if err != nil {
@@ -123,6 +163,8 @@ func TestMarshalRejects(t *testing.T) {
 	badWeight[0].Weight = -1
 	nanWeight := centroidCls(t, []float64{1}, vec.Of(1))
 	nanWeight[0].Weight = math.NaN()
+	infWeight := centroidCls(t, []float64{1}, vec.Of(1))
+	infWeight[0].Weight = math.Inf(1)
 	mixed := centroidCls(t, []float64{1}, vec.Of(1))
 	gmOne := gmCls(t, rng.New(1), 1, 1)
 	mixed = append(mixed, gmOne[0])
@@ -130,6 +172,8 @@ func TestMarshalRejects(t *testing.T) {
 	s2, _ := centroids.Method{}.Summarize(vec.Of(1, 2))
 	mismatchDim[1].Summary = s2
 	foreign := core.Classification{{Summary: fakeSummary{}, Weight: 1}}
+	// 1 is 2^53 quanta of 2^-53: one count too many.
+	wideSpan := centroidCls(t, []float64{1, 1.0 / (1 << 53)}, vec.Of(1), vec.Of(2))
 
 	tests := []struct {
 		name string
@@ -137,16 +181,24 @@ func TestMarshalRejects(t *testing.T) {
 	}{
 		{"negative weight", badWeight},
 		{"nan weight", nanWeight},
+		{"inf weight", infWeight},
 		{"mixed types", mixed},
 		{"dim mismatch", mismatchDim},
 		{"foreign summary", foreign},
+		{"count overflow", wideSpan},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := MarshalClassification(tt.cls); err == nil {
-				t.Errorf("Marshal should reject %s", tt.name)
+			for _, codec := range Codecs() {
+				if _, err := MarshalClassificationCodec(tt.cls, codec); err == nil {
+					t.Errorf("%s: Marshal should reject %s", codec, tt.name)
+				}
 			}
 		})
+	}
+	// One bit less of span fits.
+	if _, err := MarshalClassificationCodec(centroidCls(t, []float64{1, 1.0 / (1 << 52)}, vec.Of(1), vec.Of(2)), CodecV2); err != nil {
+		t.Errorf("2^52 quanta rejected: %v", err)
 	}
 }
 
@@ -156,7 +208,7 @@ func (fakeSummary) Dim() int       { return 1 }
 func (fakeSummary) String() string { return "fake" }
 
 func TestUnmarshalRejects(t *testing.T) {
-	valid, err := MarshalClassification(centroidCls(t, []float64{1}, vec.Of(1, 2)))
+	valid, err := MarshalClassificationCodec(centroidCls(t, []float64{1}, vec.Of(1, 2)), CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -188,73 +240,49 @@ func TestUnmarshalRejects(t *testing.T) {
 }
 
 func TestUnmarshalRejectsBadWeightAndCov(t *testing.T) {
-	// Weight zero on the wire.
-	data, err := MarshalClassification(centroidCls(t, []float64{1}, vec.Of(1)))
+	// A zero weight count on the wire.
+	data, err := MarshalClassificationCodec(centroidCls(t, []float64{1}, vec.Of(1)), CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	// Overwrite the weight field (offset 6) with 0.
-	for i := 0; i < 8; i++ {
-		data[6+i] = 0
-	}
+	data[headerLen+1] = 0 // the count after the one-byte exponent
 	if _, err := UnmarshalClassification(data); !errors.Is(err, ErrFormat) {
 		t.Errorf("zero weight error = %v, want ErrFormat", err)
 	}
 }
 
-func TestMessageSize(t *testing.T) {
-	// The encoded length must match the predicted size, and must depend
-	// only on k and d (the paper's message-size claim).
-	r := rng.New(9)
-	cls := gmCls(t, r, 4, 3)
-	data, err := MarshalClassification(cls)
+// randomCentroid draws one centroid collection of dimension d and
+// weight w.
+func randomCentroid(t testing.TB, r *rng.RNG, d int, w float64) core.Collection {
+	t.Helper()
+	v := vec.New(d)
+	for j := range v {
+		v[j] = r.UniformRange(-100, 100)
+	}
+	s, err := centroids.Method{}.Summarize(v)
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+		t.Fatalf("Summarize: %v", err)
 	}
-	if want := MessageSize(gm.Method{}, 4, 3); len(data) != want {
-		t.Errorf("encoded %d bytes, MessageSize predicts %d", len(data), want)
-	}
-	ccls := centroidCls(t, []float64{1, 1}, vec.Of(1, 2), vec.Of(3, 4))
-	cdata, err := MarshalClassification(ccls)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if want := MessageSize(centroids.Method{}, 2, 2); len(cdata) != want {
-		t.Errorf("encoded %d bytes, MessageSize predicts %d", len(cdata), want)
-	}
+	return core.Collection{Summary: s, Weight: w}
 }
 
+// TestPropertyRoundTrip round-trips random GM classifications under
+// the f64 codec: weights, means and covariances come back bit for bit.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := 1 + r.IntN(6)
-		d := 1 + r.IntN(4)
-		cls := make(core.Classification, 0, n)
-		method := centroids.Method{}
-		for i := 0; i < n; i++ {
-			v := vec.New(d)
-			for j := range v {
-				v[j] = r.UniformRange(-100, 100)
-			}
-			s, err := method.Summarize(v)
-			if err != nil {
-				return false
-			}
-			cls = append(cls, core.Collection{Summary: s, Weight: r.UniformRange(0.01, 5)})
-		}
-		data, err := MarshalClassification(cls)
+		cls := gmCls(t, r, 1+r.IntN(6), 1+r.IntN(4))
+		data, err := MarshalClassificationCodec(cls, CodecV2)
 		if err != nil {
 			return false
 		}
 		got, err := UnmarshalClassification(data)
-		if err != nil || len(got) != len(cls) {
+		if err != nil || !sameWeights(got, cls) {
 			return false
 		}
 		for i := range cls {
-			if got[i].Weight != cls[i].Weight {
-				return false
-			}
-			if !got[i].Summary.(centroids.Centroid).Point.Equal(cls[i].Summary.(centroids.Centroid).Point) {
+			a, b := cls[i].Summary.(gm.Summary).G, got[i].Summary.(gm.Summary).G
+			if !a.Mean.Equal(b.Mean) || !a.Cov.Equal(b.Cov) {
 				return false
 			}
 		}
@@ -282,25 +310,6 @@ func TestPropertyUnmarshalNeverPanics(t *testing.T) {
 	}
 }
 
-// v2Order returns cls permuted the way marshalV2 permutes it: the
-// heaviest collection (first occurrence of the max) swapped to the
-// last position.
-func v2Order(cls core.Classification) core.Classification {
-	out := append(core.Classification{}, cls...)
-	if len(out) == 0 {
-		return out
-	}
-	heaviest := 0
-	for i, c := range out {
-		if c.Weight > out[heaviest].Weight {
-			heaviest = i
-		}
-	}
-	last := len(out) - 1
-	out[heaviest], out[last] = out[last], out[heaviest]
-	return out
-}
-
 func TestParseCodec(t *testing.T) {
 	for _, c := range Codecs() {
 		got, err := ParseCodec(c.String())
@@ -308,19 +317,21 @@ func TestParseCodec(t *testing.T) {
 			t.Errorf("ParseCodec(%q) = %v, %v", c.String(), got, err)
 		}
 	}
-	if _, err := ParseCodec("v9"); err == nil {
-		t.Error("ParseCodec(v9) should fail")
+	for _, s := range []string{"v1", "v9"} {
+		if _, err := ParseCodec(s); err == nil {
+			t.Errorf("ParseCodec(%s) should fail", s)
+		}
+	}
+	var zero Codec
+	if zero != CodecV2 {
+		t.Errorf("zero Codec = %s, want the default v2", zero)
 	}
 }
 
 func TestRoundTripV2GM(t *testing.T) {
 	r := rng.New(7)
 	cls := gmCls(t, r, 4, 2)
-	total := 0.0
-	for _, c := range cls {
-		total += c.Weight
-	}
-	for _, codec := range []Codec{CodecV2, CodecV2F32} {
+	for _, codec := range Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			data, err := MarshalClassificationCodec(cls, codec)
 			if err != nil {
@@ -333,17 +344,12 @@ func TestRoundTripV2GM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Unmarshal: %v", err)
 			}
-			if len(got) != len(cls) {
-				t.Fatalf("len = %d, want %d", len(got), len(cls))
+			// Weights are exact under both codecs, in the order sent.
+			if !sameWeights(got, cls) {
+				t.Fatalf("weights %v, want %v", got, cls)
 			}
-			want := v2Order(cls)
-			gotTotal := 0.0
 			for i := range got {
-				gotTotal += got[i].Weight
-				if e := math.Abs(got[i].Weight - want[i].Weight); e > total*float64(len(cls)+1)/(1<<32) {
-					t.Errorf("weight[%d] = %v, want %v (err %g)", i, got[i].Weight, want[i].Weight, e)
-				}
-				wg := want[i].Summary.(gm.Summary).G
+				wg := cls[i].Summary.(gm.Summary).G
 				gg := got[i].Summary.(gm.Summary).G
 				for j := range wg.Mean {
 					tol := 0.0
@@ -355,18 +361,13 @@ func TestRoundTripV2GM(t *testing.T) {
 					}
 				}
 			}
-			// The decoded weights must sum back to the transmitted total
-			// to within one ulp — the conservation contract.
-			if e := math.Abs(gotTotal - total); e > total*1e-15 {
-				t.Errorf("decoded total = %v, want %v (drift %g)", gotTotal, total, e)
-			}
 		})
 	}
 }
 
 func TestRoundTripV2SingleBitExact(t *testing.T) {
-	// Single-collection v2 messages carry only the exact f64 total, so
-	// the decoded weight is bit-identical.
+	// Any single weight, on a lattice or not, is its own odd count of
+	// its lowest set bit, so it round-trips bit for bit.
 	cls := centroidCls(t, []float64{1.0 / 3}, vec.Of(0.1, -2.7))
 	data, err := MarshalClassificationCodec(cls, CodecV2)
 	if err != nil {
@@ -385,7 +386,7 @@ func TestRoundTripV2SingleBitExact(t *testing.T) {
 }
 
 func TestRoundTripV2Empty(t *testing.T) {
-	for _, codec := range []Codec{CodecV2, CodecV2F32} {
+	for _, codec := range Codecs() {
 		data, err := MarshalClassificationCodec(core.Classification{}, codec)
 		if err != nil {
 			t.Fatalf("Marshal empty: %v", err)
@@ -402,7 +403,7 @@ func TestRoundTripV2Empty(t *testing.T) {
 
 func TestUnmarshalNextBatchPayload(t *testing.T) {
 	// Batch frames concatenate self-delimiting payloads; UnmarshalNext
-	// must walk mixed-version payloads and report exact consumption.
+	// must walk mixed-codec payloads and report exact consumption.
 	r := rng.New(21)
 	parts := []core.Classification{
 		gmCls(t, r, 2, 3),
@@ -411,10 +412,7 @@ func TestUnmarshalNextBatchPayload(t *testing.T) {
 	}
 	var buf []byte
 	for i, cls := range parts {
-		codec := CodecV1
-		if i%2 == 1 {
-			codec = CodecV2
-		}
+		codec := Codecs()[i%2]
 		data, err := MarshalClassificationCodec(cls, codec)
 		if err != nil {
 			t.Fatalf("Marshal[%d]: %v", i, err)
@@ -423,12 +421,12 @@ func TestUnmarshalNextBatchPayload(t *testing.T) {
 	}
 	pos := 0
 	for i := range parts {
-		cls, n, err := UnmarshalNext(buf[pos:], 0)
+		cls, n, err := UnmarshalNext(buf[pos:])
 		if err != nil {
 			t.Fatalf("UnmarshalNext[%d]: %v", i, err)
 		}
-		if len(cls) != len(parts[i]) {
-			t.Fatalf("part %d: len = %d, want %d", i, len(cls), len(parts[i]))
+		if !sameWeights(cls, parts[i]) {
+			t.Fatalf("part %d: weights %v, want %v", i, cls, parts[i])
 		}
 		pos += n
 	}
@@ -437,31 +435,27 @@ func TestUnmarshalNextBatchPayload(t *testing.T) {
 	}
 }
 
+// TestUnmarshalVersionLimit pins the one accepted version byte: every
+// other version fails with ErrVersion, which still matches the
+// non-fatal ErrFormat path livenet counts per frame.
 func TestUnmarshalVersionLimit(t *testing.T) {
-	// A v1-only decoder must reject v2 payloads with ErrVersion (which
-	// still matches the non-fatal ErrFormat path) — the cross-version
-	// interop contract livenet's DecodeMax builds on.
-	cls := centroidCls(t, []float64{1, 2}, vec.Of(1), vec.Of(2))
-	data, err := MarshalClassificationCodec(cls, CodecV2)
+	data, err := MarshalClassificationCodec(centroidCls(t, []float64{1, 2}, vec.Of(1), vec.Of(2)), CodecV2)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	_, err = UnmarshalClassificationLimit(data, Version)
-	if !errors.Is(err, ErrVersion) {
-		t.Errorf("error = %v, want ErrVersion", err)
+	if _, err := UnmarshalClassification(data); err != nil {
+		t.Fatalf("decode at VersionV2: %v", err)
 	}
-	if !errors.Is(err, ErrFormat) {
-		t.Errorf("ErrVersion must match ErrFormat, got %v", err)
-	}
-	// The same payload decodes fine at the newest version.
-	if _, err := UnmarshalClassificationLimit(data, VersionMax); err != nil {
-		t.Errorf("decode at VersionMax: %v", err)
-	}
-	// Unknown future versions are rejected even with no limit.
-	future := append([]byte{}, data...)
-	future[0] = VersionMax + 1
-	if _, err := UnmarshalClassification(future); !errors.Is(err, ErrVersion) {
-		t.Errorf("future version error = %v, want ErrVersion", err)
+	for _, v := range []byte{0, 1, VersionV2 + 1, 0xff} {
+		other := append([]byte{}, data...)
+		other[0] = v
+		_, err := UnmarshalClassification(other)
+		if !errors.Is(err, ErrVersion) || !errors.Is(err, ErrFormat) {
+			t.Errorf("version %d: error = %v, want ErrVersion wrapping ErrFormat", v, err)
+		}
+		if _, _, err := UnmarshalNext(other); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: UnmarshalNext error = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -472,17 +466,11 @@ func TestUnmarshalV2Rejects(t *testing.T) {
 	}
 	badTag := append([]byte{}, valid...)
 	badTag[1] = 77
-	truncHeader := valid[:10]
-	truncFrac := valid[:headerV2+2]
-	truncCoord := valid[:len(valid)-5]
-	trailing := append(append([]byte{}, valid...), 0)
-	zeroFrac := append([]byte{}, valid...)
-	for i := 0; i < 4; i++ {
-		zeroFrac[headerV2+i] = 0
-	}
-	badTotal := append([]byte{}, valid...)
-	for i := 0; i < 8; i++ {
-		badTotal[6+i] = 0
+	zeroCount := append([]byte{}, valid...)
+	zeroCount[headerLen+1] = 0
+	overlong := append([]byte{}, valid[:headerLen+1]...)
+	for i := 0; i < 10; i++ {
+		overlong = append(overlong, 0xff)
 	}
 
 	tests := []struct {
@@ -490,12 +478,17 @@ func TestUnmarshalV2Rejects(t *testing.T) {
 		data []byte
 	}{
 		{"bad tag", badTag},
-		{"short header", truncHeader},
-		{"truncated fractions", truncFrac},
-		{"truncated coords", truncCoord},
-		{"trailing bytes", trailing},
-		{"zero fraction", zeroFrac},
-		{"zero total", badTotal},
+		{"short header", valid[:5]},
+		{"truncated exponent", valid[:headerLen]},
+		{"truncated counts", valid[:headerLen+2]},
+		{"truncated coords", valid[:len(valid)-5]},
+		{"trailing bytes", append(append([]byte{}, valid...), 0)},
+		{"zero count", zeroCount},
+		{"overlong count", overlong},
+		{"count at 2^53", rawCentroids(0, 1<<53)},
+		{"exponent out of range", rawCentroids(maxHighExp+1, 1)},
+		{"weight overflow", rawCentroids(maxHighExp, 2)},
+		{"weight underflow", rawCentroids(minLowExp-1, 1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -506,114 +499,193 @@ func TestUnmarshalV2Rejects(t *testing.T) {
 	}
 }
 
+// TestUnmarshalExponentEdges accepts the extreme weights a float64
+// holds exactly: the smallest subnormal, reached from below by a count
+// with trailing zeros, and the largest power of two.
+func TestUnmarshalExponentEdges(t *testing.T) {
+	tests := []struct {
+		data []byte
+		want float64
+	}{
+		{rawCentroids(minLowExp, 1), math.SmallestNonzeroFloat64},
+		{rawCentroids(minLowExp-52, 1<<52), math.SmallestNonzeroFloat64},
+		{rawCentroids(maxHighExp, 1), math.Ldexp(1, maxHighExp)},
+		{rawCentroids(maxHighExp-52, 1<<53-1), math.MaxFloat64},
+	}
+	for _, tt := range tests {
+		got, err := UnmarshalClassification(tt.data)
+		if err != nil {
+			t.Errorf("want %v: %v", tt.want, err)
+			continue
+		}
+		if math.Float64bits(got[0].Weight) != math.Float64bits(tt.want) {
+			t.Errorf("weight = %v, want %v", got[0].Weight, tt.want)
+		}
+	}
+}
+
+// TestMessageSize checks that, for given weights, the encoded length
+// depends only on k and d: coordinates take a fixed width whatever
+// their values, and the message stays within MessageSizeCodec. Unit
+// weights (E = 0, counts of 1) take one byte each, so their length is
+// known exactly.
+func TestMessageSize(t *testing.T) {
+	for _, codec := range Codecs() {
+		coordBytes := 8
+		if codec == CodecV2F32 {
+			coordBytes = 4
+		}
+		r := rng.New(9)
+		gmA, gmB := gmCls(t, r, 4, 3), gmCls(t, r, 4, 3)
+		for i := range gmB {
+			gmB[i].Weight = gmA[i].Weight
+		}
+		cases := []struct {
+			name   string
+			method core.Method
+			k, d   int
+			a, b   core.Classification
+			exact  int
+		}{
+			{"gm", gm.Method{}, 4, 3, gmA, gmB, 0},
+			{"centroids", centroids.Method{}, 2, 2,
+				centroidCls(t, []float64{1, 1}, vec.Of(1, 2), vec.Of(3, 4)),
+				centroidCls(t, []float64{1, 1}, vec.Of(-1e300, 7.5), vec.Of(math.Pi, 0)),
+				headerLen + 1 + 2*(1+2*coordBytes)},
+		}
+		for _, c := range cases {
+			da, err := MarshalClassificationCodec(c.a, codec)
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			db, err := MarshalClassificationCodec(c.b, codec)
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			if len(da) != len(db) {
+				t.Errorf("%s %s: same weights, %d and %d bytes", codec, c.name, len(da), len(db))
+			}
+			if bound := MessageSizeCodec(c.method, c.k, c.d, codec); len(da) > bound {
+				t.Errorf("%s %s: encoded %d bytes, MessageSizeCodec bounds %d", codec, c.name, len(da), bound)
+			}
+			if c.exact != 0 && len(da) != c.exact {
+				t.Errorf("%s %s: encoded %d bytes, want %d", codec, c.name, len(da), c.exact)
+			}
+		}
+	}
+}
+
+// TestMessageSizeCodec checks the paper's message-size claim (§2):
+// however the weights fall, a k-collection message never exceeds a
+// bound that depends on k and d only, and only its weight counts vary
+// in length. The bound is tight — counts of 2^49 or more at the
+// subnormal exponent take every byte it allows — and f32 coordinates
+// shrink it.
 func TestMessageSizeCodec(t *testing.T) {
 	r := rng.New(9)
 	for _, codec := range Codecs() {
-		cls := gmCls(t, r, 4, 3)
+		coordBytes := 8
+		if codec == CodecV2F32 {
+			coordBytes = 4
+		}
+		for trial := 0; trial < 50; trial++ {
+			k, d := 1+r.IntN(6), 1+r.IntN(4)
+			ccls := make(core.Classification, k)
+			for i := range ccls {
+				ccls[i] = randomCentroid(t, r, d, latticeWeight(r, 1<<(1+r.IntN(52))))
+			}
+			cases := []struct {
+				method core.Method
+				cls    core.Classification
+			}{
+				{gm.Method{}, gmCls(t, r, k, d)},
+				{centroids.Method{}, ccls},
+			}
+			for _, c := range cases {
+				data, err := MarshalClassificationCodec(c.cls, codec)
+				if err != nil {
+					t.Fatalf("Marshal: %v", err)
+				}
+				bound := MessageSizeCodec(c.method, k, d, codec)
+				coords := k * perCoords(c.method.Name() == "gm", d) * coordBytes
+				if len(data) > bound || len(data) < headerLen+1+k+coords {
+					t.Errorf("%s %s k=%d d=%d: %d bytes, want in [%d, %d]",
+						codec, c.method.Name(), k, d, len(data), headerLen+1+k+coords, bound)
+				}
+			}
+		}
+
+		cls := gmCls(t, r, 2, 3)
+		cls[0].Weight = math.Ldexp(1<<53-1, minLowExp)
+		cls[1].Weight = math.Ldexp(1<<53-3, minLowExp)
 		data, err := MarshalClassificationCodec(cls, codec)
 		if err != nil {
 			t.Fatalf("Marshal(%s): %v", codec, err)
 		}
-		if want := MessageSizeCodec(gm.Method{}, 4, 3, codec); len(data) != want {
-			t.Errorf("%s: encoded %d bytes, MessageSizeCodec predicts %d", codec, len(data), want)
+		if want := MessageSizeCodec(gm.Method{}, 2, 3, codec); len(data) != want {
+			t.Errorf("%s: encoded %d bytes, MessageSizeCodec bounds %d", codec, len(data), want)
 		}
 	}
-	// The v2 codecs must be strictly smaller than v1 for k>1 payloads,
-	// and f32 coordinates roughly halve the remainder.
-	v1 := MessageSizeCodec(gm.Method{}, 2, 2, CodecV1)
 	v2 := MessageSizeCodec(gm.Method{}, 2, 2, CodecV2)
 	v2f := MessageSizeCodec(gm.Method{}, 2, 2, CodecV2F32)
-	if !(v2f < v2 && v2 < v1) {
-		t.Errorf("sizes not decreasing: v1=%d v2=%d v2f32=%d", v1, v2, v2f)
+	if v2f >= v2 {
+		t.Errorf("f32 bound %d not below f64 bound %d", v2f, v2)
 	}
 }
 
-// TestPropertyV2RoundTrip bounds the quantization and f32 error of the
-// v2 codecs against the conservation tolerance: per-weight error stays
-// within (count+1)/2^32 of the total, the decoded sum stays within one
-// ulp of the exact transmitted total, and f32 coordinates stay within
-// single-precision relative error.
+// TestPropertyV2RoundTrip round-trips 10,000 random classifications
+// whose weights lie on a power-of-two lattice q, under both codecs:
+// every decoded weight is bit-identical to the one sent and a multiple
+// of the message's quantum 2^E, and 2^E is no finer than q, so the
+// lattice survives the wire. The first case is the one the earlier
+// fraction-of-total encoding broke: with a total below 4, a collection
+// of weight q = 2^-30 decoded below q.
 func TestPropertyV2RoundTrip(t *testing.T) {
-	f := func(seed uint64, useF32 bool) bool {
-		r := rng.New(seed)
-		n := 1 + r.IntN(6)
-		d := 1 + r.IntN(4)
-		codec := CodecV2
-		if useF32 {
-			codec = CodecV2F32
-		}
-		cls := make(core.Classification, 0, n)
-		method := centroids.Method{}
-		total := 0.0
-		for i := 0; i < n; i++ {
-			v := vec.New(d)
-			for j := range v {
-				v[j] = r.UniformRange(-100, 100)
+	regression := centroidCls(t, []float64{q30, 1.5}, vec.Of(1), vec.Of(2))
+	r := rng.New(25)
+	for trial := 0; trial < 10000; trial++ {
+		cls, qExp, codec := regression, -30, CodecV2
+		if trial > 0 {
+			qExp = -1 - r.IntN(40)
+			n, d := 1+r.IntN(8), 1+r.IntN(4)
+			maxBits := 1 + r.IntN(52)
+			cls = make(core.Classification, n)
+			for i := range cls {
+				count := 1 + r.Uint64()%(1<<maxBits-1)
+				cls[i] = randomCentroid(t, r, d, math.Ldexp(float64(count), qExp))
 			}
-			s, err := method.Summarize(v)
-			if err != nil {
-				return false
-			}
-			w := r.UniformRange(0.01, 5)
-			total += w
-			cls = append(cls, core.Collection{Summary: s, Weight: w})
+			codec = Codecs()[r.IntN(2)]
 		}
 		data, err := MarshalClassificationCodec(cls, codec)
 		if err != nil {
-			return false
+			t.Fatalf("trial %d: Marshal: %v", trial, err)
 		}
 		got, err := UnmarshalClassification(data)
-		if err != nil || len(got) != len(cls) {
-			return false
+		if err != nil {
+			t.Fatalf("trial %d: Unmarshal: %v", trial, err)
 		}
-		want := v2Order(cls)
-		gotTotal := 0.0
-		wTol := total * float64(n+1) / (1 << 32)
-		for i := range got {
-			gotTotal += got[i].Weight
-			if math.Abs(got[i].Weight-want[i].Weight) > wTol {
-				return false
+		if !sameWeights(got, cls) {
+			t.Fatalf("trial %d (%s): weights %v decoded as %v", trial, codec, cls, got)
+		}
+		e, _ := binary.Varint(data[headerLen:])
+		if e < int64(qExp) {
+			t.Fatalf("trial %d: quantum 2^%d finer than q = 2^%d", trial, e, qExp)
+		}
+		for i, c := range got {
+			if _, lo := lowBit(c.Weight); int64(lo) < e {
+				t.Fatalf("trial %d: weight[%d] = %v is not a multiple of 2^%d", trial, i, c.Weight, e)
 			}
-			a := want[i].Summary.(centroids.Centroid).Point
-			b := got[i].Summary.(centroids.Centroid).Point
+			a := cls[i].Summary.(centroids.Centroid).Point
+			b := c.Summary.(centroids.Centroid).Point
 			for j := range a {
-				cTol := 0.0
-				if useF32 {
-					cTol = math.Abs(a[j])*1e-6 + 1e-5
+				tol := 0.0
+				if codec == CodecV2F32 {
+					tol = math.Abs(a[j]) * 1e-7
 				}
-				if math.Abs(a[j]-b[j]) > cTol {
-					return false
+				if math.Abs(a[j]-b[j]) > tol {
+					t.Fatalf("trial %d: point[%d][%d] = %v, want %v", trial, i, j, b[j], a[j])
 				}
 			}
-		}
-		return math.Abs(gotTotal-total) <= total*1e-15
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkMarshalGM(b *testing.B) {
-	r := rng.New(11)
-	cls := gmCls(b, r, 7, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MarshalClassification(cls); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUnmarshalGM(b *testing.B) {
-	r := rng.New(12)
-	data, err := MarshalClassification(gmCls(b, r, 7, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalClassification(data); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
