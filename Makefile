@@ -140,13 +140,15 @@ wire-smoke:
 	echo "wire-smoke: v2+batching conserves weight exactly, ledger exact, >=40% fewer bytes/message"
 
 # Sharded-scheduler smoke gate: a 512-node cluster on the shard
-# backend must converge, survive a kill/restart churn cycle and end
-# with an exact weight ledger (final = initial - destroyed + restarted).
+# backend must converge, survive a kill/restart churn cycle, reconverge
+# with every restarted node within the tolerance of a node it never
+# killed, and end with an exact weight ledger (final = initial -
+# destroyed + restarted).
 # This is the scale-path gate: per-shard run queues, batched cross-shard
 # delivery, quiescent-boundary failure injection.
 shard-smoke:
 	@$(GO) run ./cmd/experiments -smoke shard >/dev/null && \
-	echo "shard-smoke: 512-node sharded cluster converged through churn, ledger exact"
+	echo "shard-smoke: 512-node sharded cluster reconverged through churn, restarted nodes mixed, ledger exact"
 
 # Benchmarks over the hot paths (vector/matrix kernels, EM, partition,
 # wire codec, sim round loop), archived as BENCH_<date>.json with a

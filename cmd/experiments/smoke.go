@@ -17,6 +17,7 @@ import (
 
 	"distclass"
 	"distclass/internal/causal"
+	"distclass/internal/core"
 	"distclass/internal/engine"
 	"distclass/internal/experiments"
 	"distclass/internal/metrics"
@@ -240,8 +241,9 @@ func engineSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, er
 // shardSmoke runs 512 nodes on the sharded scheduler — a scale the
 // per-goroutine backends make painful in CI — and, once converged,
 // kills 16 evenly spaced nodes, restarts the first 8 of them and lets
-// the cluster re-converge. The audit then expects n minus what the
-// kills destroyed plus one unit per restarted node.
+// the cluster re-converge. Each restarted node must then be within
+// smokeTol of node 1, which the row never kills, and the audit expects
+// n minus what the kills destroyed plus one unit per restarted node.
 func shardSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, error) {
 	const n, kills, restarts = 512, 16, 8
 	var destroyed float64
@@ -263,8 +265,24 @@ func shardSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, err
 				}
 				r.want++
 			}
-			_, err := cl.WaitConverged(r.budget, smokeTol)
-			return err
+			ok, err := cl.WaitConverged(r.budget, smokeTol)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return errors.New("did not reconverge after churn")
+			}
+			for k := 0; k < restarts; k++ {
+				i := k * (n / kills)
+				d, err := core.Dissimilarity(cl.Classification(i), cl.Classification(1), distclass.GaussianMixture())
+				if err != nil {
+					return err
+				}
+				if d >= smokeTol {
+					return fmt.Errorf("restarted node %d is %.3g from node 1 after reconvergence, want below %g", i, d, smokeTol)
+				}
+			}
+			return nil
 		},
 	}
 	if err := r.run(); err != nil {

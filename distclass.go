@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"distclass/internal/centroids"
+	"distclass/internal/converge"
 	"distclass/internal/core"
 	"distclass/internal/engine"
 	"distclass/internal/experiments"
@@ -604,24 +605,12 @@ func (c *LiveCluster) MessagesSent() int64 {
 // Err returns the first internal error observed, or nil.
 func (c *LiveCluster) Err() error { return c.eng.Err() }
 
-// WaitConverged polls until the spread stays below tol or the timeout
-// elapses; it reports whether convergence was observed.
+// WaitConverged runs the engine's convergence loop at tolerance tol:
+// it probes until the spread stays below tol for the default window of
+// consecutive probes (3), or the timeout (<= 0 means 30s) elapses. It
+// reports whether convergence was observed.
 func (c *LiveCluster) WaitConverged(timeout time.Duration, tol float64) (bool, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if err := c.eng.Err(); err != nil {
-			return false, err
-		}
-		spread, err := c.eng.Spread()
-		if err != nil {
-			return false, err
-		}
-		if spread < tol {
-			return true, nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return false, nil
+	return engine.WaitConverged(c.eng, timeout, converge.New(tol, converge.DefaultWindow))
 }
 
 // Kill crashes node i fail-stop (§3.1): its goroutines stop, its links

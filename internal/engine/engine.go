@@ -29,9 +29,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"distclass/internal/converge"
 	"distclass/internal/core"
 	"distclass/internal/metrics"
 	"distclass/internal/monitor"
@@ -180,8 +182,7 @@ type Config struct {
 	// (backends with Caps.DropProb only).
 	DropProb float64
 	// Tolerance is the convergence threshold (default 1e-3) and Window
-	// the consecutive-probe count (default 3) for RunUntilConverged
-	// and WaitConverged.
+	// the consecutive-probe count (default 3) for RunUntilConverged.
 	Tolerance float64
 	Window    int
 	// MaxRounds bounds RunUntilConverged (default 500; rounds backends
@@ -248,10 +249,10 @@ func (c Config) withDefaults() Config {
 	}
 	//lint:allow floatcmp zero value selects the default
 	if c.Tolerance == 0 {
-		c.Tolerance = 1e-3
+		c.Tolerance = converge.DefaultThreshold
 	}
 	if c.Window == 0 {
-		c.Window = 3
+		c.Window = converge.DefaultWindow
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 500
@@ -469,14 +470,89 @@ func (a *classifierAgent) Receive(batch []core.Classification) error {
 	return a.node.Absorb(batch...)
 }
 
-// spreadOver returns the maximum pairwise dissimilarity over the probe
-// index set idx into nodes. The probe reads the nodes' own slices (no
-// cloning) via DissimilarityTo.
-func spreadOver(nodes []*core.Node, idx []int) (float64, error) {
+// The spread probe, one rule on every backend: Spread compares,
+// pairwise, a seeded sample of spreadProbeNodes alive nodes (every
+// alive node when no more are alive) plus every node that Restart
+// revived and that is still alive. The sample is drawn as ranks among
+// the alive nodes, a pure function of (seed, alive count), so a
+// fixed-seed run probes the same pairs every time (pinned by
+// TestProbeIndicesSeededPinned) and the probe costs the same at any N.
+// Revived nodes join because a restarted node starts from its own
+// value and mixes last: a sample that missed them could declare
+// reconvergence while they still sit far from the mean. What the probe
+// cannot see is a never-restarted node outside the sample that lags the
+// rest (DESIGN.md §11).
+const (
+	spreadProbeNodes = 12
+	// spreadSeedSalt decorrelates the probe stream from the root RNG
+	// without consuming a root Split (which would shift the pinned
+	// fixed-seed split order). Arbitrary odd 64-bit constant.
+	spreadSeedSalt = 0x9e3779b97f4a7c15
+)
+
+// probed is what the spread probe reads of an engine.
+type probed interface {
+	N() int
+	AliveCount() int
+	Alive(i int) bool
+	pairDissimilarity(a, b int) (float64, error)
+}
+
+// probeIDs writes the probe set of e into buf (grown as needed) and
+// returns it: node ids, ascending, each once. revived lists the nodes
+// Restart revived, in any order; dead ones are skipped. r, if non-nil,
+// is reseeded and used as the sample generator, so a caller probing on
+// a steady cadence allocates nothing; nil constructs a fresh one.
+func probeIDs(buf []int, e probed, revived []int, seed uint64, r *rng.RNG) []int {
+	buf = buf[:0]
+	n, alive := e.N(), e.AliveCount()
+	if alive <= spreadProbeNodes {
+		for rank := 0; rank < alive; rank++ {
+			buf = append(buf, rank)
+		}
+	} else {
+		if r == nil {
+			r = rng.New(seed ^ spreadSeedSalt)
+		} else {
+			r.Reseed(seed ^ spreadSeedSalt)
+		}
+		for len(buf) < spreadProbeNodes {
+			if c := r.IntN(alive); !slices.Contains(buf, c) {
+				buf = append(buf, c)
+			}
+		}
+		sort.Ints(buf)
+	}
+	if alive < n {
+		// Map the ascending ranks to ids in one pass. On a live engine a
+		// node may die mid-pass; the ranks it pushed off the end drop.
+		k, rank := 0, 0
+		for i := 0; i < n && k < len(buf); i++ {
+			if e.Alive(i) {
+				if rank == buf[k] {
+					buf[k] = i
+					k++
+				}
+				rank++
+			}
+		}
+		buf = buf[:k]
+	}
+	for _, i := range revived {
+		if e.Alive(i) {
+			buf = append(buf, i)
+		}
+	}
+	sort.Ints(buf)
+	return slices.Compact(buf)
+}
+
+// probeSpread returns the maximum pairwise dissimilarity over ids.
+func probeSpread(e probed, ids []int) (float64, error) {
 	var worst float64
-	for i := 0; i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			d, err := nodes[idx[i]].DissimilarityTo(nodes[idx[j]])
+	for a := 0; a < len(ids); a++ {
+		for b := a + 1; b < len(ids); b++ {
+			d, err := e.pairDissimilarity(ids[a], ids[b])
 			if err != nil {
 				return 0, err
 			}
@@ -486,68 +562,4 @@ func spreadOver(nodes []*core.Node, idx []int) (float64, error) {
 		}
 	}
 	return worst, nil
-}
-
-// Spread-probe bounds. Small populations keep the historical evenly
-// spaced 4-node probe (fixed-seed round traces are pinned byte-for-byte
-// on it); above spreadLegacyMax the probe switches to a seeded sample
-// of spreadProbeNodes distinct nodes — 66 pairs, a constant, instead of
-// the O(N)-spaced-but-still-tiny legacy set whose 4 probes lose all
-// resolution at 100k nodes. The sample is a pure function of (seed, n),
-// so a fixed-seed run probes the same pairs every time (pinned by
-// TestProbeIndicesSeededPinned) and monitor/distclass-top stay
-// responsive at any scale: probe cost never grows with N.
-const (
-	spreadLegacyMax  = 64
-	spreadLegacyVal  = 4
-	spreadProbeNodes = 12
-	// spreadSeedSalt decorrelates the probe stream from the root RNG
-	// without consuming a root Split (which would shift the pinned
-	// fixed-seed split order). Arbitrary odd 64-bit constant.
-	spreadSeedSalt = 0x9e3779b97f4a7c15
-)
-
-// probeIndicesInto writes the spread-probe index set for an
-// n-node population into buf (grown as needed) and returns it.
-// Deterministic: legacy evenly spaced indices up to spreadLegacyMax,
-// a seeded spreadProbeNodes-sample beyond, ascending either way.
-// scratch, if non-nil, is reseeded and used as the sample generator so
-// a caller probing on a steady cadence allocates nothing; nil
-// constructs a fresh generator. Either way the stream — and so the
-// sample — is a pure function of (seed, n).
-func probeIndicesInto(buf []int, n int, seed uint64, scratch *rng.RNG) []int {
-	buf = buf[:0]
-	if n <= spreadLegacyMax {
-		if n <= spreadLegacyVal {
-			for i := 0; i < n; i++ {
-				buf = append(buf, i)
-			}
-			return buf
-		}
-		for i := 0; i < spreadLegacyVal; i++ {
-			buf = append(buf, i*n/spreadLegacyVal)
-		}
-		return buf
-	}
-	r := scratch
-	if r == nil {
-		r = rng.New(seed ^ spreadSeedSalt)
-	} else {
-		r.Reseed(seed ^ spreadSeedSalt)
-	}
-	for len(buf) < spreadProbeNodes {
-		c := r.IntN(n)
-		dup := false
-		for _, v := range buf {
-			if v == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, c)
-		}
-	}
-	sort.Ints(buf)
-	return buf
 }

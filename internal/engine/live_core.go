@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,6 +64,11 @@ type liveCore struct {
 	// sim.spread is the protocol-level convergence gauge; the name is
 	// shared with the simulator backends on purpose.
 	spreadG *metrics.Gauge
+
+	// revived lists each node Restart has revived, once; the spread
+	// probe adds the alive ones to its sample.
+	revivedMu sync.Mutex
+	revived   []int // guarded by revivedMu
 
 	errOnce sync.Once
 	firstE  atomic.Value // error
@@ -127,7 +133,6 @@ func (c *liveCore) monitorProbe() {
 			if err != nil {
 				continue
 			}
-			c.spreadG.Set(spread)
 			if c.sink != nil {
 				_ = c.sink.Record(trace.Event{
 					Round: -1, Node: -1, Kind: trace.KindSpread, Value: spread,
@@ -177,58 +182,21 @@ func (c *liveCore) Stats() Stats {
 	}
 }
 
-// Spread probes a bounded, deterministic sample of alive nodes (see
-// probeIndicesInto): constant probe cost regardless of N, which is
-// what keeps the monitor plane responsive at 100k+ nodes. When every
-// node is alive — the common case — the probe indexes the population
-// directly instead of materializing a 100k-entry alive list; both
-// paths pick the same pairs. Unlike the sim probe, which runs between
-// rounds on the driving goroutine, this one allocates its small index
-// buffers per call: Spread races with itself (monitor probe goroutine
-// vs RunUntilConverged poller) and a shared scratch would need a lock
-// on the probe path.
+// Spread runs the spread probe (probeIDs) over the alive nodes, with
+// the nodes Restart revived joining the sample. It allocates its small
+// index buffers per call: Spread races with itself (monitor probe
+// goroutine vs RunUntilConverged) and a shared scratch would need a
+// lock on the probe path. Each call sets the sim.spread gauge, the
+// name the simulator backends share.
 func (c *liveCore) Spread() (float64, error) {
-	n := len(c.ns)
-	if n < 2 {
-		return 0, nil
+	c.revivedMu.Lock()
+	ids := probeIDs(nil, c, c.revived, c.cfg.Seed, nil)
+	c.revivedMu.Unlock()
+	spread, err := probeSpread(c, ids)
+	if err == nil {
+		c.spreadG.Set(spread)
 	}
-	if int(c.aliveN.Load()) == n {
-		idx := probeIndicesInto(nil, n, c.cfg.Seed, nil)
-		return c.spreadAt(idx, nil)
-	}
-	alive := make([]int, 0, n)
-	for i, ns := range c.ns {
-		if ns.alive.Load() {
-			alive = append(alive, i)
-		}
-	}
-	if len(alive) < 2 {
-		return 0, nil
-	}
-	idx := probeIndicesInto(nil, len(alive), c.cfg.Seed, nil)
-	return c.spreadAt(idx, alive)
-}
-
-// spreadAt returns the worst pairwise dissimilarity over the probe
-// index set; alive, when non-nil, maps probe indices to node ids.
-func (c *liveCore) spreadAt(idx, alive []int) (float64, error) {
-	var worst float64
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			i, j := idx[a], idx[b]
-			if alive != nil {
-				i, j = alive[i], alive[j]
-			}
-			d, err := c.pairDissimilarity(i, j)
-			if err != nil {
-				return 0, err
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst, nil
+	return spread, err
 }
 
 // pairDissimilarity locks the two nodes in id order, so concurrent
@@ -328,8 +296,14 @@ func (c *liveCore) reincarnate(i int, value core.Value) error {
 	return nil
 }
 
-// markAlive finishes a restart of node i.
+// markAlive finishes a restart of node i, which the spread probe
+// watches from now on.
 func (c *liveCore) markAlive(i int) {
+	c.revivedMu.Lock()
+	if !slices.Contains(c.revived, i) {
+		c.revived = append(c.revived, i)
+	}
+	c.revivedMu.Unlock()
 	c.ns[i].alive.Store(true)
 	c.aliveN.Add(1)
 	c.recovers.Inc()
@@ -359,31 +333,40 @@ func (c *liveCore) RunObserved(int, func(int) error) error {
 	return fmt.Errorf("engine: backend %s has no driver rounds to observe; poll Spread instead", c.cfg.Backend)
 }
 
-// RunUntilConverged polls Spread every few milliseconds until it stays
-// below Tolerance for Window consecutive probes or the timeout
-// expires. The returned round count is always zero — concurrent
+// RunUntilConverged runs WaitConverged at the configured Tolerance and
+// Window. The returned round count is always zero — concurrent
 // backends have no round axis.
 func (c *liveCore) RunUntilConverged(timeout time.Duration) (int, bool, error) {
+	ok, err := WaitConverged(c, timeout, converge.New(c.cfg.Tolerance, c.cfg.Window))
+	return 0, ok, err
+}
+
+// WaitConverged is the concurrent backends' convergence loop: it probes
+// e's Spread every few milliseconds until det reports convergence or
+// the timeout (<= 0 means 30s) expires, and returns early with the
+// engine's first error.
+func WaitConverged(e interface {
+	Spread() (float64, error)
+	Err() error
+}, timeout time.Duration, det *converge.Detector) (bool, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
 	deadline := time.Now().Add(timeout)
-	det := converge.New(c.cfg.Tolerance, c.cfg.Window)
 	for probe := 0; time.Now().Before(deadline); probe++ {
-		if err := c.Err(); err != nil {
-			return 0, false, err
+		if err := e.Err(); err != nil {
+			return false, err
 		}
-		spread, err := c.Spread()
+		spread, err := e.Spread()
 		if err != nil {
-			return 0, false, err
+			return false, err
 		}
-		c.spreadG.Set(spread)
 		if det.Observe(probe, spread) {
-			return 0, true, nil
+			return true, nil
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return 0, false, c.Err()
+	return false, e.Err()
 }
 
 func (c *liveCore) fail(err error) {

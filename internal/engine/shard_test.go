@@ -7,13 +7,19 @@
 package engine_test
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
 
 	"distclass"
+	"distclass/internal/core"
 	"distclass/internal/engine"
+	"distclass/internal/gm"
+	"distclass/internal/monitor"
+	"distclass/internal/rng"
 	"distclass/internal/topology"
+	"distclass/internal/vec"
 )
 
 // shardConfig is the Fig-1 workload on the shard backend at n nodes.
@@ -107,6 +113,136 @@ func TestShardBackendChurn(t *testing.T) {
 				t.Errorf("weight ledger drifted: have %v, want %v (diff %g)", got, expected, diff)
 			}
 		})
+	}
+}
+
+// TestShardReconvergenceWatchesRestarted checks that RunUntilConverged
+// does not report reconvergence before the restarted nodes have mixed.
+// A restarted node holds its own value and weight 1, and on a large
+// sparse cluster it takes many ticks to mix; a probe that watched only
+// a seeded sample of nodes would fire within a few probes of the last
+// Restart, with the restarted nodes still 4-6 units from the data
+// mean. Once reconvergence is reported, each restarted node's
+// classification must sit at the data mean.
+func TestShardReconvergenceWatchesRestarted(t *testing.T) {
+	const (
+		n, kills, restarts = 3000, 20, 10
+		maxMeanError       = 0.25
+	)
+	seeds := []uint64{1, 2, 3, 4, 5}
+	budget := time.Minute
+	if raceEnabled {
+		seeds, budget = seeds[:1], 10*time.Minute
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed %d", seed), func(t *testing.T) {
+			r := rng.New(seed)
+			values := make([]core.Value, n)
+			mean := vec.New(2)
+			for i := range values {
+				c := -4.0
+				if i%2 == 1 {
+					c = 4
+				}
+				values[i] = core.Value{c + r.Normal(0, 1), r.Normal(0, 1)}
+				vec.AddInPlace(mean, vec.Scale(1/float64(n), values[i]))
+			}
+			cfg := engine.Config{
+				Backend:   engine.BackendShard,
+				Method:    distclass.GaussianMixture(),
+				Values:    values,
+				K:         2,
+				Topology:  topology.KindRegular,
+				Seed:      seed,
+				Tolerance: 0.05,
+				Interval:  time.Millisecond,
+				Shards:    1,
+			}
+			eng, err := engine.New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer eng.Stop()
+			if _, ok, err := eng.RunUntilConverged(budget); err != nil || !ok {
+				t.Fatalf("first convergence: converged=%v err=%v", ok, err)
+			}
+			victims := r.Perm(n)[:kills]
+			for _, v := range victims {
+				if _, err := eng.Kill(v); err != nil {
+					t.Fatalf("Kill(%d): %v", v, err)
+				}
+			}
+			for _, v := range victims[:restarts] {
+				if err := eng.Restart(v, values[v]); err != nil {
+					t.Fatalf("Restart(%d): %v", v, err)
+				}
+			}
+			if _, ok, err := eng.RunUntilConverged(budget); err != nil || !ok {
+				t.Fatalf("reconvergence: converged=%v err=%v", ok, err)
+			}
+			eng.Stop()
+			for _, v := range victims[:restarts] {
+				got := vec.New(2)
+				var weight float64
+				for _, c := range eng.Classification(v) {
+					vec.AddInPlace(got, vec.Scale(c.Weight, c.Summary.(gm.Summary).G.Mean))
+					weight += c.Weight
+				}
+				d, err := vec.Dist(vec.Scale(1/weight, got), mean)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d > maxMeanError {
+					t.Errorf("restarted node %d: classification mean %.3g from the data mean at reconvergence, want <= %g", v, d, maxMeanError)
+				}
+			}
+		})
+	}
+}
+
+// TestShardSpreadDuringChurn probes Spread from the engine's monitor
+// goroutine and from a goroutine of its own while the test kills and
+// restarts nodes: Restart and every concurrent probe share the list of
+// revived nodes, which is what the race detector checks here.
+func TestShardSpreadDuringChurn(t *testing.T) {
+	const n = 64
+	cfg := shardConfig(n, 5, 0.05)
+	cfg.Monitor = monitor.New()
+	cfg.MonitorInterval = time.Millisecond
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer eng.Stop()
+	done := make(chan struct{})
+	probeErr := make(chan error, 1)
+	go func() {
+		defer close(probeErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := eng.Spread(); err != nil {
+				probeErr <- err
+				return
+			}
+		}
+	}()
+	values := monitorWorkload(n, 7)
+	for k := 0; k < 20; k++ {
+		v := k * 3 % n
+		if _, err := eng.Kill(v); err != nil {
+			t.Fatalf("Kill(%d): %v", v, err)
+		}
+		if err := eng.Restart(v, values[v]); err != nil {
+			t.Fatalf("Restart(%d): %v", v, err)
+		}
+	}
+	close(done)
+	if err := <-probeErr; err != nil {
+		t.Errorf("Spread during churn: %v", err)
 	}
 }
 

@@ -30,13 +30,12 @@ type simEngine struct {
 	crashR *rng.RNG
 
 	// spreadG is the sim.spread gauge, cached so per-round probes never
-	// take the registry lock; probeBuf/aliveBuf are probe scratch — the
-	// probe runs between rounds on the driving goroutine, so Spread
+	// take the registry lock; probeBuf and probeRNG are probe scratch —
+	// the probe runs between rounds on the driving goroutine, so Spread
 	// reuses them and the whole probe path allocates nothing after
 	// warmup (pinned by TestSimSpreadAllocFree).
 	spreadG  *metrics.Gauge
 	probeBuf []int
-	aliveBuf []*core.Node
 	probeRNG *rng.RNG
 }
 
@@ -45,7 +44,7 @@ func newSimEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, root *r
 	for i, n := range nodes {
 		agents[i] = &classifierAgent{node: n}
 	}
-	e := &simEngine{cfg: cfg, nodes: nodes}
+	e := &simEngine{cfg: cfg, nodes: nodes, probeRNG: rng.New(0)} // probeIDs reseeds probeRNG
 	if cfg.Metrics != nil {
 		e.spreadG = cfg.Metrics.Gauge("sim.spread")
 	}
@@ -101,29 +100,18 @@ func (e *simEngine) Classification(i int) core.Classification {
 	return e.nodes[i].Classification()
 }
 
-// Spread probes alive nodes only: dead nodes keep their last
-// classification forever and would pin the diagnostic high after kills.
-// (Kill-free runs — the byte-compatibility goldens — see every node.)
-// Probe pairs are bounded and deterministic (probeIndicesInto), and the
-// whole path runs on node-owned scratch: zero-copy dissimilarity, no
+// Spread runs the spread probe (probeIDs) over the alive nodes: dead
+// nodes keep their last classification forever and would pin the
+// diagnostic high after kills. The simulators cannot restart, so no
+// node joins as revived. Dissimilarity reads node state in place: no
 // clones, no per-probe slices.
 func (e *simEngine) Spread() (float64, error) {
-	nodes := e.nodes
-	if e.AliveCount() != len(e.nodes) {
-		alive := e.aliveBuf[:0]
-		for i, n := range e.nodes {
-			if e.Alive(i) {
-				alive = append(alive, n)
-			}
-		}
-		e.aliveBuf = alive
-		nodes = alive
-	}
-	if e.probeRNG == nil {
-		e.probeRNG = rng.New(0) // reseeded inside probeIndicesInto
-	}
-	e.probeBuf = probeIndicesInto(e.probeBuf, len(nodes), e.cfg.Seed, e.probeRNG)
-	return spreadOver(nodes, e.probeBuf)
+	e.probeBuf = probeIDs(e.probeBuf, e, nil, e.cfg.Seed, e.probeRNG)
+	return probeSpread(e, e.probeBuf)
+}
+
+func (e *simEngine) pairDissimilarity(a, b int) (float64, error) {
+	return e.nodes[a].DissimilarityTo(e.nodes[b])
 }
 
 func (e *simEngine) TotalWeight() float64 {

@@ -302,6 +302,9 @@ func readSummary(data []byte, tag byte, d int, f32 bool, idx int) (core.Summary,
 			}
 			point[j] = x
 		}
+		if !point.IsFinite() {
+			return nil, 0, fmt.Errorf("%w: collection %d: non-finite centroid coordinate", ErrFormat, idx)
+		}
 		return centroids.Centroid{Point: point}, pos, nil
 	case tagGM:
 		mean := vec.New(d)

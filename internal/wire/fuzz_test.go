@@ -66,11 +66,17 @@ func FuzzUnmarshalClassification(f *testing.F) {
 	})
 }
 
-// reencode checks that a decoded classification re-encodes and decodes
-// again to bit-identical weights (empty classifications have no method
-// tag and re-encode trivially).
+// reencode checks that every decoded centroid is finite and that a
+// decoded classification re-encodes and decodes again to bit-identical
+// weights (empty classifications have no method tag and re-encode
+// trivially).
 func reencode(t *testing.T, cls core.Classification) {
 	t.Helper()
+	for i, c := range cls {
+		if p, ok := c.Summary.(centroids.Centroid); ok && !p.Point.IsFinite() {
+			t.Fatalf("collection %d decoded to the non-finite centroid %v", i, p.Point)
+		}
+	}
 	data, err := MarshalClassificationCodec(cls, CodecV2)
 	if err != nil {
 		t.Fatalf("decoded message does not re-encode: %v", err)

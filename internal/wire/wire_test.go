@@ -251,6 +251,29 @@ func TestUnmarshalRejectsBadWeightAndCov(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNonFiniteCentroid overwrites the last centroid
+// coordinate of a valid payload, under both coordinate widths, with
+// NaN and with each infinity: the decoder must refuse every one.
+func TestUnmarshalRejectsNonFiniteCentroid(t *testing.T) {
+	for _, codec := range Codecs() {
+		valid, err := MarshalClassificationCodec(centroidCls(t, []float64{1}, vec.Of(1, 2)), codec)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			data := append([]byte{}, valid...)
+			if codec == CodecV2F32 {
+				binary.LittleEndian.PutUint32(data[len(data)-4:], math.Float32bits(float32(x)))
+			} else {
+				binary.LittleEndian.PutUint64(data[len(data)-8:], math.Float64bits(x))
+			}
+			if _, err := UnmarshalClassification(data); !errors.Is(err, ErrFormat) {
+				t.Errorf("%s with coordinate %v: error = %v, want ErrFormat", codec, x, err)
+			}
+		}
+	}
+}
+
 // randomCentroid draws one centroid collection of dimension d and
 // weight w.
 func randomCentroid(t testing.TB, r *rng.RNG, d int, w float64) core.Collection {
