@@ -1,8 +1,8 @@
 // Command distclass-live runs the classification protocol as a live
 // in-process deployment over a genuinely concurrent backend —
-// synchronous pipes or loopback TCP (one gossip goroutine per node),
-// or the sharded scheduler (-backend shard, a
-// fixed worker pool that scales to 100k+ nodes) — in contrast to
+// synchronous pipes, loopback TCP, or in-process handover (-backend
+// shard, which scales to 100k+ nodes), all ticked by one fixed worker
+// pool — in contrast to
 // distclass-sim's deterministic simulator. It prints the spread as the
 // cluster converges, then the final classification.
 //

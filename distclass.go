@@ -540,12 +540,11 @@ func (s *System) Stats() Stats { return s.eng.Stats() }
 func (s *System) TotalWeight() float64 { return s.eng.TotalWeight() }
 
 // LiveCluster is a running live deployment over a concurrent
-// substrate — synchronous pipes (BackendPipe) or loopback TCP
-// (BackendTCP), each one gossip goroutine per node, or the sharded
-// scheduler (BackendShard), a fixed worker pool that reaches node
-// counts the per-goroutine backends cannot —
-// with genuine asynchrony, in contrast to System's deterministic
-// simulator.
+// substrate — synchronous pipes (BackendPipe), loopback TCP
+// (BackendTCP) or in-process handover (BackendShard) — with genuine
+// asynchrony, in contrast to System's deterministic simulator. Every
+// live backend runs on one sharded scheduler, a fixed worker pool that
+// ticks the nodes; the wire backends carry its frames over real links.
 type LiveCluster struct {
 	eng    engine.Engine
 	method Method

@@ -22,8 +22,10 @@
 // stream. The wire backends reuse internal/livenet, reduced to a pure
 // transport; the protocol sequencing they used to hand-roll lives
 // here, which is how they gain pull/push-pull modes and the
-// round-robin policy. The two concurrent engines (pipe/tcp and shard)
-// share one node table and one wall-clock driver (liveCore).
+// round-robin policy. Every concurrent backend (pipe, tcp, shard) runs
+// on one scheduler, shardEngine: a worker pool that ticks the nodes,
+// with frames carried by livenet on pipe/tcp and by shard mailboxes on
+// shard.
 package engine
 
 import (
@@ -57,13 +59,14 @@ const (
 	BackendPipe
 	// BackendTCP runs the wire deployment over loopback TCP sockets.
 	BackendTCP
-	// BackendShard runs the concurrent protocol on a sharded scheduler:
-	// nodes partitioned across a small worker pool (default GOMAXPROCS
-	// shards), each worker ticking its shard a bounded slice of nodes
-	// per scheduling quantum and flushing cross-shard frames in one
-	// batch per destination shard at the end of every slice. No
-	// per-node goroutines, so it reaches scales (N in the hundreds of
-	// thousands) a goroutine per node cannot.
+	// BackendShard runs the concurrent protocol on the sharded
+	// scheduler without a wire: nodes partitioned across a small worker
+	// pool (default GOMAXPROCS shards), each worker ticking its shard a
+	// bounded slice of nodes per scheduling quantum and flushing
+	// cross-shard frames in one batch per destination shard at the end
+	// of every slice. Pipe and tcp run on the same workers; shard skips
+	// the per-link goroutines and encoding, so it reaches scales (N in
+	// the hundreds of thousands) the wire backends cannot.
 	BackendShard
 )
 
@@ -166,7 +169,8 @@ type Config struct {
 	RNG *rng.RNG
 	// K bounds collections per classification (default 2).
 	K int
-	// Q is the weight quantum (default core.DefaultQ).
+	// Q is the weight quantum (default core.DefaultQ). The node count
+	// must stay below 2^53 quanta (ErrWeightHorizon).
 	Q float64
 	// Seed seeds all randomness (default 1).
 	Seed uint64
@@ -188,8 +192,9 @@ type Config struct {
 	// MaxRounds bounds RunUntilConverged (default 500; rounds backends
 	// only).
 	MaxRounds int
-	// Interval is each node's gossip tick on concurrent backends
-	// (default 2ms).
+	// Interval is the period of each node's gossip opportunity on
+	// concurrent backends (default 2ms): every worker sweeps its nodes
+	// once per Interval.
 	Interval time.Duration
 	// Shards sets the worker count of BackendShard (default
 	// GOMAXPROCS, clamped to the node count). Rejected on every other
@@ -248,6 +253,10 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	//lint:allow floatcmp zero value selects the default
+	if c.Q == 0 {
+		c.Q = core.DefaultQ
+	}
+	//lint:allow floatcmp zero value selects the default
 	if c.Tolerance == 0 {
 		c.Tolerance = converge.DefaultThreshold
 	}
@@ -266,6 +275,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ErrWeightHorizon rejects a run whose accounted weight would reach
+// 2^53 quanta. Every weight is a multiple of the power-of-two quantum
+// Q, so while the total stays below 2^53·Q every partial sum of weights
+// is an exact float64 and conservation audits compare bit for bit;
+// past it a sum rounds, and an audit would report drift the protocol
+// never made. New checks the initial N unit weights; Restart checks the
+// total after churn (N − destroyed + restarts).
+var ErrWeightHorizon = errors.New("engine: total weight reaches the exactness horizon of 2^53 quanta")
+
+// beyondHorizon reports whether total weight, counted in quanta of q,
+// reaches 2^53. Dividing by a power of two is exact.
+func beyondHorizon(total, q float64) bool { return total/q >= 1<<53 }
+
 // validate rejects option combinations the chosen backend cannot
 // honor — the engine never drops an option on the floor.
 func (c Config) validate() error {
@@ -279,6 +301,9 @@ func (c Config) validate() error {
 		if len(v) != len(c.Values[0]) {
 			return fmt.Errorf("engine: value %d has %d coordinates, value 0 has %d", i, len(v), len(c.Values[0]))
 		}
+	}
+	if c.Q > 0 && beyondHorizon(float64(len(c.Values)), c.Q) {
+		return fmt.Errorf("%w: %d unit weights at Q = %v", ErrWeightHorizon, len(c.Values), c.Q)
 	}
 	caps := c.Backend.Caps()
 	//lint:allow floatcmp zero means "feature unused"; any nonzero setting must be honored or rejected
@@ -437,11 +462,11 @@ func New(cfg Config) (Engine, error) {
 	switch cfg.Backend {
 	case BackendRound, BackendAsync:
 		return newSimEngine(cfg, graph, nodes, root)
-	case BackendPipe, BackendTCP:
-		return newLiveEngine(cfg, graph, nodes, nodeCfg, root)
-	case BackendShard:
+	case BackendPipe, BackendTCP, BackendShard:
 		e := newShardEngine(cfg, graph, nodes, nodeCfg, root)
-		e.start()
+		if err := e.start(); err != nil {
+			return nil, err
+		}
 		return e, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown backend %d", int(cfg.Backend))

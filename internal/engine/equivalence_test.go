@@ -87,12 +87,13 @@ func TestCrossBackendEquivalence(t *testing.T) {
 }
 
 // TestPipeBackendLargeScale runs the pipe backend well above the
-// smoke workload: 128 nodes on a sparse regular graph, each with a
-// gossip goroutine and a writer and receiver per link. It must still
+// smoke workload: 128 nodes on a sparse regular graph, ticked by the
+// shard workers, with a writer and receiver per link. It must still
 // converge and conserve weight exactly — and `make race` runs it under
-// the race detector, which is the point: liveEngine's locking has to
-// hold at scale, not just on toy networks. 128 nodes keeps the run
-// well under the race detector's cap on live goroutines.
+// the race detector, which is the point: the workers, the receive
+// goroutines answering pulls and the link writers have to share node
+// state safely at scale, not just on toy networks. 128 nodes keeps the
+// run well under the race detector's cap on live goroutines.
 func TestPipeBackendLargeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-node wire cluster; skipped in -short mode")

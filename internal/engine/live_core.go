@@ -24,27 +24,29 @@ type liveNode struct {
 	mu   sync.Mutex
 	node *core.Node // guarded by mu
 
-	// r and rr belong to whichever goroutine ticks the node (its gossip
-	// goroutine on pipe/tcp, its owning worker on shard).
+	// r and rr belong to the worker that owns the node's shard.
 	r  *rng.RNG
 	rr int // round-robin cursor
 
 	alive atomic.Bool
 }
 
-// liveCore is what the two concurrent engines share: the node table,
-// the wall-clock driver (Step, Run, RunUntilConverged), the
+// liveCore is the substrate-free half of the live scheduler: the node
+// table, the wall-clock driver (Step, Run, RunUntilConverged), the
 // convergence and conservation probes, the monitor probe goroutine,
-// churn bookkeeping, and first-error capture. liveEngine (pipe/tcp)
-// and shardEngine embed it and add only their scheduling: how ticks
-// are paced, how frames travel, and how Kill/Restart/Stop quiesce
-// them.
+// churn bookkeeping, and first-error capture. shardEngine embeds it and
+// adds the scheduling: how ticks are paced, how frames travel, and how
+// Kill/Restart/Stop quiesce them.
 type liveCore struct {
 	cfg     Config
 	nodeCfg core.Config
 	dim     int // coordinate count of every value in the cluster
 	ns      []*liveNode
 	aliveN  atomic.Int64
+	// accounted is the weight the run should hold, N − destroyed +
+	// restarts; only churn changes it, under the engine's exclusive
+	// pause lock. Restart refuses to take it to the exactness horizon.
+	accounted float64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -99,6 +101,7 @@ func (c *liveCore) init(cfg Config, nodes []*core.Node, nodeCfg core.Config, reg
 		c.ns[i] = ns
 	}
 	c.aliveN.Store(int64(len(nodes)))
+	c.accounted = float64(len(nodes))
 }
 
 // startMonitor launches the monitor probe goroutine when the run has a
@@ -236,8 +239,8 @@ func (c *liveCore) TotalWeight() float64 {
 }
 
 // checkChurn validates Kill (wantAlive true) or Restart of node i. The
-// caller holds its engine's churn lock, so the answer stays true until
-// it releases it.
+// caller holds the engine's pause lock exclusively, so the answer stays
+// true until it releases it.
 func (c *liveCore) checkChurn(op string, i int, wantAlive bool) error {
 	if i < 0 || i >= len(c.ns) {
 		return fmt.Errorf("engine: %s(%d): no such node", op, i)
@@ -264,6 +267,7 @@ func (c *liveCore) markDead(i int, inflight float64) float64 {
 	ns.mu.Unlock()
 	ns.alive.Store(false)
 	c.aliveN.Add(-1)
+	c.accounted -= destroyed
 	c.crashes.Inc()
 	if c.sink != nil {
 		_ = c.sink.Record(trace.Event{
@@ -277,10 +281,14 @@ func (c *liveCore) markDead(i int, inflight float64) float64 {
 // and installs a fresh node with the given value and weight 1, the
 // paper's model of a node rejoining with a new reading. The node stays
 // dead until markAlive, so the engine can bring its scheduling back up
-// in between.
+// in between. A restart whose unit of weight would take the accounted
+// total to the exactness horizon is refused.
 func (c *liveCore) reincarnate(i int, value core.Value) error {
 	if err := c.checkChurn("Restart", i, false); err != nil {
 		return err
+	}
+	if beyondHorizon(c.accounted+1, c.cfg.Q) {
+		return fmt.Errorf("%w: restart node %d would make the total %v at Q = %v", ErrWeightHorizon, i, c.accounted+1, c.cfg.Q)
 	}
 	if len(value) != c.dim {
 		return fmt.Errorf("engine: restart node %d: value has %d coordinates, the cluster's have %d", i, len(value), c.dim)
@@ -306,6 +314,7 @@ func (c *liveCore) markAlive(i int) {
 	c.revivedMu.Unlock()
 	c.ns[i].alive.Store(true)
 	c.aliveN.Add(1)
+	c.accounted++
 	c.recovers.Inc()
 	if c.sink != nil {
 		_ = c.sink.Record(trace.Event{

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"distclass/internal/core"
+	"distclass/internal/livenet"
 	"distclass/internal/metrics"
 	"distclass/internal/prof"
 	"distclass/internal/rng"
@@ -15,11 +16,12 @@ import (
 	"distclass/internal/trace"
 )
 
-// shardEngine runs the concurrent protocol on a sharded scheduler. A
-// goroutine per node tops out around a thousand nodes; here the node
-// population is partitioned across a small worker pool (default
-// GOMAXPROCS shards) and each worker drives its shard in scheduling
-// quanta of at most sliceNodes nodes:
+// shardEngine is the one live scheduler: it runs the concurrent
+// protocol on every real-time backend (pipe, tcp, shard). The node
+// population is partitioned across a small worker pool (GOMAXPROCS
+// workers by default; Config.Shards on the shard backend) and each
+// worker drives its shard in scheduling quanta of at most sliceNodes
+// nodes:
 //
 //  1. drain the shard mailbox — frames other shards handed over —
 //     absorbing data frames and serving pull requests;
@@ -30,16 +32,24 @@ import (
 //  3. flush the batches: one mailbox handover per destination shard
 //     per quantum, no matter how many frames it carries.
 //
+// On the wire backends (pipe, tcp) every frame travels by livenet
+// instead, even between two nodes of one shard: a tick picks among the
+// links that are up and queues the frame on one, livenet's receive
+// goroutines hand incoming frames to Deliver (answering pull requests
+// there), and the mailboxes stay empty. Tracing and causal stamps are
+// then livenet's too.
+//
 // A sweep is the run of quanta that takes the cursor from the shard's
 // first node round to it again; the worker paces once per sweep, so
 // every alive node still gets one gossip opportunity per Interval,
 // while churn, shutdown and cross-shard frames wait at most one slice.
 //
-// A node's splits, its pull responses and its RNG draws all execute on
-// its owning worker, so per-node protocol state (round-robin cursor,
-// gossip RNG, causal seq) is single-writer without locks; the per-node
-// mutex only arbitrates the owning worker against external probes
-// (Spread, Classification, TotalWeight).
+// A node's ticks and RNG draws execute on its owning worker, so
+// per-node protocol state (round-robin cursor, gossip RNG, causal seq
+// on the mailbox path) is single-writer without locks; the per-node
+// mutex arbitrates the owning worker against external probes (Spread,
+// Classification, TotalWeight) and, on the wire backends, against the
+// receive goroutines that absorb frames and answer pulls.
 //
 // Churn and shutdown are linearized at quantum boundaries: workers
 // hold pauseMu shared for the duration of a quantum, and Kill, Restart
@@ -49,17 +59,23 @@ import (
 // node's shard mailbox, so every frame still queued is destined to an
 // alive node. Stop drains the mailboxes under the same exclusive lock
 // and delivers every remaining data frame, making the post-Stop weight
-// audit exact.
+// audit exact. On the wire backends Kill tears the node's links down
+// instead (queued frames return through Undeliverable) and Stop hands
+// the drain to livenet once the workers are joined.
 //
 // At scale per-node metric instruments would dominate memory and
-// snapshot cost, so this backend keeps only the aggregate livenet.*
-// counters; per-node health still flows through the trace plane.
+// snapshot cost, so the engine keeps only the aggregate livenet.*
+// counters; per-node health flows through the trace plane, and on the
+// wire backends through livenet's own per-node counters.
 type shardEngine struct {
 	liveCore
-	graph   *topology.Graph
+	graph *topology.Graph
+	// net carries every frame on the wire backends; nil on shard, whose
+	// frames ride the shard mailboxes.
+	net     *livenet.Net
 	shards  []*shard
 	shardOf []int // node id -> owning shard index
-	// clocks holds each node's causal-mode counters.
+	// clocks holds each node's causal-mode counters (mailbox path).
 	clocks []causalClock
 
 	// pauseMu is the quantum boundary: workers hold it shared for one
@@ -120,10 +136,12 @@ type shard struct {
 
 // newShardEngine builds the scheduler; start launches its workers.
 func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeCfg core.Config, root *rng.RNG) *shardEngine {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	if cfg.Metrics == nil {
+		// One registry for the engine and, on the wire backends, its
+		// transport: both count under the livenet.* names.
+		cfg.Metrics = metrics.NewRegistry()
 	}
+	reg := cfg.Metrics
 	nShards := cfg.Shards
 	if nShards == 0 {
 		nShards = runtime.GOMAXPROCS(0)
@@ -155,8 +173,30 @@ func newShardEngine(cfg Config, graph *topology.Graph, nodes []*core.Node, nodeC
 	return e
 }
 
-// start launches one worker per shard and the monitor probe.
-func (e *shardEngine) start() {
+// start opens the transport on the wire backends, then launches one
+// worker per shard and the monitor probe.
+func (e *shardEngine) start() error {
+	if e.cfg.Backend.Caps().Wire {
+		t := livenet.TransportPipe
+		if e.cfg.Backend == BackendTCP {
+			t = livenet.TransportTCP
+		}
+		net, err := livenet.StartNet(e.graph, livenet.NetConfig{
+			Handler:            e,
+			Transport:          t,
+			FailOnDecodeErrors: e.cfg.FailOnDecodeErrors,
+			Codec:              e.cfg.Codec,
+			FrameBatch:         e.cfg.FrameBatch,
+			Metrics:            e.cfg.Metrics,
+			Trace:              e.cfg.Trace,
+			Causal:             e.cfg.Causal,
+		})
+		if err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
+		e.net = net
+		e.transportErr = net.Err
+	}
 	for _, sh := range e.shards {
 		sh := sh
 		e.wg.Add(1)
@@ -166,6 +206,7 @@ func (e *shardEngine) start() {
 		}()
 	}
 	e.startMonitor()
+	return nil
 }
 
 // worker drives one shard: quanta under the shared pause lock and,
@@ -239,17 +280,25 @@ func (e *shardEngine) quantum(s *shard) (wrapped bool) {
 	return false
 }
 
-// tick is one gossip opportunity for local node i: pick an alive
-// neighbor under the Policy, then act out the Mode.
+// tick is one gossip opportunity for local node i: pick a reachable
+// neighbor under the Policy, then act out the Mode. On the wire
+// backends the candidates are the links that are up, so a downed link
+// costs only its node pair (DESIGN.md §10); on shard they are the
+// alive neighbors.
 func (e *shardEngine) tick(s *shard, i int) {
 	ns := e.ns[i]
-	peers := s.peerScratch[:0]
-	for _, j := range e.graph.Neighbors(i) {
-		if e.ns[j].alive.Load() {
-			peers = append(peers, j)
+	var peers []int
+	if e.net != nil {
+		peers = e.net.Peers(i)
+	} else {
+		peers = s.peerScratch[:0]
+		for _, j := range e.graph.Neighbors(i) {
+			if e.ns[j].alive.Load() {
+				peers = append(peers, j)
+			}
 		}
+		s.peerScratch = peers
 	}
-	s.peerScratch = peers
 	if len(peers) == 0 {
 		return
 	}
@@ -276,6 +325,10 @@ func (e *shardEngine) tick(s *shard, i int) {
 // local to s: gossip ticks push from the shard's own nodes, and pull
 // responses push from the served (local) node.
 func (e *shardEngine) push(s *shard, i, peer int) {
+	if e.net != nil {
+		e.pushWire(i, peer)
+		return
+	}
 	ns := e.ns[i]
 	ns.mu.Lock()
 	out := ns.node.Split()
@@ -303,8 +356,15 @@ func (e *shardEngine) push(s *shard, i, peer int) {
 
 // sendPull queues a pull request from i to peer. Pull requests carry
 // no weight; the send is still counted and traced (without causal
-// identity — only data frames move weight).
+// identity — only data frames move weight). On the wire a refused send
+// is simply skipped: nothing to conserve, and the next tick retries.
 func (e *shardEngine) sendPull(s *shard, i, peer int) {
+	if e.net != nil {
+		if e.net.CanSend(i, peer) {
+			_ = e.net.Send(i, peer, true, nil)
+		}
+		return
+	}
 	f := shardFrame{src: i, dst: peer, pull: true}
 	e.noteSend(f)
 	if d := e.shardOf[peer]; d == s.id {
@@ -370,18 +430,83 @@ func (e *shardEngine) servePull(s *shard, f shardFrame) {
 	e.push(s, f.dst, f.src)
 }
 
+// pushWire is push over livenet. Backpressure is lossless — a refused
+// send is checked before the split (or, if the queue filled in between,
+// the half is re-absorbed), so the weight never leaves the node.
+func (e *shardEngine) pushWire(i, peer int) {
+	ns := e.ns[i]
+	if !e.net.CanSend(i, peer) {
+		e.net.NoteDrop(i)
+		return
+	}
+	ns.mu.Lock()
+	out := ns.node.Split()
+	ns.mu.Unlock()
+	if len(out) == 0 {
+		return
+	}
+	if e.net.Send(i, peer, false, out) {
+		return
+	}
+	// The queue filled (or the link died) between the CanSend check and
+	// the send — possible when a pull response on a receive goroutine
+	// and the worker's tick race on the same queue. Take the half back;
+	// conservation over throughput.
+	ns.mu.Lock()
+	err := ns.node.Absorb(out)
+	ns.mu.Unlock()
+	if err != nil {
+		e.fail(fmt.Errorf("engine: node %d: re-absorb refused send: %w", i, err))
+		return
+	}
+	e.net.NoteDrop(i)
+}
+
+// Deliver implements livenet.Handler: incoming data frames are
+// absorbed, pull requests answered with a push back to the requester.
+func (e *shardEngine) Deliver(dst, src int, pull bool, cls core.Classification) error {
+	if pull {
+		e.pushWire(dst, src)
+		return nil
+	}
+	ns := e.ns[dst]
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.node.Absorb(cls)
+}
+
+// Undeliverable implements livenet.Handler: a queued frame whose link
+// died goes back into its owning node — queued weight was never on the
+// wire, so a transport fault must not destroy it.
+func (e *shardEngine) Undeliverable(owner int, cls core.Classification) error {
+	ns := e.ns[owner]
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.node.Absorb(cls)
+}
+
 // ShardCount reports the worker-pool size (for tests and diagnostics).
 func (e *shardEngine) ShardCount() int { return len(e.shards) }
 
 // Kill crashes node i fail-stop under the exclusive pause lock: no
 // worker is mid-quantum, so the only frames destined to i sit in its
 // owning shard's mailbox. They are purged and their weight — plus the
-// node's own — reported as destroyed.
+// node's own — reported as destroyed. On the wire backends the node's
+// links are torn down instead, its queued outbound frames going back to
+// it first; a frame already on the wire to the dying node is untracked
+// kernel-buffer territory, exactly as in a deployment, so it is not
+// part of the figure.
 func (e *shardEngine) Kill(i int) (float64, error) {
 	e.pauseMu.Lock()
 	defer e.pauseMu.Unlock()
 	if err := e.checkChurn("Kill", i, true); err != nil {
 		return 0, err
+	}
+	if e.net != nil {
+		if err := e.net.Kill(i); err != nil {
+			return 0, err
+		}
+		return e.markDead(i, 0), nil
 	}
 	sh := e.shards[e.shardOf[i]]
 	var inflight float64
@@ -401,15 +526,22 @@ func (e *shardEngine) Kill(i int) (float64, error) {
 	return e.markDead(i, inflight), nil
 }
 
-// Restart revives a killed node with a fresh value and weight 1. On
-// this backend a restart is just a state swap under the pause lock —
-// there is no per-node goroutine or endpoint to rebuild; the owning
-// worker resumes ticking the node when its cursor next reaches it.
+// Restart revives a killed node with a fresh value and weight 1: a
+// state swap under the pause lock, after which the owning worker
+// resumes ticking the node when its cursor next reaches it. On the
+// wire backends the transport re-links the node to every alive
+// neighbor; the node is installed first, since a receiver may Deliver
+// to it the moment the links exist.
 func (e *shardEngine) Restart(i int, value core.Value) error {
 	e.pauseMu.Lock()
 	defer e.pauseMu.Unlock()
 	if err := e.reincarnate(i, value); err != nil {
 		return err
+	}
+	if e.net != nil {
+		if err := e.net.Restart(i); err != nil {
+			return err // node stays dead; transport cleaned up after itself
+		}
 	}
 	e.markAlive(i)
 	return nil
@@ -419,9 +551,10 @@ func (e *shardEngine) Restart(i int, value core.Value) error {
 // (waiting out any in-flight quantum), drain every mailbox — all
 // remaining data frames are destined to alive nodes by the kill-purge
 // invariant, so their weight is delivered, not lost — then join the
-// workers and the monitor probe. The final conservation sample lands
-// after the drain, so the audit ends exact. Safe to call more than
-// once.
+// workers and the monitor probe. On the wire backends the transport
+// is stopped last, once no worker produces frames; its Stop drains the
+// link queues. The final conservation sample lands after the drain, so
+// the audit ends exact. Safe to call more than once.
 func (e *shardEngine) Stop() {
 	if e.stopped.Swap(true) {
 		return
@@ -445,5 +578,8 @@ func (e *shardEngine) Stop() {
 	e.pauseMu.Unlock()
 	e.wg.Wait()
 	e.monWG.Wait()
+	if e.net != nil {
+		e.net.Stop()
+	}
 	e.finalAudit()
 }

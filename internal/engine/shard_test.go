@@ -116,6 +116,92 @@ func TestShardBackendChurn(t *testing.T) {
 	}
 }
 
+// TestShardOverWire runs the shard workers over livenet: pipe and tcp,
+// push and push-pull, centroids on a 48-node regular graph. Without
+// churn the run must converge and end with the exact weight after
+// Stop. With 6 kills and 3 restarts while the workers gossip it must
+// stay error-free, count 6 crashes and never hold a surplus:
+// final ≤ n − destroyed + restarted. A deficit is allowed — a frame
+// already on the wire to a dying node is untracked loss (DESIGN.md
+// §10). Push-pull has receive goroutines answer pulls on the queues
+// the worker also pushes on, so a Send can lose the race for the last
+// slot and the split half must be re-absorbed. CI runs this under the
+// race detector (`shard race`).
+func TestShardOverWire(t *testing.T) {
+	const n = 48
+	victims := []int{2, 9, 17, 30, 31, 45}
+	for _, b := range []engine.Backend{engine.BackendPipe, engine.BackendTCP} {
+		for _, mode := range []engine.Mode{engine.ModePush, engine.ModePushPull} {
+			for _, churn := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/churn=%v", b, mode, churn)
+				t.Run(name, func(t *testing.T) {
+					cfg := engine.Config{
+						Backend:   b,
+						Method:    distclass.Centroids(),
+						Values:    monitorWorkload(n, 13),
+						Topology:  topology.KindRegular,
+						Mode:      mode,
+						Seed:      41,
+						Tolerance: 0.05,
+						Interval:  2 * time.Millisecond,
+					}
+					eng, err := engine.New(cfg)
+					if err != nil {
+						t.Fatalf("New: %v", err)
+					}
+					defer eng.Stop()
+					expected := float64(n)
+					if churn {
+						if err := eng.Run(5); err != nil {
+							t.Fatalf("Run: %v", err)
+						}
+						for _, v := range victims {
+							destroyed, err := eng.Kill(v)
+							if err != nil {
+								t.Fatalf("Kill(%d): %v", v, err)
+							}
+							expected -= destroyed
+							if err := eng.Run(1); err != nil {
+								t.Fatalf("Run: %v", err)
+							}
+						}
+						for _, v := range victims[:3] {
+							if err := eng.Restart(v, cfg.Values[v]); err != nil {
+								t.Fatalf("Restart(%d): %v", v, err)
+							}
+							expected++
+						}
+					}
+					_, converged, err := eng.RunUntilConverged(60 * time.Second)
+					eng.Stop()
+					if err == nil {
+						err = eng.Err()
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !converged {
+						t.Fatal("did not converge")
+					}
+					got := eng.TotalWeight()
+					if !churn {
+						if got != float64(n) {
+							t.Errorf("weight %v after Stop, want exactly %d", got, n)
+						}
+						return
+					}
+					if crashes := eng.Stats().Crashes; crashes != len(victims) {
+						t.Errorf("Stats().Crashes = %d, want %d", crashes, len(victims))
+					}
+					if got > expected {
+						t.Errorf("weight surplus: have %v, at most %v may remain", got, expected)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestShardReconvergenceWatchesRestarted checks that RunUntilConverged
 // does not report reconvergence before the restarted nodes have mixed.
 // A restarted node holds its own value and weight 1, and on a large

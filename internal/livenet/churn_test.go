@@ -10,10 +10,11 @@ import (
 )
 
 // TestKillRestartLinkBookkeeping walks a node through death and
-// recovery and checks the transport's books: the dead node disappears
-// from its neighbors' peer sets, surviving endpoints are counted on the
-// links_down gauge until Restart retires them, and the revived node's
-// fresh links carry frames again.
+// recovery and checks the transport's books: the node's alive gauge
+// reads 1 → 0 → 1, the dead node disappears from its neighbors' peer
+// sets, surviving endpoints are counted on the links_down gauge until
+// Restart retires them, and the revived node's fresh links carry frames
+// again.
 func TestKillRestartLinkBookkeeping(t *testing.T) {
 	const n = 3
 	g, err := topology.Full(n)
@@ -27,12 +28,19 @@ func TestKillRestartLinkBookkeeping(t *testing.T) {
 		t.Fatalf("StartNet: %v", err)
 	}
 	defer net.Stop()
+	aliveG := reg.Gauge("livenet.node.1.alive")
+	if got := aliveG.Value(); got != 1 {
+		t.Errorf("alive gauge at start = %v, want 1", got)
+	}
 
 	if err := net.Kill(1); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
 	if net.Alive(1) {
 		t.Errorf("Alive(1) after Kill")
+	}
+	if got := aliveG.Value(); got != 0 {
+		t.Errorf("alive gauge after Kill = %v, want 0", got)
 	}
 	// Double-kill and bad indices are errors, not panics.
 	if err := net.Kill(1); err == nil {
@@ -70,6 +78,9 @@ func TestKillRestartLinkBookkeeping(t *testing.T) {
 	}
 	if !net.Alive(1) {
 		t.Errorf("Alive(1) false after Restart")
+	}
+	if got := aliveG.Value(); got != 1 {
+		t.Errorf("alive gauge after Restart = %v, want 1", got)
 	}
 	if got := reg.Gauge("livenet.links_down").Value(); got != 0 {
 		t.Errorf("links_down after Restart = %v, want 0 (dead endpoints retired)", got)

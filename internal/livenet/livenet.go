@@ -170,7 +170,9 @@ type NetConfig struct {
 	// batching); the livenet.links_down gauge (link endpoints currently
 	// disabled by I/O errors or peer death); the per-node
 	// livenet.node.<id>.{sent,received,bytes_sent,decode_errors,send_drops}
-	// counters; the per-node livenet.node.<id>.last_receive_seq
+	// counters; the per-node livenet.node.<id>.alive gauges (1 while
+	// the node's transport is up, 0 between Kill and Restart); the
+	// per-node livenet.node.<id>.last_receive_seq
 	// staleness gauges (the net-wide receive sequence number at the
 	// node's last absorb — a node whose gauge lags the net total is
 	// stale); per-peer livenet.node.<id>.decode_errors.from.<peer>
@@ -266,6 +268,13 @@ type link struct {
 	// live links before closing connections, so a clean shutdown tears
 	// no frame mid-write.
 	pending atomic.Int64
+	// enqMu orders Send against the writer's exit. returnQueue sets
+	// closed before its final drain, and Send refuses a closed link, so
+	// no frame can be queued behind the drain and stranded — a pull
+	// answered on a receive goroutine after the writer exited would
+	// otherwise carry its weight nowhere.
+	enqMu  sync.Mutex
+	closed bool // guarded by enqMu
 }
 
 func newLink(peerID int, conn net.Conn, queue int) *link {
@@ -303,9 +312,11 @@ type peer struct {
 	// node's most recent delivery; Net.recvSeq minus this gauge is the
 	// node's staleness in receives.
 	lastRecv *metrics.Gauge
+	// aliveG mirrors alive: 1 while the node's transport is up.
+	aliveG *metrics.Gauge
 
-	// Causal-mode counters. Atomic because a node sends from its engine
-	// gossip goroutine and — answering pulls — from receiver-loop
+	// Causal-mode counters. Atomic because a node sends from the engine
+	// worker that owns it and — answering pulls — from receiver-loop
 	// goroutines, and its own receiver loops merge clocks concurrently.
 	// Like the counters above they persist across Kill/Restart
 	// incarnations: clocks must never go backwards.
@@ -364,8 +375,10 @@ func StartNet(g *topology.Graph, cfg NetConfig) (*Net, error) {
 			drops:     reg.Counter(fmt.Sprintf("livenet.node.%d.send_drops", i)),
 			bytesSent: reg.Counter(fmt.Sprintf("livenet.node.%d.bytes_sent", i)),
 			lastRecv:  reg.Gauge(fmt.Sprintf("livenet.node.%d.last_receive_seq", i)),
+			aliveG:    reg.Gauge(fmt.Sprintf("livenet.node.%d.alive", i)),
 		}
 		peers[i].alive.Store(true)
+		peers[i].aliveG.Set(1)
 	}
 	// One duplex link per undirected edge. The dialer (and, on TCP, its
 	// listener) stays open for the net's lifetime so Restart can
@@ -492,9 +505,10 @@ func (n *Net) Peers(i int) []int {
 // now: the link is up and its queue has room. The engine checks this
 // before splitting, which makes backpressure lossless — the weight a
 // refused frame would have carried never leaves the node, so a slow
-// peer costs throughput, not mass. The engine goroutine for node i is
-// the only producer on i's queues, so a free slot seen here cannot be
-// taken by anyone else.
+// peer costs throughput, not mass. The producers on node i's queues
+// are the engine worker that owns i plus the receive loops that answer
+// pulls addressed to i, so a free slot seen here can be taken before
+// the Send; the engine then takes the split half back.
 func (n *Net) CanSend(i, peer int) bool {
 	l := n.peers[i].findLink(peer)
 	return l != nil && len(l.out) < cap(l.out)
@@ -541,6 +555,11 @@ func (n *Net) Send(i, peer int, pull bool, cls core.Classification) bool {
 		}
 		f.cls = cls
 	}
+	l.enqMu.Lock()
+	defer l.enqMu.Unlock()
+	if l.closed {
+		return false
+	}
 	l.pending.Add(1)
 	select {
 	case l.out <- f:
@@ -574,9 +593,10 @@ func (n *Net) writeLoop(ctx context.Context, p *peer, l *link) {
 	for {
 		select {
 		case <-ctx.Done():
-			// The engine stops its gossip goroutines before tearing the
-			// transport down, so no frame can slip in behind this flush
-			// and be stranded.
+			// The engine joins its workers before tearing the transport
+			// down; a pull answered on a receive loop after this flush is
+			// refused once returnQueue closes the link, so no frame is
+			// stranded.
 			n.flushQueue(p, l)
 			return
 		case <-l.done:
@@ -746,10 +766,14 @@ func (n *Net) flushQueue(p *peer, l *link) {
 	}
 }
 
-// returnQueue hands every still-queued data frame back to the engine,
-// conserving the weight an undelivered frame carries. Pull requests
-// carry no weight and are simply discarded.
+// returnQueue closes the link to further sends, then hands every
+// still-queued data frame back to the engine, conserving the weight an
+// undelivered frame carries. Pull requests carry no weight and are
+// simply discarded.
 func (n *Net) returnQueue(p *peer, l *link) {
+	l.enqMu.Lock()
+	l.closed = true
+	l.enqMu.Unlock()
 	for {
 		select {
 		case f := <-l.out:
@@ -984,6 +1008,7 @@ func (n *Net) Kill(i int) error {
 		return fmt.Errorf("livenet: node %d is already dead", i)
 	}
 	p.alive.Store(false)
+	p.aliveG.Set(0)
 	p.cancel()
 	p.linksMu.Lock()
 	links := p.links
@@ -1060,6 +1085,7 @@ func (n *Net) Restart(i int) error {
 	}
 	n.startPeer(p)
 	p.alive.Store(true)
+	p.aliveG.Set(1)
 	return nil
 }
 

@@ -7,8 +7,8 @@
 // sim.scatter, sim.deliver, sim.crash) with Phase, and the workers it
 // starts inherit the label; the concurrent backends label
 // each long-lived goroutine once when it starts with Label
-// (engine.gossip, engine.monitor, livenet.write, livenet.receive,
-// shard.worker). Labels are visible in `go tool pprof -tags` and in
+// (shard.worker, which ticks the nodes on every live backend,
+// engine.monitor, livenet.write, livenet.receive). Labels are visible in `go tool pprof -tags` and in
 // the flame graph's label selector, so a profile of a long run answers
 // "which phase burns the cycles" without guessing from stack shapes. Setting a label costs a few allocations
 // whether or not a profile is being collected, so nothing labels per

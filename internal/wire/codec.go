@@ -230,26 +230,44 @@ func marshal(cls core.Classification, f32 bool) ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, m<<shift)
 	}
-	appendCoord := func(x float64) {
+	// A coordinate that encodes as ±Inf or NaN — non-finite already, or
+	// beyond the float32 range under CodecV2F32 — is refused here: the
+	// decoder rejects such a message, so sending it would down the link
+	// for the sender's fault.
+	appendCoord := func(i int, x float64) error {
 		if f32 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(x)))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			y := float32(x)
+			if math.IsInf(float64(y), 0) || math.IsNaN(float64(y)) {
+				return fmt.Errorf("wire: collection %d coordinate %v is not a finite float32", i, x)
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(y))
+			return nil
 		}
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return fmt.Errorf("wire: collection %d coordinate %v is not finite", i, x)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		return nil
 	}
-	for _, c := range cls {
+	for i, c := range cls {
 		switch s := c.Summary.(type) {
 		case centroids.Centroid:
 			for _, x := range s.Point {
-				appendCoord(x)
+				if err := appendCoord(i, x); err != nil {
+					return nil, err
+				}
 			}
 		case gm.Summary:
 			for _, x := range s.G.Mean {
-				appendCoord(x)
+				if err := appendCoord(i, x); err != nil {
+					return nil, err
+				}
 			}
 			for r := 0; r < d; r++ {
 				for col := r; col < d; col++ {
-					appendCoord(s.G.Cov.At(r, col))
+					if err := appendCoord(i, s.G.Cov.At(r, col)); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}

@@ -12,7 +12,10 @@ import (
 
 // FuzzUnmarshalClassification feeds arbitrary bytes to the decoder: it
 // must return an error or a classification that re-encodes and decodes
-// again to bit-identical weights, never panic. Run with
+// again to bit-identical weights, never panic. Whatever re-encodes
+// under either codec must also decode: the f32 encoder may refuse a
+// coordinate beyond the float32 range, but never emit one the decoder
+// rejects. Run with
 // `go test -fuzz FuzzUnmarshal ./internal/wire`; without -fuzz the seed
 // corpus below runs as a regular test.
 func FuzzUnmarshalClassification(f *testing.F) {
@@ -51,6 +54,12 @@ func FuzzUnmarshalClassification(f *testing.F) {
 	f.Add(rawCentroids(0, 0))            // zero count
 	f.Add(rawCentroids(maxHighExp, 2))   // count·2^E overflows
 	f.Add(rawCentroids(minLowExp-52, 1)) // count·2^E underflows
+	far := core.Classification{{Summary: centroids.Centroid{Point: vec.Of(1e39, -1)}, Weight: 1}}
+	farData, err := MarshalClassificationCodec(far, CodecV2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(farData) // decodes, but is beyond float32: v2f32 must refuse it
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The prefix decoder must never panic and never over-consume.
@@ -66,8 +75,9 @@ func FuzzUnmarshalClassification(f *testing.F) {
 	})
 }
 
-// reencode checks that every decoded centroid is finite and that a
-// decoded classification re-encodes and decodes again to bit-identical
+// reencode checks that every decoded centroid is finite, that a
+// decoded classification the f32 encoder accepts decodes again, and
+// that it re-encodes under v2 and decodes again to bit-identical
 // weights (empty classifications have no method tag and re-encode
 // trivially).
 func reencode(t *testing.T, cls core.Classification) {
@@ -75,6 +85,11 @@ func reencode(t *testing.T, cls core.Classification) {
 	for i, c := range cls {
 		if p, ok := c.Summary.(centroids.Centroid); ok && !p.Point.IsFinite() {
 			t.Fatalf("collection %d decoded to the non-finite centroid %v", i, p.Point)
+		}
+	}
+	if f32, err := MarshalClassificationCodec(cls, CodecV2F32); err == nil {
+		if _, err := UnmarshalClassification(f32); err != nil {
+			t.Fatalf("v2f32 encoded a message it cannot decode: %v", err)
 		}
 	}
 	data, err := MarshalClassificationCodec(cls, CodecV2)

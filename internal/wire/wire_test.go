@@ -9,7 +9,9 @@ import (
 
 	"distclass/internal/centroids"
 	"distclass/internal/core"
+	"distclass/internal/gauss"
 	"distclass/internal/gm"
+	"distclass/internal/mat"
 	"distclass/internal/rng"
 	"distclass/internal/vec"
 )
@@ -172,6 +174,8 @@ func TestMarshalRejects(t *testing.T) {
 	s2, _ := centroids.Method{}.Summarize(vec.Of(1, 2))
 	mismatchDim[1].Summary = s2
 	foreign := core.Classification{{Summary: fakeSummary{}, Weight: 1}}
+	infCoord := core.Classification{{Summary: centroids.Centroid{Point: vec.Of(1, math.Inf(-1))}, Weight: 1}}
+	nanCoord := core.Classification{{Summary: centroids.Centroid{Point: vec.Of(math.NaN())}, Weight: 1}}
 	// 1 is 2^53 quanta of 2^-53: one count too many.
 	wideSpan := centroidCls(t, []float64{1, 1.0 / (1 << 53)}, vec.Of(1), vec.Of(2))
 
@@ -186,6 +190,8 @@ func TestMarshalRejects(t *testing.T) {
 		{"dim mismatch", mismatchDim},
 		{"foreign summary", foreign},
 		{"count overflow", wideSpan},
+		{"inf coordinate", infCoord},
+		{"nan coordinate", nanCoord},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -199,6 +205,45 @@ func TestMarshalRejects(t *testing.T) {
 	// One bit less of span fits.
 	if _, err := MarshalClassificationCodec(centroidCls(t, []float64{1, 1.0 / (1 << 52)}, vec.Of(1), vec.Of(2)), CodecV2); err != nil {
 		t.Errorf("2^52 quanta rejected: %v", err)
+	}
+}
+
+// TestMarshalF32Overflow checks that the f32 encoder refuses a finite
+// coordinate beyond the float32 range — a centroid, a GM mean or a
+// covariance entry — instead of sending the ±Inf the decoder rejects,
+// while the f64 encoder carries the same message and it decodes.
+func TestMarshalF32Overflow(t *testing.T) {
+	gmWith := func(mean vec.Vector, variance float64) core.Classification {
+		cov := mat.New(mean.Dim())
+		cov.Set(0, 0, variance)
+		return core.Classification{{Summary: gm.Summary{G: gauss.Gaussian{Mean: mean, Cov: cov}}, Weight: 1}}
+	}
+	cases := []struct {
+		name string
+		cls  core.Classification
+	}{
+		{"centroid at 1e39", centroidCls(t, []float64{0.5, 0.5}, vec.Of(1, 2), vec.Of(1e39, 0))},
+		{"gm variance at -1e39", gmWith(vec.Of(0, 0), -1e39)},
+		{"gm mean at -1e39", gmWith(vec.Of(0, -1e39), 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := MarshalClassificationCodec(tc.cls, CodecV2F32); err == nil {
+				t.Errorf("v2f32 encoded a coordinate beyond the float32 range")
+			}
+			data, err := MarshalClassificationCodec(tc.cls, CodecV2)
+			if err != nil {
+				t.Fatalf("v2: %v", err)
+			}
+			if _, err := UnmarshalClassification(data); err != nil {
+				t.Errorf("v2 message does not decode: %v", err)
+			}
+		})
+	}
+	// The largest finite float32 still fits.
+	edge := centroidCls(t, []float64{1}, vec.Of(-math.MaxFloat32))
+	if _, err := MarshalClassificationCodec(edge, CodecV2F32); err != nil {
+		t.Errorf("v2f32 refused -MaxFloat32: %v", err)
 	}
 }
 
@@ -554,9 +599,11 @@ func TestUnmarshalExponentEdges(t *testing.T) {
 // known exactly.
 func TestMessageSize(t *testing.T) {
 	for _, codec := range Codecs() {
-		coordBytes := 8
+		// big is a far-out coordinate the codec can carry: the size must
+		// not depend on it.
+		coordBytes, big := 8, -1e300
 		if codec == CodecV2F32 {
-			coordBytes = 4
+			coordBytes, big = 4, -3e38
 		}
 		r := rng.New(9)
 		gmA, gmB := gmCls(t, r, 4, 3), gmCls(t, r, 4, 3)
@@ -573,7 +620,7 @@ func TestMessageSize(t *testing.T) {
 			{"gm", gm.Method{}, 4, 3, gmA, gmB, 0},
 			{"centroids", centroids.Method{}, 2, 2,
 				centroidCls(t, []float64{1, 1}, vec.Of(1, 2), vec.Of(3, 4)),
-				centroidCls(t, []float64{1, 1}, vec.Of(-1e300, 7.5), vec.Of(math.Pi, 0)),
+				centroidCls(t, []float64{1, 1}, vec.Of(big, 7.5), vec.Of(math.Pi, 0)),
 				headerLen + 1 + 2*(1+2*coordBytes)},
 		}
 		for _, c := range cases {
