@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"distclass/internal/metrics"
 	"distclass/internal/trace"
@@ -118,7 +119,8 @@ type Method interface {
 	// Merge implements mergeSet: the summary of the union of the given
 	// collections. The input is never empty. Implementations must not
 	// retain cs or the Collection structs it holds beyond the call: the
-	// slice is node-owned scratch, reused across merge groups.
+	// slice is absorb scratch, reused across merge groups and, once the
+	// absorb returns, by other nodes' absorbs.
 	Merge(cs []Collection) (Summary, error)
 	// Partition groups the collections of a combined classification into
 	// at most k non-empty index groups; each group is then merged into a
@@ -126,7 +128,7 @@ type Method interface {
 	// constraints: |M| <= k, and no group is a singleton whose weight is
 	// the quantum q (such a collection must be merged with another)
 	// whenever the input has more than one collection. Like Merge,
-	// implementations must not retain cs: it is node-owned scratch.
+	// implementations must not retain cs: it is absorb scratch.
 	Partition(cs []Collection, k int, q float64) ([][]int, error)
 	// Distance is the summary pseudo-metric d_S.
 	Distance(a, b Summary) (float64, error)
@@ -200,25 +202,22 @@ type Node struct {
 	cfg Config
 	cls Classification
 
-	// Node-owned scratch buffers for the split/absorb hot path. A node
-	// splits and absorbs every gossip exchange; without reuse each
-	// exchange allocates a kept slice, a union slice, a members slice
-	// per merge group, a partition-check bitmap and a next slice. The
-	// buffers below amortize all of those to zero, and Split/Absorb run
-	// without pprof labels (callers label whole phases or goroutines),
-	// so core itself allocates only what escapes an exchange: the
-	// outgoing half of a split, which the transport may queue for an
-	// unbounded time, and each merged collection's aux vector. Safety
-	// rests on two invariants: the Method contract (Partition/Merge
-	// never retain their input slice) and the fact that absorb copies
-	// collections into scratchBig before rebuilding cls in place — see
-	// the aliasing mutation test. Each buffer is cleared once its
-	// contents are dead, so scratch capacity never pins a superseded
-	// summary or aux vector (TestScratchPinsNoSummary).
-	scratchKept Classification // split's kept half; swaps with cls
-	scratchBig  Classification // absorb's union of cls + incoming
-	scratchMem  []Collection   // absorb's per-merge-group members
-	scratchSeen []bool         // absorb's partition check, one flag per union entry
+	// scratchKept is split's kept half, the other side of a double
+	// buffer with cls: the two swap instead of allocating a kept and a
+	// next slice per exchange. Absorb's working memory is not the
+	// node's but a pooled absorbScratch, so it exists once per running
+	// absorb rather than once per node. Split and Absorb run without
+	// pprof labels (callers label whole phases or goroutines), so core
+	// itself allocates only what escapes an exchange: the outgoing half
+	// of a split, which the transport may queue for an unbounded time,
+	// and each merged collection's aux vector. Safety rests on two
+	// invariants: the Method contract (Partition/Merge never retain
+	// their input slice) and the fact that absorb copies collections
+	// into the scratch union before rebuilding cls in place — see the
+	// aliasing mutation test. Every buffer is cleared once its contents
+	// are dead, so neither scratchKept nor a pooled scratch pins a
+	// superseded summary or aux vector (TestScratchPinsNoSummary).
+	scratchKept Classification
 
 	// Cached instruments (nil without Config.Metrics); looked up once
 	// so the protocol hot path never touches the registry lock.
@@ -357,6 +356,23 @@ func (n *Node) Split() Classification {
 	return sent
 }
 
+// absorbScratch is the working memory of one running Absorb: the
+// union of cls and the incoming collections, one merge group's members
+// and the partition check's flags.
+type absorbScratch struct {
+	big  Classification
+	mem  []Collection
+	seen []bool
+}
+
+// absorbPool holds absorb scratch between calls, so scratch exists
+// about once per P rather than once per node (DESIGN.md, "Zero-alloc
+// hot paths"). absorbWith empties every scratch before it goes back,
+// so the pool carries no state from one absorb to the next.
+//
+//lint:allow globalstate a pool of emptied scratch buffers carries no run state; it only recycles capacity
+var absorbPool = sync.Pool{New: func() any { return new(absorbScratch) }}
+
 // Absorb implements the receive handler (Algorithm 1, lines 8-11) for a
 // batch of incoming classifications: the node unions them with its own
 // collections, partitions the union with the instantiation's partition
@@ -364,30 +380,38 @@ func (n *Node) Split() Classification {
 // simulation methodology (§5.3): a node that received from multiple
 // neighbors in a round runs one partition over the entire set.
 func (n *Node) Absorb(incoming ...Classification) error {
-	// The union is built in node-owned scratch: cls is copied into
-	// scratchBig before incoming is appended, so next (rebuilt below
-	// into the dead half of the kept/cls double buffer) never aliases
-	// what the merge loop reads.
-	big := append(n.scratchBig[:0], n.cls...)
+	sc := absorbPool.Get().(*absorbScratch)
+	err := n.absorbWith(sc, incoming)
+	absorbPool.Put(sc)
+	return err
+}
+
+// absorbWith is Absorb over the given scratch. It leaves sc emptied on
+// every exit path, ready for any node's next absorb.
+func (n *Node) absorbWith(sc *absorbScratch, incoming []Classification) error {
+	// cls is copied into the scratch union before incoming is appended,
+	// so next (rebuilt below into the dead half of the kept/cls double
+	// buffer) never aliases what the merge loop reads.
+	big := append(sc.big[:0], n.cls...)
 	for _, in := range incoming {
 		big = append(big, in...)
 	}
 	if len(big) == 0 {
-		n.scratchBig = big
+		sc.big = big
 		return nil
 	}
 	groups, err := n.cfg.Method.Partition(big, n.cfg.K, n.cfg.Q)
 	if err != nil {
-		n.parkBig(big)
+		sc.park(big)
 		return fmt.Errorf("core: node %d: partition: %w", n.id, err)
 	}
-	if cap(n.scratchSeen) < len(big) {
-		n.scratchSeen = make([]bool, len(big))
+	if cap(sc.seen) < len(big) {
+		sc.seen = make([]bool, len(big))
 	}
-	seen := n.scratchSeen[:len(big)]
+	seen := sc.seen[:len(big)]
 	clear(seen)
 	if err := validatePartition(groups, n.cfg.K, seen); err != nil {
-		n.parkBig(big)
+		sc.park(big)
 		return fmt.Errorf("core: node %d: %w", n.id, err)
 	}
 	// scratchKept holds no live data between operations (split swapped
@@ -400,7 +424,7 @@ func (n *Node) Absorb(incoming ...Classification) error {
 			next = append(next, big[g[0]])
 			continue
 		}
-		members := n.scratchMem[:0]
+		members := sc.mem[:0]
 		var weight float64
 		var aux vec.Vector
 		for _, idx := range g {
@@ -416,9 +440,9 @@ func (n *Node) Absorb(incoming ...Classification) error {
 		}
 		s, err := n.cfg.Method.Merge(members)
 		clear(members)
-		n.scratchMem = members[:0]
+		sc.mem = members[:0]
 		if err != nil {
-			n.parkBig(big)
+			sc.park(big)
 			return fmt.Errorf("core: node %d: merge: %w", n.id, err)
 		}
 		if n.merges != nil {
@@ -435,19 +459,18 @@ func (n *Node) Absorb(incoming ...Classification) error {
 	clear(n.cls)
 	n.scratchKept = n.cls[:0]
 	n.cls = next
-	n.parkBig(big)
+	sc.park(big)
 	if n.collections != nil {
 		n.collections.Observe(float64(len(next)))
 	}
 	return nil
 }
 
-// parkBig empties the absorb union into scratchBig for the next
-// Absorb, dropping its references so the superseded summaries it held
-// can be collected.
-func (n *Node) parkBig(big Classification) {
+// park empties the absorb union back into the scratch, dropping its
+// references so the superseded summaries it held can be collected.
+func (s *absorbScratch) park(big Classification) {
 	clear(big)
-	n.scratchBig = big[:0]
+	s.big = big[:0]
 }
 
 // ValidatePartition checks that groups is an exact partition of [0, n)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"distclass/internal/vec"
@@ -60,10 +61,13 @@ func (roundRobinMethod) Distance(a, b Summary) (float64, error) {
 	return math.Abs(float64(a.(meanSummary)) - float64(b.(meanSummary))), nil
 }
 
-// TestScratchPinsNoSummary pins that the node's scratch buffers hold no
-// summary past their length after a split or an absorb — on success
-// and on every error path — so scratch capacity never keeps a
-// superseded summary or the messages it was built from alive.
+// TestScratchPinsNoSummary pins that split leaves nothing past the
+// length of the node's kept buffer, and that every absorb outcome —
+// success, partition error, invalid partition and merge error — hands
+// its scratch back holding no summary and no aux vector anywhere up to
+// its capacity. The scratch goes back to a pool that any node's next
+// absorb draws from, so a pinned entry would keep a superseded summary
+// or the messages it was built from alive indefinitely.
 func TestScratchPinsNoSummary(t *testing.T) {
 	var failPartition, badPartition, failMerge bool
 	m := roundRobinMethod{failPartition: &failPartition, badPartition: &badPartition, failMerge: &failMerge}
@@ -74,35 +78,100 @@ func TestScratchPinsNoSummary(t *testing.T) {
 		}
 		return n
 	}
-	check := func(step string, n *Node) {
+	checkEmpty := func(step, name string, buf []Collection) {
 		t.Helper()
-		bufs := []struct {
-			name string
-			buf  []Collection
-		}{{"scratchKept", n.scratchKept}, {"scratchBig", n.scratchBig}, {"scratchMem", n.scratchMem}}
-		for _, b := range bufs {
-			for j, c := range b.buf[len(b.buf):cap(b.buf)] {
-				if c.Summary != nil || c.Aux != nil {
-					t.Fatalf("%s: %s[%d] past length %d still holds %v", step, b.name, len(b.buf)+j, len(b.buf), c.Summary)
-				}
+		for j, c := range buf[:cap(buf)] {
+			if j >= len(buf) && (c.Summary != nil || c.Aux != nil) {
+				t.Fatalf("%s: %s[%d] past length %d still holds %v", step, name, j, len(buf), c.Summary)
 			}
 		}
 	}
+	// One scratch serves both nodes, as the pool would share it.
+	var s absorbScratch
+	outcomes := map[string]int{}
 	a, b := mk(0), mk(1)
 	for round := 0; round < 12; round++ {
 		for _, pair := range [][2]*Node{{a, b}, {b, a}} {
 			src, dst := pair[0], pair[1]
 			out := src.Split()
-			check(fmt.Sprintf("round %d: node %d split", round, src.ID()), src)
+			step := fmt.Sprintf("round %d: node %d split", round, src.ID())
+			checkEmpty(step, "scratchKept", src.scratchKept)
 			// Three absorbs in eight fail, one on each error path.
 			mode := (round + src.ID()) % 8
 			failPartition, badPartition, failMerge = mode == 1, mode == 3, mode == 5
-			err := dst.Absorb(out, Classification{{Summary: meanSummary(round), Weight: 0.5}})
-			if failing := failPartition || badPartition || failMerge; failing != (err != nil) {
-				t.Fatalf("round %d: absorb error %v with failure injected = %v", round, err, failing)
+			err := dst.absorbWith(&s, []Classification{out, {{Summary: meanSummary(round), Weight: 0.5, Aux: vec.Of(0, 1)}}})
+			outcome := "success"
+			switch {
+			case failPartition:
+				outcome = "partition error"
+			case badPartition:
+				outcome = "invalid partition"
+			case failMerge:
+				outcome = "merge error"
 			}
-			check(fmt.Sprintf("round %d: node %d absorb (mode %d)", round, dst.ID(), mode), dst)
+			if (outcome == "success") != (err == nil) {
+				t.Fatalf("round %d: absorb error %v with outcome %s", round, err, outcome)
+			}
+			outcomes[outcome]++
+			step = fmt.Sprintf("round %d: node %d absorb (%s)", round, dst.ID(), outcome)
+			checkEmpty(step, "scratchKept", dst.scratchKept)
+			if len(s.big) != 0 || len(s.mem) != 0 {
+				t.Fatalf("%s: scratch returned with union length %d, members length %d", step, len(s.big), len(s.mem))
+			}
+			checkEmpty(step, "union", s.big)
+			checkEmpty(step, "members", s.mem)
 		}
 	}
 	failPartition, badPartition, failMerge = false, false, false
+	for _, o := range []string{"success", "partition error", "invalid partition", "merge error"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no absorb ended in %s", o)
+		}
+	}
+	if cap(s.big) == 0 || cap(s.mem) == 0 {
+		t.Errorf("scratch never grew (union cap %d, members cap %d): nothing was checked", cap(s.big), cap(s.mem))
+	}
+}
+
+// TestNodeFootprint pins that a node's memory is bounded by k, not by
+// the largest batch it has absorbed: after a wide absorb and a split,
+// no slice field of Node has capacity beyond 2k. The fields are
+// enumerated by reflection, so a slice added to Node later is covered
+// too.
+func TestNodeFootprint(t *testing.T) {
+	const k = 2
+	var off bool
+	m := roundRobinMethod{failPartition: &off, badPartition: &off, failMerge: &off}
+	n, err := NewNode(0, vec.Of(0), nil, Config{Method: m, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Classification, 8)
+	for i := range batch {
+		batch[i] = Classification{
+			{Summary: meanSummary(float64(i)), Weight: 1},
+			{Summary: meanSummary(float64(-i)), Weight: 1},
+		}
+	}
+	if err := n.Absorb(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if out := n.Split(); len(out) == 0 {
+		t.Fatal("split sent nothing")
+	}
+	v := reflect.ValueOf(n).Elem()
+	slices := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		slices++
+		if f.Cap() > 2*k {
+			t.Errorf("Node.%s has capacity %d after a 16-collection absorb, want <= 2k = %d", v.Type().Field(i).Name, f.Cap(), 2*k)
+		}
+	}
+	if slices == 0 {
+		t.Fatal("Node has no slice fields: the footprint check checked nothing")
+	}
 }

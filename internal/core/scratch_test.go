@@ -1,6 +1,7 @@
-// Scratch-reuse safety: split and absorb run on node-owned scratch
-// buffers (the kept/cls double buffer, the union buffer, the member
-// buffer). These tests pin the two contracts that make that reuse
+// Scratch-reuse safety: split runs on the node's kept/cls double
+// buffer, and absorb on pooled scratch (the union buffer, the member
+// buffer, the partition-check flags) that any node's next absorb may
+// reuse. These tests pin the two contracts that make that reuse
 // sound: outgoing messages never alias node state, and a failed absorb
 // leaves the node's classification untouched. The benchmarks are the
 // allocs/op regression guard driven by `make bench`.
@@ -220,7 +221,14 @@ func TestSplitAbsorbAllocs(t *testing.T) {
 		}
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > 1+2+2*k {
+	allocs := testing.AllocsPerRun(50, cycle)
+	if raceEnabled {
+		// The race build drops pooled absorb scratch at random; the
+		// bound is enforced by the non-race alloc-guard run.
+		t.Logf("split+absorb: %v allocs under -race (bound %d not checked)", allocs, 1+2+2*k)
+		return
+	}
+	if allocs > 1+2+2*k {
 		t.Errorf("split+absorb: %v allocs, want <= %d", allocs, 1+2+2*k)
 	}
 }

@@ -265,7 +265,14 @@ func marshal(cls core.Classification, f32 bool) ([]byte, error) {
 			}
 			for r := 0; r < d; r++ {
 				for col := r; col < d; col++ {
-					if err := appendCoord(i, s.G.Cov.At(r, col)); err != nil {
+					x := s.G.Cov.At(r, col)
+					// The decoder mirrors each off-diagonal entry and
+					// symmetrizes, which sums the pair: refuse an entry
+					// that sum overflows, as gauss.New would on decode.
+					if col > r && math.IsInf(x+x, 0) {
+						return nil, fmt.Errorf("wire: collection %d covariance entry %v overflows when symmetrized", i, x)
+					}
+					if err := appendCoord(i, x); err != nil {
 						return nil, err
 					}
 				}

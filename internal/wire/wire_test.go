@@ -176,6 +176,14 @@ func TestMarshalRejects(t *testing.T) {
 	foreign := core.Classification{{Summary: fakeSummary{}, Weight: 1}}
 	infCoord := core.Classification{{Summary: centroids.Centroid{Point: vec.Of(1, math.Inf(-1))}, Weight: 1}}
 	nanCoord := core.Classification{{Summary: centroids.Centroid{Point: vec.Of(math.NaN())}, Weight: 1}}
+	// A d = 2 covariance whose off-diagonal pair sums past the float64
+	// range when the decoder symmetrizes it.
+	offDiag := func(x float64) core.Classification {
+		cov := mat.New(2)
+		cov.Set(0, 1, x)
+		cov.Set(1, 0, x)
+		return core.Classification{{Summary: gm.Summary{G: gauss.Gaussian{Mean: vec.Of(0, 0), Cov: cov}}, Weight: 1}}
+	}
 	// 1 is 2^53 quanta of 2^-53: one count too many.
 	wideSpan := centroidCls(t, []float64{1, 1.0 / (1 << 53)}, vec.Of(1), vec.Of(2))
 
@@ -192,6 +200,8 @@ func TestMarshalRejects(t *testing.T) {
 		{"count overflow", wideSpan},
 		{"inf coordinate", infCoord},
 		{"nan coordinate", nanCoord},
+		{"gm off-diagonal 1.5e308", offDiag(1.5e308)},
+		{"gm off-diagonal -1.5e308", offDiag(-1.5e308)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -225,6 +235,9 @@ func TestMarshalF32Overflow(t *testing.T) {
 		{"centroid at 1e39", centroidCls(t, []float64{0.5, 0.5}, vec.Of(1, 2), vec.Of(1e39, 0))},
 		{"gm variance at -1e39", gmWith(vec.Of(0, 0), -1e39)},
 		{"gm mean at -1e39", gmWith(vec.Of(0, -1e39), 1)},
+		// A diagonal entry is never summed with a mirror, so even one
+		// past half the float64 range decodes.
+		{"gm variance at 1.5e308", gmWith(vec.Of(0, 0), 1.5e308)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
