@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +28,9 @@ type liveNode struct {
 	rr int // round-robin cursor
 
 	alive atomic.Bool
+	// revived is set, under liveCore.revivedMu, when the node first
+	// joins liveCore.revived.
+	revived bool
 }
 
 // liveCore is the substrate-free half of the live scheduler: the node
@@ -308,7 +310,8 @@ func (c *liveCore) reincarnate(i int, value core.Value) error {
 // watches from now on.
 func (c *liveCore) markAlive(i int) {
 	c.revivedMu.Lock()
-	if !slices.Contains(c.revived, i) {
+	if ns := c.ns[i]; !ns.revived {
+		ns.revived = true
 		c.revived = append(c.revived, i)
 	}
 	c.revivedMu.Unlock()

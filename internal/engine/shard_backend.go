@@ -292,8 +292,8 @@ func (e *shardEngine) tick(s *shard, i int) {
 		peers = e.net.Peers(i)
 	} else {
 		peers = s.peerScratch[:0]
-		for _, j := range e.graph.Neighbors(i) {
-			if e.ns[j].alive.Load() {
+		for r := range e.graph.Degree(i) {
+			if j := e.graph.Neighbor(i, r); e.ns[j].alive.Load() {
 				peers = append(peers, j)
 			}
 		}

@@ -394,7 +394,8 @@ func StartNet(g *topology.Graph, cfg NetConfig) (*Net, error) {
 		dial = tcpDial
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
+		for r := range g.Degree(u) {
+			v := g.Neighbor(u, r)
 			if v < u {
 				continue
 			}
@@ -1039,7 +1040,8 @@ func (n *Net) Restart(i int) error {
 		return fmt.Errorf("livenet: node %d is already alive", i)
 	}
 	p.ctx, p.cancel = context.WithCancel(n.ctx)
-	for _, j := range n.graph.Neighbors(i) {
+	for r := range n.graph.Degree(i) {
+		j := n.graph.Neighbor(i, r)
 		q := n.peers[j]
 		if !q.alive.Load() {
 			continue

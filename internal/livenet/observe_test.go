@@ -37,7 +37,8 @@ func TestCounterBalance(t *testing.T) {
 	var dataSent, pullSent int
 	deadline := time.After(10 * time.Second)
 	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
+		for r := range g.Degree(u) {
+			v := g.Neighbor(u, r)
 			for !net.Send(u, v, false, testClassification(t, 0.25)) {
 				select {
 				case <-deadline:

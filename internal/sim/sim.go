@@ -371,17 +371,17 @@ func (n *Network[M]) Stats() Stats { return n.c.stats() }
 
 // pickNeighbor chooses the destination for node i under the policy.
 func pickNeighbor(g *topology.Graph, i int, policy Policy, rr []int, r *rng.RNG) (int, bool) {
-	nbrs := g.Neighbors(i)
-	if len(nbrs) == 0 {
+	d := g.Degree(i)
+	if d == 0 {
 		return 0, false
 	}
 	switch policy {
 	case RoundRobin:
-		dst := nbrs[rr[i]%len(nbrs)]
+		dst := g.Neighbor(i, rr[i]%d)
 		rr[i]++
 		return dst, true
 	default:
-		return nbrs[r.IntN(len(nbrs))], true
+		return g.Neighbor(i, r.IntN(d)), true
 	}
 }
 

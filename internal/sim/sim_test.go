@@ -136,6 +136,46 @@ func TestRoundRobinPolicyVisitsAllNeighbors(t *testing.T) {
 	}
 }
 
+// TestPickNeighborFullMatchesNew pins the implicit complete graph to
+// the one built from all pairs: under both policies, the same
+// destination at every pick and the driver's RNG at the same next draw
+// after. Round-robin cursors start scattered so every rank is reached.
+func TestPickNeighborFullMatchesNew(t *testing.T) {
+	for _, n := range []int{2, 3, 64, 1000} {
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+		want, err := topology.New(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fullGraph(t, n)
+		for _, policy := range []Policy{PushRandom, RoundRobin} {
+			seed := uint64(n)*2 + uint64(policy)
+			r, rWant, order := rng.New(seed), rng.New(seed), rng.New(seed+1)
+			rr, rrWant := make([]int, n), make([]int, n)
+			for i := range rr {
+				rr[i] = order.IntN(2 * n)
+				rrWant[i] = rr[i]
+			}
+			for step := 0; step < 20*n; step++ {
+				i := order.IntN(n)
+				dst, ok := pickNeighbor(got, i, policy, rr, r)
+				dstWant, okWant := pickNeighbor(want, i, policy, rrWant, rWant)
+				if dst != dstWant || ok != okWant {
+					t.Fatalf("n=%d %v step %d node %d: picked %d (%v), all-pairs graph %d (%v)", n, policy, step, i, dst, ok, dstWant, okWant)
+				}
+			}
+			if r.Uint64() != rWant.Uint64() {
+				t.Fatalf("n=%d %v: RNG diverged from the all-pairs graph's", n, policy)
+			}
+		}
+	}
+}
+
 func TestCrashInjection(t *testing.T) {
 	const n = 100
 	values := make([]float64, n)

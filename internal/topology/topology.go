@@ -24,10 +24,12 @@ import (
 // connected.
 var ErrDisconnected = errors.New("topology: graph is not connected")
 
-// Graph is an undirected simple graph over nodes 0..n-1.
+// Graph is an undirected simple graph over nodes 0..n-1. Degree and
+// Neighbor are the only way to read it: the complete graph stores no
+// adjacency at all, every other graph a sorted list per node.
 type Graph struct {
 	n   int
-	adj [][]int // sorted neighbor lists
+	adj [][]int // sorted neighbor lists; nil on the complete graph
 }
 
 // New builds a graph from an edge list. Self-loops and duplicate edges
@@ -74,15 +76,32 @@ func New(n int, edges [][2]int) (*Graph, error) {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// Neighbors returns the sorted neighbor list of node i. The returned
-// slice must not be modified.
-func (g *Graph) Neighbors(i int) []int { return g.adj[i] }
-
 // Degree returns the degree of node i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
+func (g *Graph) Degree(i int) int {
+	if g.adj == nil {
+		return g.n - 1
+	}
+	return len(g.adj[i])
+}
+
+// Neighbor returns node i's r-th neighbor in ascending order, for
+// 0 <= r < Degree(i). On the complete graph that is r below i and r+1
+// from i on.
+func (g *Graph) Neighbor(i, r int) int {
+	if g.adj == nil {
+		if r < i {
+			return r
+		}
+		return r + 1
+	}
+	return g.adj[i][r]
+}
 
 // EdgeCount returns the number of undirected edges.
 func (g *Graph) EdgeCount() int {
+	if g.adj == nil {
+		return g.n * (g.n - 1) / 2
+	}
 	var m int
 	for _, a := range g.adj {
 		m += len(a)
@@ -94,6 +113,9 @@ func (g *Graph) EdgeCount() int {
 func (g *Graph) IsConnected() bool {
 	if g.n == 0 {
 		return false
+	}
+	if g.adj == nil {
+		return true
 	}
 	visited := make([]bool, g.n)
 	queue := []int{0}
@@ -118,6 +140,9 @@ func (g *Graph) IsConnected() bool {
 func (g *Graph) Diameter() (int, error) {
 	if !g.IsConnected() {
 		return 0, ErrDisconnected
+	}
+	if g.adj == nil {
+		return min(g.n-1, 1), nil
 	}
 	var diam int
 	dist := make([]int, g.n)
@@ -145,26 +170,14 @@ func (g *Graph) Diameter() (int, error) {
 }
 
 // Full returns the complete graph on n nodes (the paper's simulation
-// topology, §5.3). It fills the adjacency directly: every list is
-// 0..n-1 without its own node, sorted and duplicate-free by
-// construction, so neither an edge list nor New's checks are needed.
+// topology, §5.3). It stores no adjacency: Degree, Neighbor and the
+// whole-graph queries answer in closed form, so it takes O(1) memory
+// at any n.
 func Full(n int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: n = %d must be positive", n)
 	}
-	flat := make([]int, n*(n-1))
-	adj := make([][]int, n)
-	for i := range adj {
-		a := flat[i*(n-1) : (i+1)*(n-1) : (i+1)*(n-1)]
-		for j := range a {
-			a[j] = j
-			if j >= i {
-				a[j]++
-			}
-		}
-		adj[i] = a
-	}
-	return &Graph{n: n, adj: adj}, nil
+	return &Graph{n: n}, nil
 }
 
 // Ring returns the cycle on n nodes (n >= 3), or the single edge for
@@ -325,9 +338,9 @@ func Geometric(n int, radius float64, r *rng.RNG, maxTries int) (*Graph, error) 
 // (deduplicated — i drawing j and j drawing i is one edge) forms the
 // edge set. Construction is O(n·d) with no edge map: the draws fill
 // the adjacency lists directly, duplicates included, and each list is
-// then sorted and compacted. This makes it the topology of choice at
-// scales where the O(n²) generators (ER, geometric) and the full mesh
-// are out of reach. It resamples until connected, up to maxTries
+// then sorted and compacted. This makes it the sparse topology of
+// choice at scales where the O(n²) generators (ER, geometric) are out
+// of reach. It resamples until connected, up to maxTries
 // attempts; for d >= 3 the first sample is connected with overwhelming
 // probability.
 func Regular(n, d int, r *rng.RNG, maxTries int) (*Graph, error) {

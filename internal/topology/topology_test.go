@@ -3,11 +3,23 @@ package topology
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"distclass/internal/rng"
 )
+
+// neighbors collects node i's neighbors through the accessors, in
+// ascending order.
+func neighbors(g *Graph, i int) []int {
+	out := make([]int, g.Degree(i))
+	for r := range out {
+		out[r] = g.Neighbor(i, r)
+	}
+	return out
+}
 
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
@@ -42,9 +54,8 @@ func TestNewBasics(t *testing.T) {
 	if g.EdgeCount() != 3 {
 		t.Errorf("EdgeCount = %d", g.EdgeCount())
 	}
-	nbrs := g.Neighbors(1)
-	if len(nbrs) != 2 || nbrs[0] != 0 || nbrs[1] != 2 {
-		t.Errorf("Neighbors(1) = %v, want [0 2]", nbrs)
+	if nbrs := neighbors(g, 1); !reflect.DeepEqual(nbrs, []int{0, 2}) {
+		t.Errorf("neighbors of 1 = %v, want [0 2]", nbrs)
 	}
 	if g.Degree(3) != 1 {
 		t.Errorf("Degree(3) = %d", g.Degree(3))
@@ -114,8 +125,8 @@ func TestFull(t *testing.T) {
 	}
 }
 
-// TestFullMatchesNew pins Full's direct fill against the complete graph
-// built from its edge list.
+// TestFullMatchesNew pins the implicit complete graph against the one
+// built from its edge list, through every accessor.
 func TestFullMatchesNew(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 257} {
 		var edges [][2]int
@@ -132,12 +143,45 @@ func TestFullMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Full(%d): %v", n, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Full(%d) differs from New over all pairs", n)
+		if got.N() != n || got.EdgeCount() != want.EdgeCount() || got.IsConnected() != want.IsConnected() {
+			t.Errorf("Full(%d): N %d, edges %d, connected %v; New over all pairs: edges %d, connected %v",
+				n, got.N(), got.EdgeCount(), got.IsConnected(), want.EdgeCount(), want.IsConnected())
+		}
+		gd, gerr := got.Diameter()
+		wd, werr := want.Diameter()
+		if gd != wd || gerr != nil || werr != nil {
+			t.Errorf("Full(%d): diameter %d (%v), New over all pairs %d (%v)", n, gd, gerr, wd, werr)
+		}
+		for i := 0; i < n; i++ {
+			if got.Degree(i) != want.Degree(i) {
+				t.Fatalf("Full(%d): node %d degree %d, want %d", n, i, got.Degree(i), want.Degree(i))
+			}
+			for r := range want.Degree(i) {
+				if got.Neighbor(i, r) != want.Neighbor(i, r) {
+					t.Fatalf("Full(%d): node %d neighbor %d is %d, want %d", n, i, r, got.Neighbor(i, r), want.Neighbor(i, r))
+				}
+			}
 		}
 	}
 	if _, err := Full(0); err == nil {
 		t.Error("Full(0) accepted")
+	}
+}
+
+// TestFullBytesFlat pins the complete graph at O(1) memory: a million
+// nodes cost one small struct, not n(n-1) neighbor ids.
+func TestFullBytesFlat(t *testing.T) {
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < calls; k++ {
+		if _, err := Full(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Errorf("Full(1_000_000) allocates %d B per call, want under 1 KiB", per)
 	}
 }
 
@@ -229,8 +273,7 @@ func TestTree(t *testing.T) {
 		t.Errorf("Tree(7): connected=%v edges=%d", g.IsConnected(), g.EdgeCount())
 	}
 	// Root has children 1 and 2.
-	nbrs := g.Neighbors(0)
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 2 {
+	if nbrs := neighbors(g, 0); !reflect.DeepEqual(nbrs, []int{1, 2}) {
 		t.Errorf("root neighbors = %v", nbrs)
 	}
 	if _, err := Tree(0); err == nil {
@@ -373,8 +416,8 @@ func TestRegularMatchesMapOracle(t *testing.T) {
 					continue
 				}
 				for i := 0; i < n; i++ {
-					if !reflect.DeepEqual(g.Neighbors(i), want.Neighbors(i)) {
-						t.Fatalf("n=%d d=%d seed=%d: node %d neighbors %v, oracle %v", n, d, seed, i, g.Neighbors(i), want.Neighbors(i))
+					if got, wantN := neighbors(g, i), neighbors(want, i); !reflect.DeepEqual(got, wantN) {
+						t.Fatalf("n=%d d=%d seed=%d: node %d neighbors %v, oracle %v", n, d, seed, i, got, wantN)
 					}
 				}
 			}
@@ -466,15 +509,8 @@ func TestPropertyNeighborsSymmetric(t *testing.T) {
 			return errors.Is(err, ErrDisconnected)
 		}
 		for u := 0; u < n; u++ {
-			for _, v := range g.Neighbors(u) {
-				found := false
-				for _, w := range g.Neighbors(v) {
-					if w == u {
-						found = true
-						break
-					}
-				}
-				if !found {
+			for _, v := range neighbors(g, u) {
+				if !slices.Contains(neighbors(g, v), u) {
 					return false
 				}
 			}
@@ -510,5 +546,26 @@ func TestDiameterTorusAndGeometric(t *testing.T) {
 	}
 	if gd < 1 || gd > 39 {
 		t.Errorf("geometric diameter = %d", gd)
+	}
+}
+
+// BenchmarkBuild prices graph set-up per rep: the implicit full mesh
+// of the paper's figures at n = 1000, and the degree-8 regular graph
+// of the 100k workloads.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		kind Kind
+		n    int
+	}{{"full_1k", KindFull, 1000}, {"regular_100k", KindRegular, 100_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			r := rng.New(1)
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(c.kind, c.n, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
