@@ -113,13 +113,15 @@ monitor-smoke:
 # tracing on every backend. The harness asserts a clean happens-before
 # reconstruction and an exact provenance ledger internally, then the
 # distclass-analyze CLI re-audits the written trace files. Both run
-# the same causal.Analyze; the CLI step checks that the file on disk
-# replays clean at the CLI's default threshold, with zero anomalies.
+# the same replay.Analyze, whose report carries the causal section
+# because the traces declare schema 2; the CLI step checks that the
+# file on disk replays clean at the CLI's default threshold, with zero
+# replay and zero causal anomalies.
 causal-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -smoke causal -smoke-out "$$dir" >/dev/null && \
 	for b in round async pipe tcp shard; do \
-		$(GO) run ./cmd/distclass-analyze -causal -fail-anomalies -format json -o "$$dir/causal.$$b.json" "$$dir/causal.$$b.trace" || exit 1; \
+		$(GO) run ./cmd/distclass-analyze -fail-anomalies -format json -o "$$dir/causal.$$b.json" "$$dir/causal.$$b.trace" || exit 1; \
 	done && \
 	echo "causal-smoke: happens-before clean and ledger exact on all backends"
 
@@ -135,7 +137,7 @@ wire-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -smoke wire -smoke-out "$$dir" >/dev/null && \
 	for b in pipe tcp; do \
-		$(GO) run ./cmd/distclass-analyze -causal -fail-anomalies -format json -o "$$dir/wire.$$b.json" "$$dir/wire.$$b.trace" || exit 1; \
+		$(GO) run ./cmd/distclass-analyze -fail-anomalies -format json -o "$$dir/wire.$$b.json" "$$dir/wire.$$b.trace" || exit 1; \
 	done && \
 	echo "wire-smoke: v2+batching conserves weight exactly, ledger exact, >=40% fewer bytes/message"
 

@@ -2,17 +2,22 @@
 // distclass-sim, distclass-live or experiments via -trace) and reports
 // the paper's convergence diagnostics offline: convergence round,
 // per-round spread/error curves, message-complexity accounting,
-// per-node health and anomaly detection. Traces stream through the
-// same incremental analyzer the live monitor's /status renders from;
-// it keeps per-node and per-round aggregates and the probe curves,
-// never the raw events, so memory is O(nodes + rounds that carry
-// events + probes) however long the file.
+// per-node health and anomaly detection. A causal trace (recorded with
+// -causal, so its run header declares schema 2) also gets the causal
+// section in its text and JSON reports: happens-before matching,
+// Lamport clocks, dissemination depth, the critical path and the
+// weight-provenance ledger. Traces
+// stream through the same incremental analyzer the live monitor's
+// /status renders from; it keeps per-node and per-round aggregates and
+// the probe curves, never the raw events, so memory is O(nodes +
+// rounds that carry events + probes) however long the file, plus, for
+// a causal trace, the provenance ledger (up to nodes² entries) and the
+// messages in flight.
 //
 // Usage:
 //
 //	distclass-analyze [flags] trace.jsonl...
 //	distclass-analyze -diff [flags] a.jsonl b.jsonl
-//	distclass-analyze -causal [flags] trace.jsonl...
 //
 // Examples:
 //
@@ -23,13 +28,13 @@
 //	distclass-analyze -diff base.jsonl ablated.jsonl
 //
 //	distclass-sim -n 200 -seed 7 -trace run.jsonl -causal
-//	distclass-analyze -causal run.jsonl           # happens-before + provenance
+//	distclass-analyze run.jsonl                   # adds happens-before + provenance
 //
 // Output is deterministic: the same trace produces byte-identical
 // reports on every invocation, so reports can be committed, diffed and
 // golden-tested. With -fail-anomalies the exit status is 1 when any
-// analyzed trace reports a non-zero anomaly count (the make check
-// smoke gate).
+// analyzed trace reports a replay or causal anomaly (the make check
+// smoke gate). -diff compares the replay metrics only.
 package main
 
 import (
@@ -39,7 +44,6 @@ import (
 	"log"
 	"os"
 
-	"distclass/internal/causal"
 	"distclass/internal/replay"
 )
 
@@ -53,7 +57,6 @@ func main() {
 		window    = flag.Int("window", 3, "consecutive sub-threshold rounds required for convergence")
 		slack     = flag.Int("stall-slack", 0, "trailing rounds a node may be silent before counting as stalled (0 = max(10, rounds/5), negative disables)")
 		diff      = flag.Bool("diff", false, "compare exactly two traces metric-by-metric instead of reporting each")
-		causal    = flag.Bool("causal", false, "reconstruct the happens-before DAG and weight-provenance ledger of schema-2 traces (recorded with -causal) instead of the replay report")
 		out       = flag.String("o", "", "write the report to this file instead of stdout")
 		failAnom  = flag.Bool("fail-anomalies", false, "exit 1 when any analyzed trace has a non-zero anomaly count")
 	)
@@ -74,17 +77,7 @@ func main() {
 		w = f
 	}
 	opts := replay.Options{Threshold: *threshold, Window: *window, StallSlack: *slack}
-	var anomalies int
-	var err error
-	if *causal {
-		if *diff {
-			err = fmt.Errorf("-causal and -diff are mutually exclusive")
-		} else {
-			anomalies, err = runCausal(w, *format, causalOptions(opts), flag.Args())
-		}
-	} else {
-		anomalies, err = run(w, *format, *diff, opts, flag.Args())
-	}
+	anomalies, err := run(w, *format, *diff, opts, flag.Args())
 	if err != nil {
 		log.Print(err)
 		os.Exit(1)
@@ -93,66 +86,6 @@ func main() {
 		log.Printf("%d anomalies found", anomalies)
 		os.Exit(1)
 	}
-}
-
-// causalOptions maps the shared convergence flags onto the causal
-// analyzer's options.
-func causalOptions(opts replay.Options) causal.Options {
-	return causal.Options{Tolerance: opts.Threshold, Window: opts.Window}
-}
-
-// causalFile analyzes one causal trace file.
-func causalFile(path string, opts causal.Options) (*causal.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep, err := causal.Analyze(f, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// runCausal analyzes the given causal traces and writes the requested
-// output, returning the total anomaly count across all reports.
-func runCausal(w io.Writer, format string, opts causal.Options, paths []string) (int, error) {
-	switch format {
-	case "text", "json":
-	case "csv":
-		return 0, fmt.Errorf("-causal supports text and json formats only")
-	default:
-		return 0, fmt.Errorf("unknown format %q (valid: text, json)", format)
-	}
-	anomalies := 0
-	for i, path := range paths {
-		rep, err := causalFile(path, opts)
-		if err != nil {
-			return anomalies, err
-		}
-		anomalies += len(rep.Anomalies)
-		if format == "json" {
-			if err := rep.WriteJSON(w); err != nil {
-				return anomalies, err
-			}
-			continue
-		}
-		if i > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return anomalies, err
-			}
-		}
-		if len(paths) > 1 {
-			if _, err := fmt.Fprintf(w, "== %s\n", path); err != nil {
-				return anomalies, err
-			}
-		}
-		if err := rep.WriteText(w); err != nil {
-			return anomalies, err
-		}
-	}
-	return anomalies, nil
 }
 
 // analyzeFile replays one trace file into a report labeled with its
@@ -169,6 +102,15 @@ func analyzeFile(path string, opts replay.Options) (*replay.RunReport, error) {
 	}
 	rep.File = path
 	return rep, nil
+}
+
+// anomalyCount totals a report's replay and causal anomalies.
+func anomalyCount(rep *replay.RunReport) int {
+	n := rep.Anomalies.Count
+	if rep.Causal != nil {
+		n += len(rep.Causal.Anomalies)
+	}
+	return n
 }
 
 // run analyzes the given traces and writes the requested output,
@@ -195,7 +137,7 @@ func run(w io.Writer, format string, diff bool, opts replay.Options, paths []str
 			return 0, err
 		}
 		d := replay.NewDiff(a, b)
-		anomalies := a.Anomalies.Count + b.Anomalies.Count
+		anomalies := anomalyCount(a) + anomalyCount(b)
 		if format == "json" {
 			return anomalies, d.WriteJSON(w)
 		}
@@ -209,7 +151,7 @@ func run(w io.Writer, format string, diff bool, opts replay.Options, paths []str
 		if err != nil {
 			return 0, err
 		}
-		anomalies += rep.Anomalies.Count
+		anomalies += anomalyCount(rep)
 		reports = append(reports, rep)
 	}
 	switch format {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,5 +72,27 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := run(&buf, "text", false, replay.Options{}, []string{"does-not-exist.trace"}); err == nil {
 		t.Errorf("missing file accepted")
+	}
+}
+
+// TestCausalSectionAndAnomalyCount runs the CLI on causal traces: the
+// committed fixture reports its causal section with no anomaly, and a
+// causal orphan send counts toward the -fail-anomalies total although
+// the replay report alone is clean.
+func TestCausalSectionAndAnomalyCount(t *testing.T) {
+	out, anomalies := runString(t, "text", false, "../../internal/causal/testdata/fixture.trace")
+	if !strings.Contains(out, "causal analysis: backend=round schema=2") || anomalies != 0 {
+		t.Errorf("fixture: causal section present = %v, anomalies = %d; want present and 0",
+			strings.Contains(out, "causal analysis:"), anomalies)
+	}
+	orphan := filepath.Join(t.TempDir(), "orphan.trace")
+	trace := `{"round":-1,"node":-1,"kind":"run-header","value":0,"backend":"round","schema":2}
+{"round":0,"node":0,"kind":"send","value":0,"seq":1,"peer":1,"clock":1,"weight":0.5}
+`
+	if err := os.WriteFile(orphan, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, anomalies := runString(t, "json", false, orphan); anomalies != 1 {
+		t.Errorf("orphan send: %d anomalies, want 1 (causal)", anomalies)
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 	flag.StringVar(&cfg.codec, "codec", "v2", "wire codec for -backend pipe/tcp: v2 or v2f32")
 	flag.IntVar(&cfg.frameBatch, "frame-batch", 0, "coalesce up to this many queued messages per wire frame on -backend pipe/tcp (0 or 1 disables)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a JSONL protocol event trace to this file")
-	flag.BoolVar(&cfg.causal, "causal", false, "stamp trace events with causal metadata (per-sender seq, peer, Lamport clock, moved weight) for distclass-analyze -causal; requires -trace")
+	flag.BoolVar(&cfg.causal, "causal", false, "stamp trace events with causal metadata (per-sender seq, peer, Lamport clock, moved weight) for distclass-analyze's causal section; requires -trace")
 	flag.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /manifest and /debug/pprof on this address (\":0\" picks a port)")
 	flag.StringVar(&cfg.monitorAddr, "monitor", "", "attach the online monitor and serve /status, /health and /events (plus the -metrics endpoints) on this address; distclass-top points here")
 	flag.Parse()

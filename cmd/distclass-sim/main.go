@@ -44,7 +44,7 @@ func main() {
 		spreadStd  = flag.Float64("std", 1.0, "cluster standard deviation")
 		plotOut    = flag.Bool("plot", false, "render an ASCII scatter of values and the final mixture (gm method, 2-D data)")
 		traceFile  = flag.String("trace", "", "write a JSONL event trace (splits, merges, sends, per-round spread, node 0's classification) to this file")
-		causal     = flag.Bool("causal", false, "stamp trace events with causal metadata (per-sender seq, peer, Lamport clock, moved weight) for distclass-analyze -causal; requires -trace")
+		causal     = flag.Bool("causal", false, "stamp trace events with causal metadata (per-sender seq, peer, Lamport clock, moved weight) for distclass-analyze's causal section; requires -trace")
 		metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot after the run to this file (\"-\" for stdout)")
 		monitor    = flag.String("monitor", "", "attach the online monitor and serve /status, /health, /events and /metrics on this address while the simulation runs")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof; phases are labeled)")

@@ -22,6 +22,7 @@ import (
 	"distclass/internal/experiments"
 	"distclass/internal/metrics"
 	"distclass/internal/monitor"
+	"distclass/internal/replay"
 	"distclass/internal/rng"
 	"distclass/internal/trace"
 )
@@ -394,11 +395,11 @@ func causalSmoke(b engine.Backend, seed uint64, o obs, prefix string) ([][]strin
 }
 
 // causalAudit runs r with causal tracing and analyzes the trace for a
-// clean happens-before reconstruction — zero anomalies, every receive
-// matched — and a provenance ledger that conserves the initial weight
-// exactly. With prefix set the trace is also written to
-// <prefix>.<backend>.trace, so distclass-analyze can re-audit the same
-// bytes.
+// clean replay report and happens-before reconstruction — zero
+// anomalies of either kind, every receive matched — and a provenance
+// ledger that conserves the initial weight exactly. With prefix set
+// the trace is also written to <prefix>.<backend>.trace, so
+// distclass-analyze can re-audit the same bytes.
 func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 	var buf bytes.Buffer
 	r.opts = append(r.opts, distclass.WithTrace(trace.NewRecorder(&buf)), distclass.WithCausal())
@@ -413,9 +414,16 @@ func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	rep, err := causal.Analyze(bytes.NewReader(buf.Bytes()), causal.Options{Tolerance: smokeTol})
+	replayed, err := replay.Analyze(bytes.NewReader(buf.Bytes()), replay.Options{Threshold: smokeTol})
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
+	}
+	if an := replayed.Anomalies; an.Count != 0 {
+		return nil, fmt.Errorf("%d replay anomalies (%s)", an.Count, strings.Join(an.Notes, "; "))
+	}
+	rep := replayed.Causal
+	if rep == nil {
+		return nil, errors.New("no causal section: the trace lacks a schema-2 run header")
 	}
 	if len(rep.Anomalies) != 0 {
 		return nil, fmt.Errorf("%d anomalies (first: %s)", len(rep.Anomalies), rep.Anomalies[0].Detail)

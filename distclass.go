@@ -319,8 +319,8 @@ func WithRunHeader() Option { return func(o *options) { o.runHeader = true } }
 // transfer is stamped with a per-sender sequence number, the
 // destination (sends) or source (receives) peer id, a Lamport clock
 // and the weight it moves, and the trace opens with a schema-2 run
-// header so distclass-analyze -causal can reconstruct the
-// happens-before DAG and the weight-provenance ledger. Off by
+// header so distclass-analyze adds the causal section to its report:
+// the happens-before DAG and the weight-provenance ledger. Off by
 // default: plain traces stay byte-identical to earlier versions.
 // Implies WithRunHeader.
 func WithCausal() Option { return func(o *options) { o.causal = true } }

@@ -15,37 +15,32 @@
 // gap between the two is reported as column drift (pure accumulated
 // rounding, zero protocol meaning).
 //
-// Analysis is a single streaming pass: memory is proportional to the
-// node count and the number of currently-unmatched messages, never to
-// the trace length.
+// The analysis is a stage of replay.Analyzer, switched on by a
+// schema-2 run header: the one run analyzer feeds it every event and
+// tells it when the shared convergence detector fires, so
+// distclass-analyze's causal section and the monitor's /status causal
+// view come from the same state. Analyzer states what it keeps in
+// memory.
 package causal
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
-	"distclass/internal/converge"
 	"distclass/internal/trace"
 )
-
-// Options configures Analyze.
-type Options struct {
-	// Tolerance and Window configure the convergence detector applied
-	// to the trace's spread probes; non-positive values select the
-	// repo-wide defaults (converge.DefaultThreshold/DefaultWindow), the
-	// same rule internal/replay applies.
-	Tolerance float64
-	Window    int
-}
 
 // Anomaly is one causal-contract violation found in the trace.
 type Anomaly struct {
 	// Type is one of "orphan-send", "unmatched-receive",
 	// "duplicate-send", "duplicate-receive", "clock-regression",
-	// "misrouted", "weight-mismatch".
+	// "misrouted", "weight-mismatch", "bad-endpoint" (a send or receive
+	// naming a negative node or peer, skipped).
 	Type string `json:"type"`
 	// Node and Peer are the endpoints as seen by the violating event.
 	Node int `json:"node"`
@@ -168,7 +163,8 @@ type msgKey struct {
 	seq uint64
 }
 
-// message is one causal send awaiting (or joined with) its receive.
+// message is one causal send: awaiting its receive while in the
+// message table, a link of the critical-path back-chain once matched.
 type message struct {
 	src, dst  int
 	seq       uint64
@@ -178,9 +174,8 @@ type message struct {
 	// depth is the chain length this message extends to (its sender's
 	// depth at send time plus one); parent is the message that set the
 	// sender's depth, forming the back-chain the critical path walks.
-	depth    int
-	parent   *message
-	consumed bool
+	depth  int
+	parent *message
 }
 
 // pendingReceive is a receive event observed before its send — legal
@@ -192,6 +187,65 @@ type pendingReceive struct {
 	weight float64
 }
 
+// share is one entry of a provenance row: weight held of one origin.
+type share struct {
+	origin int
+	w      float64
+}
+
+// seqRun is a closed range of sequence numbers.
+type seqRun struct{ lo, hi uint64 }
+
+// seqRuns is one sender's set of seen sequence numbers as sorted,
+// disjoint, non-adjacent runs. In-order sends extend the last run, so
+// its size follows the gaps (sequence numbers burned on refused sends)
+// and reordering, not the message count.
+type seqRuns []seqRun
+
+// has reports whether seq was seen.
+func (s seqRuns) has(seq uint64) bool {
+	i := sort.Search(len(s), func(i int) bool { return s[i].hi >= seq })
+	return i < len(s) && s[i].lo <= seq
+}
+
+// add records seq and reports whether it was new.
+func (s *seqRuns) add(seq uint64) bool {
+	r := *s
+	// The first run ending at or after seq-1 is the one seq falls in,
+	// extends, or precedes.
+	i := sort.Search(len(r), func(i int) bool { return r[i].hi+1 >= seq })
+	switch {
+	case i < len(r) && r[i].lo <= seq && seq <= r[i].hi:
+		return false
+	case i < len(r) && r[i].hi+1 == seq:
+		r[i].hi = seq
+		if i+1 < len(r) && r[i+1].lo == seq+1 {
+			r[i].hi = r[i+1].hi
+			r = slices.Delete(r, i+1, i+2)
+		}
+	case i < len(r) && r[i].lo == seq+1:
+		r[i].lo = seq
+	default:
+		r = slices.Insert(r, i, seqRun{seq, seq})
+	}
+	*s = r
+	return true
+}
+
+// node is one node's causal state.
+type node struct {
+	clock uint64
+	depth int
+	sent  seqRuns
+	// last is the message that set depth, the head of the node's
+	// back-chain; row is the node's provenance row sorted by origin;
+	// expected is the invariant column expectation of the node as an
+	// origin. All three are kept only with provenance on.
+	last     *message
+	row      []share
+	expected float64
+}
+
 // reachEpsilon is the share below which a holder does not count toward
 // an origin's reach.
 const reachEpsilon = 1e-12
@@ -201,27 +255,36 @@ const reachEpsilon = 1e-12
 // unaffected).
 const timelineMaxNodes = 1024
 
-// analyzer is the streaming state of one Analyze call.
-type analyzer struct {
-	det *converge.Detector
+// Analyzer is the streaming causal stage of replay.Analyzer, which
+// builds one when a schema-2 run header arrives, feeds it every event,
+// and calls Converged when its convergence detector first fires.
+// Report renders the state reached so far.
+//
+// Memory: a matched message leaves the message table at once, so the
+// message, pending-receive and in-flight tables hold only unmatched
+// messages, and duplicate detection keeps per sender only the runs of
+// seen sequence numbers. Node state is created when an id is first
+// seen. With provenance on (offline analysis) the stage also keeps the
+// provenance ledger, which turns dense once the nodes mix (O(nodes²)
+// entries), the timeline, the critical-path back-chain and the
+// anomaly list. With provenance off (the live monitor's capped
+// analyzer) it keeps none of them: its state is O(nodes + messages in
+// flight), and its report carries counts, clocks and depths only. It
+// is not safe for concurrent use.
+type Analyzer struct {
+	backend    string
+	schema     int
+	provenance bool
 
-	backend string
-	schema  int
-
-	n       int // nodes seen so far (max id + 1)
-	depth   []int
-	lastMsg []*message
-	clock   []uint64
-
-	// ledger[holder][origin] — sparse provenance rows; colExpected is
-	// the invariant per-origin column expectation.
-	ledger      []map[int]float64
-	colExpected []float64
-	destroyed   float64
+	nodes     map[int]*node
+	destroyed float64
 
 	msgs        map[msgKey]*message
 	pendingRecv map[msgKey]pendingReceive
-	inflight    map[msgKey]map[int]float64
+	inflight    map[msgKey][]share
+	// spare holds credited provenance vectors for debit to reuse, so a
+	// dense ledger does not allocate one per message.
+	spare [][]share
 
 	sends, receives, matched, duplicates int
 	crashes, recovers, sendDrops         int
@@ -234,90 +297,72 @@ type analyzer struct {
 	anomalies []Anomaly
 }
 
-// Analyze reads one JSONL trace stream and reconstructs its causal
-// report. The stream must begin with a schema-2 run header (see
-// trace.CausalRunHeader); analyzing a pre-causal trace is an error,
-// not an empty report.
-func Analyze(r io.Reader, opts Options) (*Report, error) {
-	a := &analyzer{
-		det:            converge.New(opts.Tolerance, opts.Window),
-		schema:         -1,
+// NewAnalyzer starts the causal stage of the run the given run header
+// opens; provenance selects the full offline state (see Analyzer).
+func NewAnalyzer(header trace.Event, provenance bool) *Analyzer {
+	return &Analyzer{
+		backend:        header.Backend,
+		schema:         header.Schema,
+		provenance:     provenance,
 		convergedRound: -1,
+		nodes:          make(map[int]*node),
 		msgs:           make(map[msgKey]*message),
 		pendingRecv:    make(map[msgKey]pendingReceive),
-		inflight:       make(map[msgKey]map[int]float64),
+		inflight:       make(map[msgKey][]share),
 	}
-	cur := trace.NewCursor(r)
-	for {
-		e, err := cur.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("causal: %w", err)
-		}
-		if a.schema < 0 {
-			if e.Kind != trace.KindRunHeader {
-				return nil, fmt.Errorf("causal: line %d: trace does not start with a run header; causal analysis needs a schema-%d trace (run with causal tracing on)", cur.Line(), trace.SchemaCausal)
-			}
-			if e.Schema < trace.SchemaCausal {
-				return nil, fmt.Errorf("causal: run header declares schema %d; causal analysis needs schema %d (run with causal tracing on)", e.Schema, trace.SchemaCausal)
-			}
-			a.backend = e.Backend
-			a.schema = e.Schema
-			continue
-		}
-		a.event(e)
-	}
-	if a.schema < 0 {
-		return nil, fmt.Errorf("causal: empty trace")
-	}
-	return a.report(), nil
 }
 
-// ensure grows the per-node state to cover node id.
-func (a *analyzer) ensure(id int) {
-	if id < a.n {
-		return
+// nodeAt returns the state of node id, creating it on first sight with
+// its unit initial weight.
+func (a *Analyzer) nodeAt(id int) *node {
+	n, ok := a.nodes[id]
+	if !ok {
+		n = &node{}
+		if a.provenance {
+			n.row = []share{{origin: id, w: 1}}
+			n.expected = 1
+		}
+		a.nodes[id] = n
 	}
-	for i := a.n; i <= id; i++ {
-		a.depth = append(a.depth, 0)
-		a.lastMsg = append(a.lastMsg, nil)
-		a.clock = append(a.clock, 0)
-		a.ledger = append(a.ledger, map[int]float64{i: 1})
-		a.colExpected = append(a.colExpected, 1)
-	}
-	a.n = id + 1
+	return n
 }
 
-// event folds one trace event into the analysis.
-func (a *analyzer) event(e trace.Event) {
+// flag records an anomaly; without provenance only the counters that
+// led to it are kept.
+func (a *Analyzer) flag(an Anomaly) {
+	if a.provenance {
+		a.anomalies = append(a.anomalies, an)
+	}
+}
+
+// Observe folds one trace event into the analysis.
+func (a *Analyzer) Observe(e trace.Event) {
 	switch e.Kind {
-	case trace.KindSend:
+	case trace.KindSend, trace.KindReceive:
 		if e.Seq == 0 {
-			return // pull request or pre-causal send: no weight moves
+			return // pull request or pre-causal transfer: no weight moves
 		}
-		a.send(e)
-	case trace.KindReceive:
-		if e.Seq == 0 {
+		if e.Node < 0 || e.Peer < 0 {
+			a.flag(Anomaly{
+				Type: "bad-endpoint", Node: e.Node, Peer: e.Peer, Seq: e.Seq,
+				Detail: fmt.Sprintf("%s (%d,%d) names node %d and peer %d", e.Kind, e.Node, e.Seq, e.Node, e.Peer),
+			})
 			return
 		}
-		a.receive(e)
+		if e.Kind == trace.KindSend {
+			a.send(e)
+		} else {
+			a.receive(e)
+		}
 	case trace.KindCrash:
 		a.crashes++
 		if e.Node >= 0 {
-			a.ensure(e.Node)
-			row := a.ledger[e.Node]
-			keys := make([]int, 0, len(row))
-			for o := range row {
-				keys = append(keys, o)
+			n := a.nodeAt(e.Node)
+			for _, s := range n.row {
+				a.nodes[s.origin].expected -= s.w
+				a.destroyed += s.w
 			}
-			sort.Ints(keys)
-			for _, o := range keys {
-				a.colExpected[o] -= row[o]
-				a.destroyed += row[o]
-			}
-			a.ledger[e.Node] = make(map[int]float64)
+			n.row = n.row[:0]
 		}
 	case trace.KindRecover:
 		a.recovers++
@@ -325,74 +370,90 @@ func (a *analyzer) event(e trace.Event) {
 			// A restarted node re-enters with a fresh unit-weight value
 			// of its own origin — the same weight creation the
 			// conservation audit credits.
-			a.ensure(e.Node)
-			a.ledger[e.Node][e.Node]++
-			a.colExpected[e.Node]++
+			n := a.nodeAt(e.Node)
+			if a.provenance {
+				n.row = addShares(n.row, []share{{origin: e.Node, w: 1}})
+				n.expected++
+			}
 		}
 	case trace.KindSendDrop:
 		a.sendDrops++
 	case trace.KindSpread:
-		if e.Node == -1 {
-			a.spread(e)
+		if a.provenance && len(a.nodes) > 0 && len(a.nodes) <= timelineMaxNodes {
+			a.timeline = append(a.timeline, TimelineSample{
+				Round:     e.Round,
+				MaxDepth:  a.maxDepth(),
+				MeanReach: a.meanReach(),
+			})
 		}
 	}
 }
 
-// send processes one causal send event.
-func (a *analyzer) send(e trace.Event) {
-	a.ensure(e.Node)
-	a.ensure(e.Peer)
-	a.sends++
-	if e.Clock > a.clock[e.Node] {
-		a.clock[e.Node] = e.Clock
+// Converged marks the caller's convergence detector firing at the
+// spread probe of the given round: the critical path is the back-chain
+// as it stands now. Later calls are ignored.
+func (a *Analyzer) Converged(round int) {
+	if a.converged {
+		return
 	}
-	key := msgKey{src: e.Node, seq: e.Seq}
-	if _, dup := a.msgs[key]; dup {
+	a.converged = true
+	a.convergedRound = round
+	a.criticalPath = a.snapshotPath()
+}
+
+// send processes one causal send event.
+func (a *Analyzer) send(e trace.Event) {
+	src := a.nodeAt(e.Node)
+	a.nodeAt(e.Peer)
+	a.sends++
+	if e.Clock > src.clock {
+		src.clock = e.Clock
+	}
+	if !src.sent.add(e.Seq) {
 		a.duplicates++
-		a.anomalies = append(a.anomalies, Anomaly{
+		a.flag(Anomaly{
 			Type: "duplicate-send", Node: e.Node, Peer: e.Peer, Seq: e.Seq,
 			Detail: fmt.Sprintf("node %d reused sequence number %d", e.Node, e.Seq),
 		})
 		return
 	}
+	key := msgKey{src: e.Node, seq: e.Seq}
 	m := &message{
 		src: e.Node, dst: e.Peer, seq: e.Seq,
 		sendClock: e.Clock, weight: e.Weight,
-		depth:  a.depth[e.Node] + 1,
-		parent: a.lastMsg[e.Node],
+		depth:  src.depth + 1,
+		parent: src.last,
 	}
-	a.msgs[key] = m
-	a.debit(key, e.Node, e.Weight)
+	if a.provenance {
+		a.debit(key, src, e.Weight)
+	}
 	if pr, ok := a.pendingRecv[key]; ok {
 		delete(a.pendingRecv, key)
 		a.match(key, m, pr.dst, pr.clock, pr.weight)
+		return
 	}
+	a.msgs[key] = m
 }
 
 // receive processes one causal receive event.
-func (a *analyzer) receive(e trace.Event) {
-	a.ensure(e.Node)
-	a.ensure(e.Peer)
+func (a *Analyzer) receive(e trace.Event) {
+	dst := a.nodeAt(e.Node)
+	src := a.nodeAt(e.Peer)
 	a.receives++
-	if e.Clock > a.clock[e.Node] {
-		a.clock[e.Node] = e.Clock
+	if e.Clock > dst.clock {
+		dst.clock = e.Clock
 	}
 	key := msgKey{src: e.Peer, seq: e.Seq}
 	if m, ok := a.msgs[key]; ok {
-		if m.consumed {
-			a.duplicates++
-			a.anomalies = append(a.anomalies, Anomaly{
-				Type: "duplicate-receive", Node: e.Node, Peer: e.Peer, Seq: e.Seq,
-				Detail: fmt.Sprintf("message (%d,%d) delivered more than once", e.Peer, e.Seq),
-			})
-			return
-		}
+		delete(a.msgs, key)
 		a.match(key, m, e.Node, e.Clock, e.Weight)
 		return
 	}
-	if _, dup := a.pendingRecv[key]; dup {
+	// Not awaiting a receive: either already delivered (sent and
+	// matched, or parked below) or not sent yet.
+	if _, parked := a.pendingRecv[key]; parked || src.sent.has(e.Seq) {
 		a.duplicates++
-		a.anomalies = append(a.anomalies, Anomaly{
+		a.flag(Anomaly{
 			Type: "duplicate-receive", Node: e.Node, Peer: e.Peer, Seq: e.Seq,
 			Detail: fmt.Sprintf("message (%d,%d) delivered more than once", e.Peer, e.Seq),
 		})
@@ -405,108 +466,106 @@ func (a *analyzer) receive(e trace.Event) {
 
 // match joins a send with its receive: contract checks, depth update,
 // ledger credit.
-func (a *analyzer) match(key msgKey, m *message, dst int, recvClock uint64, recvWeight float64) {
+func (a *Analyzer) match(key msgKey, m *message, dstID int, recvClock uint64, recvWeight float64) {
 	a.matched++
-	m.consumed = true
 	m.recvClock = recvClock
 	if recvClock <= m.sendClock {
-		a.anomalies = append(a.anomalies, Anomaly{
-			Type: "clock-regression", Node: dst, Peer: m.src, Seq: m.seq,
+		a.flag(Anomaly{
+			Type: "clock-regression", Node: dstID, Peer: m.src, Seq: m.seq,
 			Detail: fmt.Sprintf("receive clock %d not after send clock %d", recvClock, m.sendClock),
 		})
 	}
-	if dst != m.dst {
-		a.anomalies = append(a.anomalies, Anomaly{
-			Type: "misrouted", Node: dst, Peer: m.src, Seq: m.seq,
-			Detail: fmt.Sprintf("sent to node %d but received by node %d", m.dst, dst),
+	if dstID != m.dst {
+		a.flag(Anomaly{
+			Type: "misrouted", Node: dstID, Peer: m.src, Seq: m.seq,
+			Detail: fmt.Sprintf("sent to node %d but received by node %d", m.dst, dstID),
 		})
 	}
 	if math.Float64bits(recvWeight) != math.Float64bits(m.weight) {
-		a.anomalies = append(a.anomalies, Anomaly{
-			Type: "weight-mismatch", Node: dst, Peer: m.src, Seq: m.seq,
+		a.flag(Anomaly{
+			Type: "weight-mismatch", Node: dstID, Peer: m.src, Seq: m.seq,
 			Detail: fmt.Sprintf("send carried weight %g, receive %g", m.weight, recvWeight),
 		})
 	}
-	if m.depth > a.depth[dst] {
-		a.depth[dst] = m.depth
-		a.lastMsg[dst] = m
+	dst := a.nodes[dstID]
+	if m.depth > dst.depth {
+		dst.depth = m.depth
+		if a.provenance {
+			dst.last = m
+		}
 	}
-	a.credit(key, dst)
+	if moved, ok := a.inflight[key]; ok {
+		delete(a.inflight, key)
+		dst.row = addShares(dst.row, moved)
+		a.spare = append(a.spare, moved)
+	}
 }
 
 // debit removes a proportional provenance vector worth w from src's
-// ledger row and parks it in flight under key.
-func (a *analyzer) debit(key msgKey, src int, w float64) {
-	row := a.ledger[src]
+// row and parks it in flight under key.
+func (a *Analyzer) debit(key msgKey, src *node, w float64) {
 	var rowSum float64
-	keys := make([]int, 0, len(row))
-	for o := range row {
-		keys = append(keys, o)
+	for _, s := range src.row {
+		rowSum += s.w
 	}
-	sort.Ints(keys)
-	for _, o := range keys {
-		rowSum += row[o]
-	}
-	moved := make(map[int]float64, len(row))
 	if rowSum <= 0 {
 		// A sender the ledger believes is empty (possible only on a
 		// trace that starts mid-run): attribute the transfer to the
 		// sender itself so the books still balance.
-		moved[src] = w
-		row[src] -= w
-	} else {
-		frac := w / rowSum
-		for _, o := range keys {
-			d := row[o] * frac
-			moved[o] = d
-			row[o] -= d
-		}
+		src.row = addShares(src.row, []share{{origin: key.src, w: -w}})
+		a.inflight[key] = []share{{origin: key.src, w: w}}
+		return
+	}
+	frac := w / rowSum
+	var moved []share
+	if k := len(a.spare); k > 0 {
+		moved, a.spare = a.spare[k-1][:0], a.spare[:k-1]
+	}
+	for i := range src.row {
+		d := src.row[i].w * frac
+		moved = append(moved, share{origin: src.row[i].origin, w: d})
+		src.row[i].w -= d
 	}
 	a.inflight[key] = moved
 }
 
-// credit lands an in-flight provenance vector in dst's ledger row.
-func (a *analyzer) credit(key msgKey, dst int) {
-	moved, ok := a.inflight[key]
-	if !ok {
-		return
+// addShares adds the origin-sorted shares into the origin-sorted row.
+// Once the nodes mix, a row already holds every origin a transfer
+// carries and the add is one in-place walk; an origin the row lacks
+// turns the rest into a merge into a fresh row.
+func addShares(row, add []share) []share {
+	i := 0
+	for j, s := range add {
+		for i < len(row) && row[i].origin < s.origin {
+			i++
+		}
+		if i == len(row) || row[i].origin != s.origin {
+			merged := append(make([]share, 0, len(row)+len(add)-j), row[:i]...)
+			rest := row[i:]
+			for _, s := range add[j:] {
+				for len(rest) > 0 && rest[0].origin < s.origin {
+					merged, rest = append(merged, rest[0]), rest[1:]
+				}
+				if len(rest) > 0 && rest[0].origin == s.origin {
+					s.w += rest[0].w
+					rest = rest[1:]
+				}
+				merged = append(merged, s)
+			}
+			return append(merged, rest...)
+		}
+		row[i].w += s.w
+		i++
 	}
-	delete(a.inflight, key)
-	row := a.ledger[dst]
-	keys := make([]int, 0, len(moved))
-	for o := range moved {
-		keys = append(keys, o)
-	}
-	sort.Ints(keys)
-	for _, o := range keys {
-		row[o] += moved[o]
-	}
-}
-
-// spread feeds one convergence probe, snapshots the critical path the
-// moment convergence is detected, and appends a timeline sample.
-func (a *analyzer) spread(e trace.Event) {
-	was := a.converged
-	if a.det.Observe(e.Round, e.Value) && !was {
-		a.converged = true
-		a.convergedRound = a.det.ConvergedRound()
-		a.criticalPath = a.snapshotPath()
-	}
-	if a.n > 0 && a.n <= timelineMaxNodes {
-		a.timeline = append(a.timeline, TimelineSample{
-			Round:     e.Round,
-			MaxDepth:  a.maxDepth(),
-			MeanReach: a.meanReach(),
-		})
-	}
+	return row
 }
 
 // maxDepth returns the deepest per-node causal depth.
-func (a *analyzer) maxDepth() int {
+func (a *Analyzer) maxDepth() int {
 	max := 0
-	for _, d := range a.depth {
-		if d > max {
-			max = d
+	for _, n := range a.nodes {
+		if n.depth > max {
+			max = n.depth
 		}
 	}
 	return max
@@ -514,69 +573,91 @@ func (a *analyzer) maxDepth() int {
 
 // meanReach averages, over origins, the number of holders with a
 // non-negligible share of that origin's weight.
-func (a *analyzer) meanReach() float64 {
-	if a.n == 0 {
-		return 0
-	}
+func (a *Analyzer) meanReach() float64 {
 	total := 0
-	for _, row := range a.ledger {
-		for _, w := range row {
-			if w > reachEpsilon {
+	for _, n := range a.nodes {
+		for _, s := range n.row {
+			if s.w > reachEpsilon {
 				total++
 			}
 		}
 	}
-	return float64(total) / float64(a.n)
+	return float64(total) / float64(len(a.nodes))
 }
 
 // snapshotPath walks the back-chain from the deepest node (ties to the
-// lowest id) and returns the chain root-first.
-func (a *analyzer) snapshotPath() []PathHop {
+// lowest id) and returns the chain root-first; nil without provenance.
+func (a *Analyzer) snapshotPath() []PathHop {
+	var deep *node
 	deepest := -1
-	for i, d := range a.depth {
-		if d > 0 && (deepest < 0 || d > a.depth[deepest]) {
-			deepest = i
+	for id, n := range a.nodes {
+		if n.last != nil && (deep == nil || n.depth > deep.depth || n.depth == deep.depth && id < deepest) {
+			deep, deepest = n, id
 		}
 	}
-	if deepest < 0 {
+	if deep == nil {
 		return nil
 	}
-	var rev []PathHop
-	for m := a.lastMsg[deepest]; m != nil; m = m.parent {
-		rev = append(rev, PathHop{
+	var path []PathHop
+	for m := deep.last; m != nil; m = m.parent {
+		path = append(path, PathHop{
 			Src: m.src, Dst: m.dst, Seq: m.seq,
 			SendClock: m.sendClock, RecvClock: m.recvClock,
 			Depth: m.depth,
 		})
 	}
-	path := make([]PathHop, len(rev))
-	for i, h := range rev {
-		path[len(rev)-1-i] = h
-	}
+	slices.Reverse(path)
 	return path
 }
 
-// report assembles the final Report after the stream ends.
-func (a *analyzer) report() *Report {
+// Report renders the causal state reached so far.
+func (a *Analyzer) Report() *Report {
 	rep := &Report{
-		Backend:        a.backend,
-		Schema:         a.schema,
-		Nodes:          a.n,
-		Sends:          a.sends,
-		Receives:       a.receives,
-		Matched:        a.matched,
-		Duplicates:     a.duplicates,
-		Crashes:        a.crashes,
-		Recovers:       a.recovers,
-		SendDrops:      a.sendDrops,
-		Converged:      a.converged,
-		ConvergedRound: a.convergedRound,
-		CriticalPath:   a.criticalPath,
-		Timeline:       a.timeline,
-		Anomalies:      a.anomalies,
+		Backend:           a.backend,
+		Schema:            a.schema,
+		Nodes:             len(a.nodes),
+		Sends:             a.sends,
+		Receives:          a.receives,
+		Matched:           a.matched,
+		OrphanSends:       len(a.msgs),
+		UnmatchedReceives: len(a.pendingRecv),
+		Duplicates:        a.duplicates,
+		Crashes:           a.crashes,
+		Recovers:          a.recovers,
+		SendDrops:         a.sendDrops,
+		Converged:         a.converged,
+		ConvergedRound:    a.convergedRound,
+		CriticalPath:      a.criticalPath,
+		Timeline:          a.timeline,
+		Anomalies:         slices.Clone(a.anomalies),
 	}
 	if !a.converged {
 		rep.CriticalPath = a.snapshotPath()
+	}
+
+	var minClock uint64
+	first := true
+	for _, n := range a.nodes {
+		rep.MaxClock = max(rep.MaxClock, n.clock)
+		if first || n.clock < minClock {
+			minClock, first = n.clock, false
+		}
+		rep.MaxDepth = max(rep.MaxDepth, n.depth)
+	}
+	rep.ClockSkew = rep.MaxClock - minClock
+	if len(a.nodes) > 0 {
+		counts := make([]int, rep.MaxDepth+1)
+		for _, n := range a.nodes {
+			counts[n.depth]++
+		}
+		for d, c := range counts {
+			if c > 0 {
+				rep.DepthHistogram = append(rep.DepthHistogram, DepthBucket{Depth: d, Count: c})
+			}
+		}
+	}
+	if !a.provenance {
+		return rep
 	}
 
 	// Unmatched sends, in deterministic (src, seq) order. Orphans are
@@ -586,21 +667,8 @@ func (a *analyzer) report() *Report {
 	// queues arbitrarily long, so sends still queued when the trace
 	// ends are pending, not lost (their weight stays on the books as
 	// in-flight, exactly as the driver's TotalWeight counts it).
-	orphans := make([]msgKey, 0)
-	for key, m := range a.msgs {
-		if !m.consumed {
-			orphans = append(orphans, key)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool {
-		if orphans[i].src != orphans[j].src {
-			return orphans[i].src < orphans[j].src
-		}
-		return orphans[i].seq < orphans[j].seq
-	})
-	rep.OrphanSends = len(orphans)
 	if a.crashes == 0 && a.backend != "async" {
-		for _, key := range orphans {
+		for _, key := range sortedKeys(a.msgs) {
 			m := a.msgs[key]
 			rep.Anomalies = append(rep.Anomalies, Anomaly{
 				Type: "orphan-send", Node: m.src, Peer: m.dst, Seq: m.seq,
@@ -608,111 +676,69 @@ func (a *analyzer) report() *Report {
 			})
 		}
 	}
-
 	// Receives whose send never appeared: always anomalous — a message
 	// cannot arrive unsent.
-	unmatched := make([]msgKey, 0, len(a.pendingRecv))
-	for key := range a.pendingRecv {
-		unmatched = append(unmatched, key)
-	}
-	sort.Slice(unmatched, func(i, j int) bool {
-		if unmatched[i].src != unmatched[j].src {
-			return unmatched[i].src < unmatched[j].src
-		}
-		return unmatched[i].seq < unmatched[j].seq
-	})
-	rep.UnmatchedReceives = len(unmatched)
-	for _, key := range unmatched {
+	for _, key := range sortedKeys(a.pendingRecv) {
 		pr := a.pendingRecv[key]
 		rep.Anomalies = append(rep.Anomalies, Anomaly{
 			Type: "unmatched-receive", Node: pr.dst, Peer: key.src, Seq: key.seq,
 			Detail: fmt.Sprintf("node %d received (%d,%d) but no such send was traced", pr.dst, key.src, key.seq),
 		})
 	}
-
-	// Clocks.
-	var minClock uint64
-	for i, c := range a.clock {
-		if c > rep.MaxClock {
-			rep.MaxClock = c
-		}
-		if i == 0 || c < minClock {
-			minClock = c
-		}
-	}
-	rep.ClockSkew = rep.MaxClock - minClock
-
-	// Depth histogram.
-	rep.MaxDepth = a.maxDepth()
-	buckets := make(map[int]int, rep.MaxDepth+1)
-	for _, d := range a.depth {
-		buckets[d]++
-	}
-	depths := make([]int, 0, len(buckets))
-	for d := range buckets {
-		depths = append(depths, d)
-	}
-	sort.Ints(depths)
-	for _, d := range depths {
-		rep.DepthHistogram = append(rep.DepthHistogram, DepthBucket{Depth: d, Count: buckets[d]})
-	}
-
 	rep.Ledger = a.ledgerReport()
 	return rep
 }
 
+// sortedKeys returns a message table's keys in (src, seq) order.
+func sortedKeys[V any](m map[msgKey]V) []msgKey {
+	keys := make([]msgKey, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(x, y msgKey) int {
+		return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.seq, y.seq))
+	})
+	return keys
+}
+
 // ledgerReport closes the provenance books: per-origin column sums
-// (held plus in-flight) against the invariant expectations.
-func (a *analyzer) ledgerReport() LedgerReport {
+// (held plus in-flight) against the invariant expectations, summed in
+// ascending holder, origin and message order.
+func (a *Analyzer) ledgerReport() LedgerReport {
 	lr := LedgerReport{Destroyed: a.destroyed}
-	actualCol := make([]float64, a.n)
-	reach := make([]int, a.n)
-	for _, row := range a.ledger {
-		keys := make([]int, 0, len(row))
-		for o := range row {
-			keys = append(keys, o)
-		}
-		sort.Ints(keys)
-		for _, o := range keys {
-			actualCol[o] += row[o]
-			if row[o] > reachEpsilon {
-				reach[o]++
+	ids := make([]int, 0, len(a.nodes))
+	for id := range a.nodes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	actual := make(map[int]float64, len(ids))
+	reach := make(map[int]int, len(ids))
+	for _, id := range ids {
+		for _, s := range a.nodes[id].row {
+			actual[s.origin] += s.w
+			if s.w > reachEpsilon {
+				reach[s.origin]++
 			}
 		}
 	}
-	inKeys := make([]msgKey, 0, len(a.inflight))
-	for key := range a.inflight {
-		inKeys = append(inKeys, key)
-	}
-	sort.Slice(inKeys, func(i, j int) bool {
-		if inKeys[i].src != inKeys[j].src {
-			return inKeys[i].src < inKeys[j].src
-		}
-		return inKeys[i].seq < inKeys[j].seq
-	})
-	for _, key := range inKeys {
-		moved := a.inflight[key]
-		os := make([]int, 0, len(moved))
-		for o := range moved {
-			os = append(os, o)
-		}
-		sort.Ints(os)
-		for _, o := range os {
-			actualCol[o] += moved[o]
-			lr.InFlight += moved[o]
+	for _, key := range sortedKeys(a.inflight) {
+		for _, s := range a.inflight[key] {
+			actual[s.origin] += s.w
+			lr.InFlight += s.w
 		}
 	}
-	for o := 0; o < a.n; o++ {
-		drift := math.Abs(actualCol[o] - a.colExpected[o])
+	for _, o := range ids {
+		expected := a.nodes[o].expected
+		drift := math.Abs(actual[o] - expected)
 		lr.Origins = append(lr.Origins, OriginSummary{
 			Origin:   o,
-			Expected: a.colExpected[o],
-			Actual:   actualCol[o],
+			Expected: expected,
+			Actual:   actual[o],
 			Drift:    drift,
 			Reach:    reach[o],
 		})
-		lr.ExpectedTotal += a.colExpected[o]
-		lr.ActualTotal += actualCol[o]
+		lr.ExpectedTotal += expected
+		lr.ActualTotal += actual[o]
 		if drift > lr.MaxColumnDrift {
 			lr.MaxColumnDrift = drift
 		}

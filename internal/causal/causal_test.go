@@ -1,16 +1,17 @@
-package causal
+package causal_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
+	"distclass/internal/causal"
+	"distclass/internal/replay"
 	"distclass/internal/trace"
 )
 
-// stream renders events as a JSONL trace for Analyze.
+// stream renders events as a JSONL trace for replay.Analyze.
 func stream(t *testing.T, events ...trace.Event) *bytes.Reader {
 	t.Helper()
 	var buf bytes.Buffer
@@ -23,14 +24,24 @@ func stream(t *testing.T, events ...trace.Event) *bytes.Reader {
 	return bytes.NewReader(buf.Bytes())
 }
 
-// analyze runs Analyze with default options over the given events.
-func analyze(t *testing.T, events ...trace.Event) *Report {
+// analyzeWith replays the given events and returns the causal section
+// of the report.
+func analyzeWith(t *testing.T, opts replay.Options, events ...trace.Event) *causal.Report {
 	t.Helper()
-	rep, err := Analyze(stream(t, events...), Options{})
+	rep, err := replay.Analyze(stream(t, events...), opts)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	return rep
+	if rep.Causal == nil {
+		t.Fatal("no causal section")
+	}
+	return rep.Causal
+}
+
+// analyze runs analyzeWith with default options.
+func analyze(t *testing.T, events ...trace.Event) *causal.Report {
+	t.Helper()
+	return analyzeWith(t, replay.Options{}, events...)
 }
 
 // send and recv build causal transfer events.
@@ -44,7 +55,7 @@ func recv(dst, src int, seq, clock uint64, w float64) trace.Event {
 
 func header() trace.Event { return trace.CausalRunHeader("test") }
 
-func anomalyTypes(rep *Report) []string {
+func anomalyTypes(rep *causal.Report) []string {
 	out := make([]string, len(rep.Anomalies))
 	for i, a := range rep.Anomalies {
 		out[i] = a.Type
@@ -52,21 +63,29 @@ func anomalyTypes(rep *Report) []string {
 	return out
 }
 
+// TestAnalyzeRequiresCausalHeader pins the switch: only a schema-2 run
+// header starts the causal stage, so a trace without one gets no
+// causal section.
 func TestAnalyzeRequiresCausalHeader(t *testing.T) {
+	transfer := []trace.Event{send(0, 1, 1, 1, 0.5), recv(1, 0, 1, 2, 0.5)}
 	cases := []struct {
 		name   string
 		events []trace.Event
-		want   string
+		want   bool
 	}{
-		{"empty", nil, "empty trace"},
-		{"no header", []trace.Event{{Round: 0, Node: -1, Kind: trace.KindSpread, Value: 0.5}}, "does not start with a run header"},
-		{"schema base", []trace.Event{trace.RunHeader("round")}, "schema 0"},
+		{"empty", nil, false},
+		{"no header", transfer, false},
+		{"schema base", append([]trace.Event{trace.RunHeader("round")}, transfer...), false},
+		{"schema causal", append([]trace.Event{header()}, transfer...), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Analyze(stream(t, tc.events...), Options{})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error = %v, want containing %q", err, tc.want)
+			rep, err := replay.Analyze(stream(t, tc.events...), replay.Options{})
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			if got := rep.Causal != nil; got != tc.want {
+				t.Errorf("causal section present = %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -257,7 +276,7 @@ func TestCriticalPathSnapshotAtConvergence(t *testing.T) {
 	spread := func(round int, v float64) trace.Event {
 		return trace.Event{Round: round, Node: -1, Kind: trace.KindSpread, Value: v}
 	}
-	rep, err := Analyze(stream(t,
+	rep := analyzeWith(t, replay.Options{Threshold: 0.05, Window: 3},
 		header(),
 		send(0, 1, 1, 1, 0.5),
 		recv(1, 0, 1, 2, 0.5),
@@ -268,10 +287,7 @@ func TestCriticalPathSnapshotAtConvergence(t *testing.T) {
 		// path must stay the convergence-time snapshot.
 		send(2, 0, 1, 5, 0.5),
 		recv(0, 2, 1, 6, 0.5),
-	), Options{Tolerance: 0.05, Window: 3})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	)
 	if !rep.Converged || rep.ConvergedRound != 2 {
 		t.Fatalf("converged=%v round=%d, want true at round 2", rep.Converged, rep.ConvergedRound)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"distclass"
 	"distclass/internal/causal"
+	"distclass/internal/replay"
 	"distclass/internal/rng"
 	"distclass/internal/trace"
 )
@@ -68,8 +69,8 @@ func regenFixture(t *testing.T) {
 	}
 }
 
-// analyzeFixture analyzes the committed fixture trace with the
-// fixture's own convergence parameters.
+// analyzeFixture replays the committed fixture trace with the
+// fixture's own convergence parameters and returns its causal section.
 func analyzeFixture(t *testing.T) *causal.Report {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "fixture.trace"))
@@ -77,11 +78,14 @@ func analyzeFixture(t *testing.T) *causal.Report {
 		t.Fatalf("open fixture (run `go test ./internal/causal -update` to create it): %v", err)
 	}
 	defer f.Close()
-	rep, err := causal.Analyze(f, causal.Options{Tolerance: fixtureTolerance})
+	rep, err := replay.Analyze(f, replay.Options{Threshold: fixtureTolerance})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	return rep
+	if rep.Causal == nil {
+		t.Fatal("fixture replay has no causal section")
+	}
+	return rep.Causal
 }
 
 // TestGoldenReports renders the fixture report in both formats and
@@ -237,10 +241,11 @@ func TestLedgerMatchesConservationAudit(t *testing.T) {
 	if _, converged, err := sys.RunUntilConverged(); err != nil || !converged {
 		t.Fatalf("run: converged=%v err=%v", converged, err)
 	}
-	rep, err := causal.Analyze(bytes.NewReader(buf.Bytes()), causal.Options{Tolerance: fixtureTolerance})
+	run, err := replay.Analyze(bytes.NewReader(buf.Bytes()), replay.Options{Threshold: fixtureTolerance})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
+	rep := run.Causal
 	st := mon.Status()
 	if !st.Conservation.Audited {
 		t.Fatalf("conservation audit not armed")
@@ -264,5 +269,9 @@ func TestLedgerMatchesConservationAudit(t *testing.T) {
 	}
 	if st.Causal.MaxClock == 0 || st.Causal.MaxClock != rep.MaxClock {
 		t.Errorf("monitor max clock %d != analyzer max clock %d", st.Causal.MaxClock, rep.MaxClock)
+	}
+	if st.Causal.ClockSkew != rep.ClockSkew || st.Causal.MaxDepth != rep.MaxDepth {
+		t.Errorf("monitor skew/depth %d/%d != analyzer %d/%d",
+			st.Causal.ClockSkew, st.Causal.MaxDepth, rep.ClockSkew, rep.MaxDepth)
 	}
 }

@@ -2,7 +2,8 @@
 // alike, must emit a schema-2 trace whose happens-before reconstruction
 // is clean — every send matched to exactly one receive, Lamport clocks
 // strictly increasing across each matched pair, and the provenance
-// ledger exactly conserving the initial weight. This is the engine-side
+// ledger exactly conserving the initial weight, and the replay report
+// of the same trace must be anomaly-free. This is the engine-side
 // acceptance bar of the causal tracing plane; the CLI half is exercised
 // by the experiments causal-smoke.
 package engine_test
@@ -13,8 +14,8 @@ import (
 	"time"
 
 	"distclass"
-	"distclass/internal/causal"
 	"distclass/internal/engine"
+	"distclass/internal/replay"
 	"distclass/internal/topology"
 	"distclass/internal/trace"
 )
@@ -55,9 +56,18 @@ func TestCausalTraceOnEveryBackend(t *testing.T) {
 				t.Fatal("did not converge")
 			}
 
-			rep, err := causal.Analyze(bytes.NewReader(buf.Bytes()), causal.Options{Tolerance: tol})
+			run, err := replay.Analyze(bytes.NewReader(buf.Bytes()), replay.Options{Threshold: tol})
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
+			}
+			// One round axis per trace: on async, spread probes carry
+			// the driver's step index like every other event.
+			if run.Anomalies.Count != 0 {
+				t.Errorf("replay anomalies: %+v", run.Anomalies)
+			}
+			rep := run.Causal
+			if rep == nil {
+				t.Fatal("no causal section")
 			}
 			if rep.Backend != b.String() || rep.Schema != trace.SchemaCausal {
 				t.Errorf("header = %s/%d, want %s/%d", rep.Backend, rep.Schema, b, trace.SchemaCausal)

@@ -191,6 +191,14 @@ func (e *simEngine) recordSpread(round int, spread float64) error {
 		e.cfg.Monitor.ObserveWeight(e.TotalWeight())
 	}
 	if e.cfg.Trace != nil {
+		if e.async != nil {
+			// Async send, receive and crash events carry the driver's
+			// step index, so the probe must too. It takes the step
+			// count, the index the crash phase's kills after the
+			// round's last step are stamped with; that step's own index
+			// would put the probe behind them.
+			round = e.async.Stats().Steps
+		}
 		return e.cfg.Trace.Record(trace.Event{
 			Round: round, Node: -1, Kind: trace.KindSpread, Value: spread,
 		})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"distclass/internal/monitor"
+	"distclass/internal/replay"
 	"distclass/internal/trace"
 )
 
@@ -51,5 +52,35 @@ func TestStatusGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("/status diverges from %s; run with -update if the change is intentional\ngot:\n%s", path, got)
+	}
+}
+
+// TestCausalStatusMatchesOfflineReport streams the committed causal
+// fixture through Monitor.Record: the /status causal section must
+// carry the offline report's exact clocks and depths.
+func TestCausalStatusMatchesOfflineReport(t *testing.T) {
+	path := filepath.Join("..", "causal", "testdata", "fixture.trace")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read fixture: %v", err)
+	}
+	m := monitor.New()
+	if err := trace.Stream(bytes.NewReader(data), m.Record); err != nil {
+		t.Fatalf("stream fixture into monitor: %v", err)
+	}
+	rep, err := replay.Analyze(bytes.NewReader(data), replay.Options{})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	got := m.Status().Causal
+	if got == nil || rep.Causal == nil {
+		t.Fatalf("causal sections: status %v, report %v; want both", got, rep.Causal)
+	}
+	want := monitor.CausalStatus{MaxClock: 53, MinClock: 44, ClockSkew: 9, MaxDepth: 17, MeanDepth: 14.9375}
+	if *got != want {
+		t.Errorf("status causal = %+v, want %+v", *got, want)
+	}
+	if off := rep.Causal; off.MaxClock != got.MaxClock || off.ClockSkew != got.ClockSkew || off.MaxDepth != got.MaxDepth {
+		t.Errorf("offline clocks max %d skew %d depth %d; status %+v", off.MaxClock, off.ClockSkew, off.MaxDepth, *got)
 	}
 }

@@ -5,15 +5,15 @@
 // under one mutex:
 //
 //   - the run analysis itself — convergence detection, per-node health
-//     with the stall rule, message accounting and event-kind tallies —
-//     is a replay.Analyzer, the same incremental state distclass-analyze
-//     streams a trace file into, so /status and an offline report of
-//     the same events cannot disagree;
+//     with the stall rule, message accounting, event-kind tallies and,
+//     on schema-2 runs, the causal stage's Lamport clocks and
+//     dissemination depths — is a replay.Analyzer, the same
+//     incremental state distclass-analyze streams a trace file into,
+//     so /status and an offline report of the same events cannot
+//     disagree;
 //   - a continuous weight-conservation audit fed by the engine
 //     (ObserveWeight), with crash/recover events adjusting the
 //     expected total by the weight they destroy or add;
-//   - the causal clock and dissemination-depth estimate of schema-2
-//     runs;
 //   - a ring of recent events for /events.
 //
 // Status() renders the whole state as one deterministic snapshot —
@@ -36,8 +36,9 @@ const (
 	eventBuffer = 4096
 	// curveCap caps each retained spread/error curve; the oldest half
 	// is dropped beyond it. A capped analyzer also keeps no per-round
-	// table (Status renders none), so the monitor's memory stays
-	// O(nodes + curveCap) on long-lived deployments.
+	// table (Status renders none) and its causal stage no provenance
+	// ledger, so the monitor's memory stays O(nodes + curveCap +
+	// messages in flight) on long-lived deployments.
 	curveCap = 65536
 )
 
@@ -60,16 +61,6 @@ type Monitor struct {
 	maxAbsDrift  float64 // guarded by mu
 	violations   int     // guarded by mu; samples above expected
 
-	// Causal (schema-2) tracking, active once a causal run header or a
-	// clocked event arrives. nodeClock is each node's latest Lamport
-	// timestamp; nodeDepth is the online dissemination-depth estimate
-	// (a receive extends the sender's chain by one, as of the sender's
-	// depth when the receive is processed — the exact value is the
-	// offline analyzer's job, internal/causal).
-	causalSeen bool           // guarded by mu
-	nodeClock  map[int]uint64 // guarded by mu
-	nodeDepth  map[int]int    // guarded by mu
-
 	ring     []trace.Event // guarded by mu
 	ringNext int           // guarded by mu; next write; len(ring) == cap once wrapped
 }
@@ -81,10 +72,8 @@ var _ trace.Sink = (*Monitor)(nil)
 // it.
 func New() *Monitor {
 	return &Monitor{
-		run:       replay.NewAnalyzer(replay.Options{}, curveCap),
-		nodeClock: make(map[int]uint64),
-		nodeDepth: make(map[int]int),
-		ring:      make([]trace.Event, 0, eventBuffer),
+		run:  replay.NewAnalyzer(replay.Options{}, curveCap),
+		ring: make([]trace.Event, 0, eventBuffer),
 	}
 }
 
@@ -151,29 +140,14 @@ func (m *Monitor) ObserveWeight(total float64) {
 }
 
 // Record implements trace.Sink: it folds the event into the shared run
-// analysis, then applies the monitor's own audit, causal and ring
-// bookkeeping. It never returns an error.
+// analysis, then applies the monitor's own audit and ring bookkeeping.
+// It never returns an error.
 func (m *Monitor) Record(e trace.Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
 	m.run.Observe(e)
-	if e.Clock > 0 && e.Node >= 0 {
-		m.causalSeen = true
-		if e.Clock > m.nodeClock[e.Node] {
-			m.nodeClock[e.Node] = e.Clock
-		}
-		if e.Kind == trace.KindReceive && e.Seq > 0 && e.Peer >= 0 {
-			if d := m.nodeDepth[e.Peer] + 1; d > m.nodeDepth[e.Node] {
-				m.nodeDepth[e.Node] = d
-			}
-		}
-	}
 	switch e.Kind {
-	case trace.KindRunHeader:
-		if e.Schema >= trace.SchemaCausal {
-			m.causalSeen = true
-		}
 	case trace.KindCrash:
 		// The event's Value is the weight the crash destroyed (engine
 		// kills report it; driver-internal crashes record 0 and the

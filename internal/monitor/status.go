@@ -79,9 +79,11 @@ type Conservation struct {
 }
 
 // CausalStatus is the live view of a causal (schema-2) run: Lamport
-// clock dispersion and the online dissemination-depth estimate. It is
-// present in Status only when the monitored trace carries causal
-// metadata, so pre-causal /status snapshots keep their exact bytes.
+// clock dispersion and dissemination depth, read from the analyzer's
+// causal stage, so they equal distclass-analyze's causal section for
+// the same events. It is present in Status only when the monitored
+// trace carries a schema-2 run header, so pre-causal /status
+// snapshots keep their exact bytes.
 type CausalStatus struct {
 	// MaxClock and MinClock are the most- and least-advanced node
 	// Lamport clocks; ClockSkew is their gap — how far the least
@@ -91,8 +93,7 @@ type CausalStatus struct {
 	ClockSkew uint64 `json:"clock_skew"`
 	// MaxDepth and MeanDepth summarize the per-node dissemination
 	// depth: the length of the longest message chain that influenced
-	// each node's state (online estimate; internal/causal computes the
-	// exact value offline).
+	// each node's state.
 	MaxDepth  int     `json:"max_depth"`
 	MeanDepth float64 `json:"mean_depth"`
 }
@@ -189,26 +190,20 @@ func (m *Monitor) Status() Status {
 		s.Conservation.Exact = math.Float64bits(m.latestWeight) == math.Float64bits(m.expected)
 	}
 
-	if m.causalSeen {
-		cs := &CausalStatus{}
-		var depthSum int
-		for i, h := range rep.NodeHealth {
-			c := m.nodeClock[h.Node]
-			if c > cs.MaxClock {
-				cs.MaxClock = c
-			}
-			if i == 0 || c < cs.MinClock {
-				cs.MinClock = c
-			}
-			d := m.nodeDepth[h.Node]
-			depthSum += d
-			if d > cs.MaxDepth {
-				cs.MaxDepth = d
-			}
+	if cr := rep.Causal; cr != nil {
+		cs := &CausalStatus{
+			MaxClock:  cr.MaxClock,
+			MinClock:  cr.MaxClock - cr.ClockSkew,
+			ClockSkew: cr.ClockSkew,
+			MaxDepth:  cr.MaxDepth,
 		}
-		cs.ClockSkew = cs.MaxClock - cs.MinClock
-		if len(rep.NodeHealth) > 0 {
-			cs.MeanDepth = float64(depthSum) / float64(len(rep.NodeHealth))
+		var depthSum, nodes int
+		for _, b := range cr.DepthHistogram {
+			depthSum += b.Depth * b.Count
+			nodes += b.Count
+		}
+		if nodes > 0 {
+			cs.MeanDepth = float64(depthSum) / float64(nodes)
 		}
 		s.Causal = cs
 	}

@@ -106,7 +106,8 @@ func TestFinalErrorMatchesOnline(t *testing.T) {
 // injection until every node is dead. Async events carry the driver's
 // step index, and a step that picks a dead node emits nothing, so the
 // round numbers outrun the event count. The analysis must still
-// succeed, with one per-round row per round that carried an event.
+// succeed, with one per-round row per round that carried an event and
+// no round moving backwards.
 func TestAsyncCrashTraceAnalyzes(t *testing.T) {
 	const n = 50
 	r := rng.New(5)
@@ -139,6 +140,10 @@ func TestAsyncCrashTraceAnalyzes(t *testing.T) {
 	}
 	if rep.Messaging.Crashes != n {
 		t.Errorf("crashes = %d, want %d", rep.Messaging.Crashes, n)
+	}
+	// Spread probes share the step axis with the crash phase's kills.
+	if rep.Anomalies.RoundRegressions != 0 {
+		t.Errorf("round regressions = %d, want 0", rep.Anomalies.RoundRegressions)
 	}
 	if len(rep.PerRound) > rep.Events {
 		t.Errorf("%d per-round rows from %d events", len(rep.PerRound), rep.Events)

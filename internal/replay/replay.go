@@ -22,7 +22,13 @@
 //   - anomaly detection: stalled nodes, divergence after convergence,
 //     and round-monotonicity violations (a round number moving
 //     backwards means either trace corruption or several runs
-//     interleaved into one file).
+//     interleaved into one file);
+//   - on causal traces (a schema-2 run header), the causal stage of
+//     internal/causal: happens-before matching, Lamport clocks,
+//     dissemination depth, the critical path at the moment this
+//     analyzer's detector fires, and the weight-provenance ledger,
+//     whose memory is the node count squared and which only an
+//     uncapped Analyzer keeps.
 //
 // Reports render as deterministic text, CSV and JSON (report.go) and
 // two reports diff metric-by-metric (diff.go); cmd/distclass-analyze
@@ -36,6 +42,7 @@ import (
 	"slices"
 	"sort"
 
+	"distclass/internal/causal"
 	"distclass/internal/converge"
 	"distclass/internal/trace"
 )
@@ -241,6 +248,12 @@ type RunReport struct {
 	// keeps every sample.
 	SpreadDropped int `json:"spread_dropped,omitempty"`
 	ErrorDropped  int `json:"error_dropped,omitempty"`
+
+	// Causal is the happens-before and weight-provenance analysis of a
+	// causal trace: present exactly when the trace carries a
+	// schema-2 run header. From a capped Analyzer it carries counts,
+	// clocks and depths only (see causal.Analyzer).
+	Causal *causal.Report `json:"causal,omitempty"`
 }
 
 // nodeState accumulates one node's tallies while streaming.
@@ -279,6 +292,10 @@ type Analyzer struct {
 
 	prevRound   int
 	regressions int
+
+	// causal is the causal stage, started by the first schema-2 run
+	// header; nil on pre-causal traces.
+	causal *causal.Analyzer
 }
 
 // NewAnalyzer returns an empty run state. A positive curveCap bounds
@@ -286,7 +303,8 @@ type Analyzer struct {
 // evicts its oldest half past the cap (counted in the report's dropped
 // fields), and no per-round table is kept. Zero keeps every sample and
 // every per-round row. Convergence detection sees every sample either
-// way.
+// way. The causal stage follows the same switch: capped, it keeps no
+// provenance ledger, timeline, critical path or anomaly list.
 func NewAnalyzer(opts Options, curveCap int) *Analyzer {
 	a := &Analyzer{
 		det:        converge.New(opts.Threshold, opts.Window),
@@ -377,6 +395,9 @@ func (a *Analyzer) Observe(e trace.Event) {
 		// and node accounting. Last header wins — a file holding several
 		// concatenated runs is flagged via round regressions anyway.
 		a.backend = e.Backend
+		if a.causal == nil && e.Schema >= trace.SchemaCausal {
+			a.causal = causal.NewAnalyzer(e, a.curveCap == 0)
+		}
 	case trace.KindSend:
 		a.msg.Sends++
 		a.msg.SentBytes += e.Value
@@ -448,8 +469,12 @@ func (a *Analyzer) Observe(e trace.Event) {
 	case trace.KindSpread:
 		// The shared online detector (internal/converge) — the exact
 		// state machine engine.RunUntilConverged runs, so offline and
-		// online analyses can never drift apart.
-		a.det.Observe(e.Round, e.Value)
+		// online analyses can never drift apart. The causal stage
+		// snapshots its critical path the moment it first fires.
+		was := a.det.Converged()
+		if a.det.Observe(e.Round, e.Value) && !was && a.causal != nil {
+			a.causal.Converged(e.Round)
+		}
 		a.spread, a.spreadDropped = a.appendCapped(a.spread, Sample{Round: e.Round, Value: e.Value}, a.spreadDropped)
 		if rs != nil {
 			v := e.Value
@@ -466,6 +491,9 @@ func (a *Analyzer) Observe(e trace.Event) {
 			v := e.Value
 			rs.Error = &v
 		}
+	}
+	if a.causal != nil {
+		a.causal.Observe(e)
 	}
 }
 
@@ -498,6 +526,9 @@ func (a *Analyzer) Report() *RunReport {
 		ErrorCurve:    a.errs,
 		SpreadDropped: a.spreadDropped,
 		ErrorDropped:  a.errsDropped,
+	}
+	if a.causal != nil {
+		rep.Causal = a.causal.Report()
 	}
 	// Live traces stamp send events with payload sizes; derive the mean
 	// message size there. Sim sends carry no size, so the field stays 0

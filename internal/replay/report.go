@@ -64,8 +64,9 @@ func (rep *RunReport) WriteCSV(w io.Writer, header bool) error {
 }
 
 // WriteText writes the human-readable report: run summary, convergence
-// analysis with ASCII curves, messaging accounting, node health and the
-// anomaly list. Output is deterministic for identical reports.
+// analysis with ASCII curves, messaging accounting, node health, the
+// anomaly list and, for causal traces, the causal section. Output is
+// deterministic for identical reports.
 func (rep *RunReport) WriteText(w io.Writer) error {
 	p := &printer{w: w}
 	label := rep.File
@@ -191,6 +192,12 @@ func (rep *RunReport) WriteText(w io.Writer) error {
 	}
 	for _, note := range an.Notes {
 		p.f("- %s\n", note)
+	}
+	if rep.Causal != nil && p.err == nil {
+		p.f("\n")
+		if err := rep.Causal.WriteText(w); err != nil {
+			p.err = fmt.Errorf("replay: %w", err)
+		}
 	}
 	return p.err
 }
