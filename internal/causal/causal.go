@@ -250,6 +250,15 @@ type node struct {
 // an origin's reach.
 const reachEpsilon = 1e-12
 
+// reached is 1 when a share of weight w counts toward its origin's
+// reach, else 0.
+func reached(w float64) int {
+	if w > reachEpsilon {
+		return 1
+	}
+	return 0
+}
+
 // timelineMaxNodes bounds the per-probe reach computation: above this
 // node count the timeline is skipped (the rest of the report is
 // unaffected).
@@ -278,6 +287,10 @@ type Analyzer struct {
 
 	nodes     map[int]*node
 	destroyed float64
+	// reach counts the ledger shares above reachEpsilon, kept in step
+	// wherever a share changes, so a spread probe reads the mean reach
+	// without rescanning the ledger.
+	reach int
 
 	msgs        map[msgKey]*message
 	pendingRecv map[msgKey]pendingReceive
@@ -321,6 +334,7 @@ func (a *Analyzer) nodeAt(id int) *node {
 		if a.provenance {
 			n.row = []share{{origin: id, w: 1}}
 			n.expected = 1
+			a.reach++
 		}
 		a.nodes[id] = n
 	}
@@ -361,6 +375,7 @@ func (a *Analyzer) Observe(e trace.Event) {
 			for _, s := range n.row {
 				a.nodes[s.origin].expected -= s.w
 				a.destroyed += s.w
+				a.reach -= reached(s.w)
 			}
 			n.row = n.row[:0]
 		}
@@ -372,7 +387,7 @@ func (a *Analyzer) Observe(e trace.Event) {
 			// conservation audit credits.
 			n := a.nodeAt(e.Node)
 			if a.provenance {
-				n.row = addShares(n.row, []share{{origin: e.Node, w: 1}})
+				n.row = a.addShares(n.row, []share{{origin: e.Node, w: 1}})
 				n.expected++
 			}
 		}
@@ -496,7 +511,7 @@ func (a *Analyzer) match(key msgKey, m *message, dstID int, recvClock uint64, re
 	}
 	if moved, ok := a.inflight[key]; ok {
 		delete(a.inflight, key)
-		dst.row = addShares(dst.row, moved)
+		dst.row = a.addShares(dst.row, moved)
 		a.spare = append(a.spare, moved)
 	}
 }
@@ -512,7 +527,7 @@ func (a *Analyzer) debit(key msgKey, src *node, w float64) {
 		// A sender the ledger believes is empty (possible only on a
 		// trace that starts mid-run): attribute the transfer to the
 		// sender itself so the books still balance.
-		src.row = addShares(src.row, []share{{origin: key.src, w: -w}})
+		src.row = a.addShares(src.row, []share{{origin: key.src, w: -w}})
 		a.inflight[key] = []share{{origin: key.src, w: w}}
 		return
 	}
@@ -521,19 +536,32 @@ func (a *Analyzer) debit(key msgKey, src *node, w float64) {
 	if k := len(a.spare); k > 0 {
 		moved, a.spare = a.spare[k-1][:0], a.spare[:k-1]
 	}
+	// A share keeps 1-frac of itself. With frac in [0, 1/2] one at or
+	// below reachEpsilon stays there and one above 4·reachEpsilon keeps
+	// more than 2·reachEpsilon, so only the shares in between can change
+	// the reach count; any other frac checks every share.
+	check := math.Inf(1)
+	if frac >= 0 && frac <= 0.5 {
+		check = 4 * reachEpsilon
+	}
 	for i := range src.row {
-		d := src.row[i].w * frac
+		old := src.row[i].w
+		d := old * frac
 		moved = append(moved, share{origin: src.row[i].origin, w: d})
 		src.row[i].w -= d
+		if old <= check {
+			a.reach += reached(src.row[i].w) - reached(old)
+		}
 	}
 	a.inflight[key] = moved
 }
 
-// addShares adds the origin-sorted shares into the origin-sorted row.
-// Once the nodes mix, a row already holds every origin a transfer
-// carries and the add is one in-place walk; an origin the row lacks
-// turns the rest into a merge into a fresh row.
-func addShares(row, add []share) []share {
+// addShares adds the origin-sorted shares into the origin-sorted row,
+// keeping the reach count in step with every share it changes. Once
+// the nodes mix, a row already holds every origin a transfer carries
+// and the add is one in-place walk; an origin the row lacks turns the
+// rest into a merge into a fresh row.
+func (a *Analyzer) addShares(row, add []share) []share {
 	i := 0
 	for j, s := range add {
 		for i < len(row) && row[i].origin < s.origin {
@@ -546,15 +574,22 @@ func addShares(row, add []share) []share {
 				for len(rest) > 0 && rest[0].origin < s.origin {
 					merged, rest = append(merged, rest[0]), rest[1:]
 				}
+				var old float64
 				if len(rest) > 0 && rest[0].origin == s.origin {
-					s.w += rest[0].w
+					old = rest[0].w
+					s.w += old
 					rest = rest[1:]
 				}
+				a.reach += reached(s.w) - reached(old)
 				merged = append(merged, s)
 			}
 			return append(merged, rest...)
 		}
+		old := row[i].w
 		row[i].w += s.w
+		if old <= reachEpsilon || !(s.w >= 0) { // else it stays above
+			a.reach += reached(row[i].w) - reached(old)
+		}
 		i++
 	}
 	return row
@@ -574,15 +609,7 @@ func (a *Analyzer) maxDepth() int {
 // meanReach averages, over origins, the number of holders with a
 // non-negligible share of that origin's weight.
 func (a *Analyzer) meanReach() float64 {
-	total := 0
-	for _, n := range a.nodes {
-		for _, s := range n.row {
-			if s.w > reachEpsilon {
-				total++
-			}
-		}
-	}
-	return float64(total) / float64(len(a.nodes))
+	return float64(a.reach) / float64(len(a.nodes))
 }
 
 // snapshotPath walks the back-chain from the deepest node (ties to the

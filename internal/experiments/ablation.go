@@ -27,16 +27,16 @@ type AblationConfig struct {
 	K int
 	// MaxRounds bounds each run (default 200).
 	MaxRounds int
-	// Tol is the convergence threshold on the sampled spread
-	// (default 1e-3).
+	// Tol is the convergence threshold on the engine's spread probe
+	// (zero takes the engine's default, 1e-3).
 	Tol float64
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Metrics, when set, aggregates protocol and simulator counters
 	// across every run sharing this config.
 	Metrics *metrics.Registry
-	// Trace, when set, receives protocol events plus a per-round
-	// spread probe from every run sharing this config.
+	// Trace, when set, receives protocol events plus the engine's
+	// per-round spread probe from every run sharing this config.
 	Trace trace.Sink
 }
 
@@ -50,14 +50,21 @@ func (c AblationConfig) withDefaults() AblationConfig {
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 200
 	}
-	//lint:allow floatcmp zero value selects the default
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
+}
+
+// engineConfig is the round-backend GM run every ablation starts from:
+// r is the parent RNG, whose one driver Split inside engine.New is the
+// run's only draw from it.
+func (c AblationConfig) engineConfig(graph *topology.Graph, values []vec.Vector, r *rng.RNG) engine.Config {
+	return engine.Config{
+		Graph: graph, RNG: r, Seed: c.Seed, Values: values, Method: gm.Method{},
+		K: c.K, Tolerance: c.Tol, MaxRounds: c.MaxRounds,
+		Metrics: c.Metrics, Trace: c.Trace,
+	}
 }
 
 // bimodalDataset draws half the values near (-4, 0) and half near
@@ -78,8 +85,8 @@ func bimodalDataset(n int, r *rng.RNG) []vec.Vector {
 type ConvergenceRun struct {
 	// Label names the configuration (topology kind, k value, ...).
 	Label string
-	// Rounds is the first round at which the sampled spread stayed below
-	// Tol (-1 if never within MaxRounds).
+	// Rounds is the round count RunUntilConverged returned when the
+	// engine's detector fired (-1 if it never did within MaxRounds).
 	Rounds int
 	// FinalSpread is the spread when the run stopped.
 	FinalSpread float64
@@ -89,73 +96,31 @@ type ConvergenceRun struct {
 	AvgPayload float64
 }
 
-// runConvergence runs classification to convergence over the graph and
-// reports rounds and traffic.
-func runConvergence(label string, graph *topology.Graph, values []vec.Vector, method core.Method, cfg AblationConfig, q float64, policy engine.Policy, mode engine.Mode, r *rng.RNG) (ConvergenceRun, error) {
-	n := graph.N()
-	nodes := make([]*core.Node, n)
-	agents := make([]engine.Agent[core.Classification], n)
-	for i := range nodes {
-		node, err := core.NewNode(i, values[i], nil, core.Config{
-			Method: method, K: cfg.K, Q: q,
-			Metrics: cfg.Metrics, Trace: cfg.Trace,
-		})
-		if err != nil {
-			return ConvergenceRun{}, err
-		}
-		nodes[i] = node
-		agents[i] = &ClassifierAgent{Node: node}
-	}
-	net, err := engine.NewRoundDriver(graph, agents, r, engine.Options[core.Classification]{
-		Policy:   policy,
-		Mode:     mode,
-		SizeFunc: ClassificationSize,
-		Metrics:  cfg.Metrics,
-		Trace:    cfg.Trace,
-	})
+// runConvergence runs ecfg on the engine until its convergence
+// detector fires or MaxRounds pass, and reports rounds and traffic.
+// The engine comes back for callers that read the final nodes.
+func runConvergence(label string, ecfg engine.Config) (ConvergenceRun, engine.Engine, error) {
+	eng, err := engine.New(ecfg)
 	if err != nil {
-		return ConvergenceRun{}, err
+		return ConvergenceRun{}, nil, err
+	}
+	rounds, converged, err := eng.RunUntilConverged(0)
+	if err != nil {
+		return ConvergenceRun{}, nil, err
 	}
 	run := ConvergenceRun{Label: label, Rounds: -1}
-	stable := 0
-	err = net.RunRounds(cfg.MaxRounds, func(round int) error {
-		spread, err := Spread(nodes, method, 4)
-		if err != nil {
-			return err
-		}
-		run.FinalSpread = spread
-		if cfg.Metrics != nil {
-			cfg.Metrics.Gauge("experiments.spread").Set(spread)
-		}
-		if cfg.Trace != nil {
-			if err := cfg.Trace.Record(trace.Event{
-				Round: round, Node: -1, Kind: trace.KindSpread, Value: spread,
-			}); err != nil {
-				return err
-			}
-		}
-		if spread < cfg.Tol {
-			stable++
-			if stable >= 3 {
-				if run.Rounds < 0 {
-					run.Rounds = round - 1 // first of the 3 stable rounds
-				}
-				return engine.ErrStop
-			}
-		} else {
-			stable = 0
-		}
-		return nil
-	})
-	if err != nil {
-		return ConvergenceRun{}, err
+	if converged {
+		run.Rounds = rounds
 	}
-	st := net.Stats()
+	if run.FinalSpread, err = eng.Spread(); err != nil {
+		return ConvergenceRun{}, nil, err
+	}
+	st := eng.Stats()
 	run.Messages = st.MessagesSent
 	if st.MessagesSent > 0 {
 		run.AvgPayload = float64(st.PayloadSize) / float64(st.MessagesSent)
 	}
-	return run, nil
+	return run, eng, nil
 }
 
 // RunTopologyAblation measures rounds-to-convergence across topologies
@@ -171,7 +136,7 @@ func RunTopologyAblation(kinds []topology.Kind, cfg AblationConfig) ([]Convergen
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topology %s: %w", kind, err)
 		}
-		run, err := runConvergence(string(kind), graph, values, gm.Method{}, cfg, 0, engine.PushRandom, engine.ModePush, r.Split())
+		run, _, err := runConvergence(string(kind), cfg.engineConfig(graph, values, r))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topology %s: %w", kind, err)
 		}
@@ -195,9 +160,9 @@ func RunKAblation(ks []int, cfg AblationConfig) ([]ConvergenceRun, error) {
 	}
 	runs := make([]ConvergenceRun, 0, len(ks))
 	for _, k := range ks {
-		kCfg := cfg
-		kCfg.K = k
-		run, err := runConvergence(fmt.Sprintf("k=%d", k), graph, values, gm.Method{}, kCfg, 0, engine.PushRandom, engine.ModePush, r.Split())
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.K = k
+		run, _, err := runConvergence(fmt.Sprintf("k=%d", k), ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: k=%d: %w", k, err)
 		}
@@ -251,50 +216,16 @@ func RunQAblation(qs []float64, cfg AblationConfig) ([]QAblationRow, error) {
 	}
 	rows := make([]QAblationRow, 0, len(qs))
 	for _, q := range qs {
-		n := graph.N()
-		nodes := make([]*core.Node, n)
-		agents := make([]engine.Agent[core.Classification], n)
-		for i := range nodes {
-			node, err := core.NewNode(i, values[i], nil, core.Config{Method: gm.Method{}, K: cfg.K, Q: q})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: q=%v: %w", q, err)
-			}
-			nodes[i] = node
-			agents[i] = &ClassifierAgent{Node: node}
-		}
-		net, err := engine.NewRoundDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.Q = q
+		run, eng, err := runConvergence("", ecfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: q=%v: %w", q, err)
 		}
-		row := QAblationRow{Q: q, Rounds: -1}
-		stable := 0
-		err = net.RunRounds(cfg.MaxRounds, func(round int) error {
-			spread, err := Spread(nodes, gm.Method{}, 4)
-			if err != nil {
-				return err
-			}
-			if spread < cfg.Tol {
-				stable++
-				if stable >= 3 {
-					if row.Rounds < 0 {
-						row.Rounds = round - 1
-					}
-					return engine.ErrStop
-				}
-			} else {
-				stable = 0
-			}
-			return nil
+		rows = append(rows, QAblationRow{
+			Q: q, Rounds: run.Rounds,
+			WeightDrift: math.Abs(eng.TotalWeight() - float64(cfg.N)),
 		})
-		if err != nil {
-			return nil, err
-		}
-		var total float64
-		for _, node := range nodes {
-			total += node.Weight()
-		}
-		row.WeightDrift = math.Abs(total - float64(n))
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -310,7 +241,9 @@ func RunPolicyAblation(cfg AblationConfig) ([]ConvergenceRun, error) {
 	}
 	var runs []ConvergenceRun
 	for _, policy := range []engine.Policy{engine.PushRandom, engine.RoundRobin} {
-		run, err := runConvergence(policy.String(), graph, values, gm.Method{}, cfg, 0, policy, engine.ModePush, r.Split())
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.Policy = policy
+		run, _, err := runConvergence(policy.String(), ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: policy %s: %w", policy, err)
 		}
@@ -333,7 +266,9 @@ func RunModeAblation(cfg AblationConfig) ([]ConvergenceRun, error) {
 	}
 	var runs []ConvergenceRun
 	for _, mode := range []engine.Mode{engine.ModePush, engine.ModePull, engine.ModePushPull} {
-		run, err := runConvergence(mode.String(), graph, values, gm.Method{}, cfg, 0, engine.PushRandom, mode, r.Split())
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.Mode = mode
+		run, _, err := runConvergence(mode.String(), ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mode %s: %w", mode, err)
 		}
@@ -362,7 +297,9 @@ func RunMethodComparison(cfg AblationConfig) ([]MethodComparisonRow, error) {
 	}
 	var rows []MethodComparisonRow
 	for _, m := range []core.Method{centroids.Method{}, gm.Method{}} {
-		run, err := runConvergence(m.Name(), graph, values, m, cfg, 0, engine.PushRandom, engine.ModePush, r.Split())
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.Method = m
+		run, _, err := runConvergence(m.Name(), ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: method %s: %w", m.Name(), err)
 		}
@@ -406,27 +343,16 @@ func RunHistogramComparison(n int, delta float64, rounds int, seed uint64) (*His
 	}
 
 	// Robust GM run (k = 2).
-	method := gm.Method{}
-	nodes := make([]*core.Node, n)
-	agents := make([]engine.Agent[core.Classification], n)
-	for i := range nodes {
-		node, err := core.NewNode(i, values[i], nil, core.Config{Method: method, K: 2})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-		agents[i] = &ClassifierAgent{Node: node}
-	}
-	net, err := engine.NewRoundDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
+	eng, err := engine.New(engine.Config{Graph: graph, RNG: r, Values: values, Method: gm.Method{}, K: 2})
 	if err != nil {
 		return nil, err
 	}
-	if err := net.RunRounds(rounds, nil); err != nil {
+	if err := eng.Run(rounds); err != nil {
 		return nil, err
 	}
 	var robustErrs []float64
-	for _, node := range nodes {
-		est, err := RobustEstimate(node)
+	for i := 0; i < n; i++ {
+		est, err := RobustEstimate(eng.Node(i))
 		if err != nil {
 			return nil, err
 		}
@@ -511,40 +437,17 @@ func RunReducerAblation(cfg AblationConfig) ([]ReducerRow, error) {
 	truth := Figure2TrueMixture()
 	var rows []ReducerRow
 	for _, reducer := range []gm.Reducer{gm.ReducerEM, gm.ReducerGreedy} {
-		method := gm.Method{Reducer: reducer}
-		kCfg := cfg
-		kCfg.K = 7
-		nodes, net, err := buildClassifierNetwork(graph, values, method, kCfg.K, 0, r.Split())
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.Method, ecfg.K = gm.Method{Reducer: reducer}, 7
+		run, eng, err := runConvergence(reducer.String(), ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: reducer %s: %w", reducer, err)
 		}
-		row := ReducerRow{Reducer: reducer.String(), Rounds: -1}
-		stable := 0
-		err = net.RunRounds(kCfg.MaxRounds, func(round int) error {
-			spread, err := Spread(nodes, method, 4)
-			if err != nil {
-				return err
-			}
-			if spread < kCfg.Tol {
-				stable++
-				if stable >= 3 {
-					if row.Rounds < 0 {
-						row.Rounds = round - 1
-					}
-					return engine.ErrStop
-				}
-			} else {
-				stable = 0
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: reducer %s: %w", reducer, err)
-		}
-		mix, err := gm.ToMixture(nodes[0].Classification())
+		mix, err := gm.ToMixture(eng.Classification(0))
 		if err != nil {
 			return nil, err
 		}
+		row := ReducerRow{Reducer: run.Label, Rounds: run.Rounds}
 		if row.MeanCoverError, err = MeanCoverError(truth, mix); err != nil {
 			return nil, err
 		}
@@ -586,9 +489,7 @@ func RunScalabilityAblation(sizes []int, cfg AblationConfig) ([]ScalabilityRow, 
 		if err != nil {
 			return nil, err
 		}
-		nCfg := cfg
-		nCfg.N = n
-		run, err := runConvergence(fmt.Sprintf("n=%d", n), graph, values, gm.Method{}, nCfg, 0, engine.PushRandom, engine.ModePush, r.Split())
+		run, _, err := runConvergence(fmt.Sprintf("n=%d", n), cfg.engineConfig(graph, values, r))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: n=%d: %w", n, err)
 		}
@@ -635,31 +536,20 @@ func RunLossAblation(probs []float64, cfg AblationConfig) ([]LossRow, error) {
 	truthLow, truthHigh := vec.Of(-4, 0), vec.Of(4, 0)
 	rows := make([]LossRow, 0, len(probs))
 	for _, p := range probs {
-		method := gm.Method{}
-		nodes := make([]*core.Node, cfg.N)
-		agents := make([]engine.Agent[core.Classification], cfg.N)
-		for i := range nodes {
-			node, err := core.NewNode(i, values[i], nil, core.Config{Method: method, K: cfg.K})
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = node
-			agents[i] = &ClassifierAgent{Node: node}
-		}
-		net, err := engine.NewRoundDriver(graph, agents, r.Split(), engine.Options[core.Classification]{DropProb: p})
+		ecfg := cfg.engineConfig(graph, values, r)
+		ecfg.DropProb = p
+		eng, err := engine.New(ecfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := net.RunRounds(cfg.MaxRounds/2, nil); err != nil {
+		if err := eng.Run(cfg.MaxRounds / 2); err != nil {
 			return nil, err
 		}
 		row := LossRow{DropProb: p}
-		var total float64
 		var errSum float64
 		count := 0
-		for _, node := range nodes {
-			total += node.Weight()
-			for _, c := range node.Classification() {
+		for i := 0; i < cfg.N; i++ {
+			for _, c := range eng.Classification(i) {
 				mean := c.Summary.(gm.Summary).G.Mean
 				truth := truthLow
 				if mean[0] > 0 {
@@ -676,8 +566,8 @@ func RunLossAblation(probs []float64, cfg AblationConfig) ([]LossRow, error) {
 		if count > 0 {
 			row.RobustErr = errSum / float64(count)
 		}
-		row.WeightLost = 1 - total/float64(cfg.N)
-		if row.FinalSpread, err = Spread(nodes, method, 4); err != nil {
+		row.WeightLost = 1 - eng.TotalWeight()/float64(cfg.N)
+		if row.FinalSpread, err = eng.Spread(); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -731,41 +621,17 @@ func RunDimensionAblation(dims []int, cfg AblationConfig) ([]DimensionRow, error
 		if err != nil {
 			return nil, err
 		}
-		method := gm.Method{}
-		nodes, net, err := buildClassifierNetwork(graph, values, method, cfg.K, 0, r.Split())
+		run, eng, err := runConvergence("", cfg.engineConfig(graph, values, r))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: d=%d: %w", d, err)
 		}
-		row := DimensionRow{D: d, Rounds: -1}
-		stable := 0
-		err = net.RunRounds(cfg.MaxRounds, func(round int) error {
-			spread, err := Spread(nodes, method, 4)
-			if err != nil {
-				return err
-			}
-			row.FinalSpread = spread
-			if spread < cfg.Tol {
-				stable++
-				if stable >= 3 {
-					if row.Rounds < 0 {
-						row.Rounds = round - 1
-					}
-					return engine.ErrStop
-				}
-			} else {
-				stable = 0
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		row := DimensionRow{D: d, Rounds: run.Rounds, FinalSpread: run.FinalSpread}
 		// Quality: distance from each of node 0's collection means to the
 		// nearest true center.
 		lo, hi := vec.New(d), vec.New(d)
 		lo[0], hi[0] = -4, 4
 		var errSum float64
-		cls := nodes[0].Classification()
+		cls := eng.Classification(0)
 		for _, c := range cls {
 			mean := c.Summary.(gm.Summary).G.Mean
 			dLo, err := vec.Dist(mean, lo)

@@ -2,38 +2,18 @@
 // Figure 1 association example, the Figure 2 multidimensional
 // classification, the Figure 3 outlier-robust average sweep and the
 // Figure 4 crash/convergence traces, plus the ablation studies listed in
-// DESIGN.md. Each driver builds the datasets, wires protocol nodes into
-// the simulator and reports the same series the paper plots.
+// DESIGN.md. Each driver builds the datasets, runs the classification
+// protocol on internal/engine's round backend (convergence is the
+// engine's detector over its one spread probe) and reports the same
+// series the paper plots. The push-sum and histogram baselines run on
+// the engine's generic round driver through the agents below.
 package experiments
 
 import (
 	"distclass/internal/aggregate"
-	"distclass/internal/core"
 	"distclass/internal/engine"
 	"distclass/internal/histogram"
 )
-
-// ClassifierAgent adapts a generic classification node (Algorithm 1) to
-// the simulator. The round driver splits (push mode) and absorbs for
-// distinct agents concurrently unless it has a trace sink, so a node
-// built with a trace sink must run on a driver given the same sink.
-type ClassifierAgent struct {
-	Node *core.Node
-}
-
-var _ engine.Agent[core.Classification] = (*ClassifierAgent)(nil)
-
-// Emit splits the node's classification and sends one half.
-func (a *ClassifierAgent) Emit() (core.Classification, bool) {
-	out := a.Node.Split()
-	return out, len(out) > 0
-}
-
-// Receive absorbs the round's incoming classifications as one batch,
-// matching the paper's simulation methodology (§5.3).
-func (a *ClassifierAgent) Receive(batch []core.Classification) error {
-	return a.Node.Absorb(batch...)
-}
 
 // PushSumAgent adapts a push-sum averaging node (the paper's "regular
 // aggregation" baseline) to the simulator.
@@ -69,8 +49,3 @@ func (a *HistogramAgent) Emit() (histogram.Message, bool) {
 func (a *HistogramAgent) Receive(batch []histogram.Message) error {
 	return a.Node.Receive(batch)
 }
-
-// ClassificationSize measures a classification message by its number of
-// collections (the unit the paper's message-size discussion uses: the
-// payload depends only on k and d, never on n).
-func ClassificationSize(cl core.Classification) int { return len(cl) }

@@ -13,6 +13,21 @@ import (
 	"distclass/internal/vec"
 )
 
+// classifierAgent runs a classification node on the generic async
+// driver, which these tests need for Step, Drain and InFlight.
+type classifierAgent struct {
+	node *core.Node
+}
+
+func (a *classifierAgent) Emit() (core.Classification, bool) {
+	out := a.node.Split()
+	return out, len(out) > 0
+}
+
+func (a *classifierAgent) Receive(batch []core.Classification) error {
+	return a.node.Absorb(batch...)
+}
+
 // TestAsyncDistributedConvergence is Theorem 1 as an executable check:
 // under a fully asynchronous, randomly scheduled execution over several
 // connected topologies, with per-message (not batched) delivery, all
@@ -40,7 +55,7 @@ func TestAsyncDistributedConvergence(t *testing.T) {
 						t.Fatalf("NewNode: %v", err)
 					}
 					nodes[i] = node
-					agents[i] = &ClassifierAgent{Node: node}
+					agents[i] = &classifierAgent{node: node}
 				}
 				async, err := engine.NewAsyncDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
 				if err != nil {
@@ -130,7 +145,7 @@ func TestAsyncLemma2AcrossTopologies(t *testing.T) {
 					t.Fatalf("NewNode: %v", err)
 				}
 				nodes[i] = node
-				agents[i] = &ClassifierAgent{Node: node}
+				agents[i] = &classifierAgent{node: node}
 			}
 			async, err := engine.NewAsyncDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
 			if err != nil {

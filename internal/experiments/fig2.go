@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"distclass/internal/core"
 	"distclass/internal/engine"
 	"distclass/internal/gauss"
 	"distclass/internal/gm"
@@ -22,11 +21,11 @@ type Fig2Config struct {
 	N int
 	// K is the collection bound (default 7).
 	K int
-	// MaxRounds bounds the run (default 60).
+	// MaxRounds bounds the run and Tol is the convergence threshold on
+	// the engine's spread probe; zero takes the engine's defaults (500
+	// rounds, 1e-3).
 	MaxRounds int
-	// Tol is the convergence threshold on the sampled inter-node
-	// classification spread (default 1e-3).
-	Tol float64
+	Tol       float64
 	// Seed drives dataset generation and gossip (default 1).
 	Seed uint64
 }
@@ -37,13 +36,6 @@ func (c Fig2Config) withDefaults() Fig2Config {
 	}
 	if c.K == 0 {
 		c.K = 7
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 60
-	}
-	//lint:allow floatcmp zero value selects the default
-	if c.Tol == 0 {
-		c.Tol = 1e-3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -57,8 +49,8 @@ type Fig2Result struct {
 	Estimated gauss.Mixture
 	// True is the generating mixture — the paper's Figure 2a.
 	True gauss.Mixture
-	// ConvergedRound is the first round at which the sampled spread fell
-	// below Tol (-1 if it never did within MaxRounds).
+	// ConvergedRound is the round count RunUntilConverged returned when
+	// the engine's detector fired (-1 if it never did within MaxRounds).
 	ConvergedRound int
 	// RoundsRun is the number of rounds executed.
 	RoundsRun int
@@ -66,7 +58,7 @@ type Fig2Result struct {
 	// component mean to the nearest estimated component mean — how well
 	// the estimate covers the real clusters.
 	MeanCoverError float64
-	// FinalSpread is the sampled inter-node spread at the end.
+	// FinalSpread is the engine's spread probe at the end.
 	FinalSpread float64
 	// Values are the sampled input values (one per node), kept for
 	// rendering the Figure 2b scatter.
@@ -75,66 +67,43 @@ type Fig2Result struct {
 
 // RunFigure2 executes the Figure 2 experiment.
 func RunFigure2(cfg Fig2Config) (*Fig2Result, error) {
+	res, _, err := runFigure2(cfg)
+	return res, err
+}
+
+// runFigure2 is RunFigure2 that also hands back the engine, whose nodes
+// hold the final classifications.
+func runFigure2(cfg Fig2Config) (*Fig2Result, engine.Engine, error) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed)
 	values, err := Figure2Dataset(cfg.N, r)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig2 dataset: %w", err)
-	}
-	method := gm.Method{}
-	nodes := make([]*core.Node, cfg.N)
-	agents := make([]engine.Agent[core.Classification], cfg.N)
-	for i := range nodes {
-		n, err := core.NewNode(i, values[i], nil, core.Config{Method: method, K: cfg.K})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig2 node %d: %w", i, err)
-		}
-		nodes[i] = n
-		agents[i] = &ClassifierAgent{Node: n}
+		return nil, nil, fmt.Errorf("experiments: fig2 dataset: %w", err)
 	}
 	graph, err := topology.Full(cfg.N)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	net, err := engine.NewRoundDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig2Result{True: Figure2TrueMixture(), ConvergedRound: -1, Values: values}
-	stable := 0
-	err = net.RunRounds(cfg.MaxRounds, func(round int) error {
-		res.RoundsRun = round + 1
-		spread, err := Spread(nodes, method, 4)
-		if err != nil {
-			return err
-		}
-		res.FinalSpread = spread
-		if spread < cfg.Tol {
-			stable++
-			if stable >= 3 {
-				if res.ConvergedRound < 0 {
-					res.ConvergedRound = round + 1
-				}
-				return engine.ErrStop
-			}
-		} else {
-			stable = 0
-		}
-		return nil
+	run, eng, err := runConvergence("fig2", engine.Config{
+		Graph: graph, RNG: r, Seed: cfg.Seed, Values: values, Method: gm.Method{},
+		K: cfg.K, Tolerance: cfg.Tol, MaxRounds: cfg.MaxRounds,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig2 run: %w", err)
+		return nil, nil, fmt.Errorf("experiments: fig2 run: %w", err)
 	}
-	mix, err := gm.ToMixture(nodes[0].Classification())
+	res := &Fig2Result{
+		True: Figure2TrueMixture(), Values: values,
+		ConvergedRound: run.Rounds, RoundsRun: eng.Stats().Rounds, FinalSpread: run.FinalSpread,
+	}
+	mix, err := gm.ToMixture(eng.Classification(0))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Estimated = mix
-	res.MeanCoverError, err = MeanCoverError(res.True, res.Estimated)
-	if err != nil {
-		return nil, err
+	if res.MeanCoverError, err = MeanCoverError(res.True, res.Estimated); err != nil {
+		return nil, nil, err
 	}
-	return res, nil
+	return res, eng, nil
 }
 
 // MeanCoverError returns the weight-averaged distance from each true

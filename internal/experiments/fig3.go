@@ -101,28 +101,22 @@ func runFig3Point(cfg Fig3Config, delta float64, seed uint64) (Fig3Row, error) {
 
 	// Robust network: GM classification with tag auxiliaries recording
 	// exactly how much good/outlier weight each collection carries.
-	method := gm.Method{}
-	nodes := make([]*core.Node, n)
-	agents := make([]engine.Agent[core.Classification], n)
-	for i := range nodes {
-		aux := vec.New(2)
-		if outlier[i] {
-			aux[1] = 1
-		} else {
-			aux[0] = 1
-		}
-		node, err := core.NewNode(i, values[i], aux, core.Config{Method: method, K: cfg.K})
-		if err != nil {
-			return Fig3Row{}, err
-		}
-		nodes[i] = node
-		agents[i] = &ClassifierAgent{Node: node}
-	}
-	net, err := engine.NewRoundDriver(graph, agents, r.Split(), engine.Options[core.Classification]{})
+	eng, err := engine.New(engine.Config{
+		Graph: graph, RNG: r, Values: values, Method: gm.Method{}, K: cfg.K,
+		Aux: func(i int) vec.Vector {
+			aux := vec.New(2)
+			if outlier[i] {
+				aux[1] = 1
+			} else {
+				aux[0] = 1
+			}
+			return aux
+		},
+	})
 	if err != nil {
 		return Fig3Row{}, err
 	}
-	if err := net.RunRounds(cfg.Rounds, nil); err != nil {
+	if err := eng.Run(cfg.Rounds); err != nil {
 		return Fig3Row{}, err
 	}
 
@@ -137,13 +131,13 @@ func runFig3Point(cfg Fig3Config, delta float64, seed uint64) (Fig3Row, error) {
 	var robustEst []vec.Vector
 	var missSum float64
 	missCount := 0
-	for _, node := range nodes {
-		est, err := RobustEstimate(node)
+	for i := 0; i < n; i++ {
+		est, err := RobustEstimate(eng.Node(i))
 		if err != nil {
 			return Fig3Row{}, err
 		}
 		robustEst = append(robustEst, est)
-		ratio, ok := OutlierMissRatio(node)
+		ratio, ok := OutlierMissRatio(eng.Node(i))
 		if ok {
 			missSum += ratio
 			missCount++
@@ -297,16 +291,16 @@ func RunOutlierMethodComparison(delta float64, nGood, nOut, rounds int, seed uin
 	truth := vec.Of(0, 0)
 	var rows []OutlierMethodRow
 	for _, method := range []core.Method{centroids.Method{}, gm.Method{}} {
-		nodes, net, err := buildClassifierNetwork(graph, values, method, 2, 0, r.Split())
+		eng, err := engine.New(engine.Config{Graph: graph, RNG: r, Values: values, Method: method, K: 2})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: method %s: %w", method.Name(), err)
 		}
-		if err := net.RunRounds(rounds, nil); err != nil {
+		if err := eng.Run(rounds); err != nil {
 			return nil, err
 		}
 		var ests []vec.Vector
-		for _, node := range nodes {
-			est, err := RobustEstimate(node)
+		for i := 0; i < eng.N(); i++ {
+			est, err := RobustEstimate(eng.Node(i))
 			if err != nil {
 				return nil, err
 			}

@@ -4,35 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"distclass/internal/core"
 	"distclass/internal/dkmeans"
-	"distclass/internal/engine"
 	"distclass/internal/gauss"
 	"distclass/internal/gm"
 	"distclass/internal/rng"
 	"distclass/internal/topology"
 	"distclass/internal/vec"
 )
-
-// buildClassifierNetwork wires one generic-algorithm node per value
-// into a round-driver network.
-func buildClassifierNetwork(graph *topology.Graph, values []vec.Vector, method core.Method, k int, q float64, r *rng.RNG) ([]*core.Node, *engine.RoundDriver[core.Classification], error) {
-	nodes := make([]*core.Node, graph.N())
-	agents := make([]engine.Agent[core.Classification], graph.N())
-	for i := range nodes {
-		node, err := core.NewNode(i, values[i], nil, core.Config{Method: method, K: k, Q: q})
-		if err != nil {
-			return nil, nil, err
-		}
-		nodes[i] = node
-		agents[i] = &ClassifierAgent{Node: node}
-	}
-	net, err := engine.NewRoundDriver(graph, agents, r, engine.Options[core.Classification]{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return nodes, net, nil
-}
 
 // RelatedWorkRow reports one algorithm in the related-work comparison.
 type RelatedWorkRow struct {
@@ -66,14 +44,21 @@ func RunRelatedWorkComparison(cfg AblationConfig) ([]RelatedWorkRow, error) {
 
 	var rows []RelatedWorkRow
 
-	// This paper: one gossip classification run.
-	run, err := runConvergence("generic (this paper)", graph, values, gm.Method{}, cfg, 0, 0, 0, r.Split())
+	// This paper: one gossip classification run; node 0's final
+	// mixture is the quality read.
+	run, eng, err := runConvergence("generic (this paper)", cfg.engineConfig(graph, values, r))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generic: %w", err)
 	}
-	// Quality: node 0's view after a fresh run of the same seed is not
-	// retained by runConvergence, so re-derive it quickly.
-	quality, err := genericQuality(graph, values, cfg, truth, r.Split())
+	mix, err := gm.ToMixture(eng.Classification(0))
+	if err != nil {
+		return nil, err
+	}
+	truthMix := make(gauss.Mixture, len(truth))
+	for i, m := range truth {
+		truthMix[i] = gauss.Component{Gaussian: gauss.NewPoint(m), Weight: 1}
+	}
+	quality, err := MeanCoverError(truthMix, mix)
 	if err != nil {
 		return nil, err
 	}
@@ -113,27 +98,6 @@ func RunRelatedWorkComparison(cfg AblationConfig) ([]RelatedWorkRow, error) {
 		MeanError:    meansError(truth, means),
 	})
 	return rows, nil
-}
-
-// genericQuality runs the generic GM classification once and returns
-// the truth-coverage error of node 0's final mixture.
-func genericQuality(graph *topology.Graph, values []vec.Vector, cfg AblationConfig, truth []vec.Vector, r *rng.RNG) (float64, error) {
-	truthMix := make(gauss.Mixture, len(truth))
-	for i, m := range truth {
-		truthMix[i] = gauss.Component{Gaussian: gauss.NewPoint(m), Weight: 1}
-	}
-	nodes, net, err := buildClassifierNetwork(graph, values, gm.Method{}, cfg.K, 0, r)
-	if err != nil {
-		return 0, err
-	}
-	if err := net.RunRounds(cfg.MaxRounds, nil); err != nil {
-		return 0, err
-	}
-	mix, err := gm.ToMixture(nodes[0].Classification())
-	if err != nil {
-		return 0, err
-	}
-	return MeanCoverError(truthMix, mix)
 }
 
 // meansError is the average distance from each true mean to its nearest

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -22,7 +24,10 @@ var driverDirs = []string{"internal/sim", "internal/livenet"}
 
 // Layering reports direct imports of internal/sim or internal/livenet
 // from packages under internal/experiments or cmd — those layers must
-// reach the protocol through internal/engine's Transport abstraction.
+// reach the protocol through internal/engine's Transport abstraction —
+// and non-test calls there to core.NewNode: a layer that builds its own
+// nodes wires its own executor and convergence loop beside the
+// engine's. Test files may build nodes for white-box driver checks.
 type Layering struct{}
 
 // Name implements Analyzer.
@@ -30,7 +35,7 @@ func (Layering) Name() string { return "layering" }
 
 // Doc implements Analyzer.
 func (Layering) Doc() string {
-	return "experiments and cmd packages drive the protocol through internal/engine, never internal/sim or internal/livenet directly"
+	return "experiments and cmd packages drive the protocol through internal/engine, never internal/sim, internal/livenet or core.NewNode directly"
 }
 
 // Check implements Analyzer.
@@ -56,8 +61,35 @@ func (Layering) Check(u *Unit) []Diagnostic {
 				})
 			}
 		}
+		if u.IsTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && u.isNewNode(call) {
+				diags = append(diags, Diagnostic{
+					Pos:     u.Fset.Position(call.Pos()),
+					Rule:    "layering",
+					Message: "core.NewNode call in " + u.Rel + "; run the nodes through engine.New instead",
+				})
+			}
+			return true
+		})
 	}
 	return diags
+}
+
+// isNewNode reports whether call invokes internal/core's NewNode.
+func (u *Unit) isNewNode(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NewNode" {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pkg, ok := u.Info.Uses[id].(*types.PkgName)
+	return ok && pkg.Imported().Path() == u.Module+"/internal/core"
 }
 
 // inAnyDir reports whether rel is one of the directories or nested

@@ -71,6 +71,8 @@ func Load(root string, patterns []string) ([]*Unit, error) {
 	fset := token.NewFileSet()
 	imp := &moduleFallbackImporter{
 		imp:    importer.ForCompiler(fset, "source", nil),
+		fset:   fset,
+		root:   root,
 		module: module,
 		cache:  make(map[string]*types.Package),
 	}
@@ -245,14 +247,16 @@ func check(fset *token.FileSet, imp types.Importer, path, rel, module string, fi
 // moduleFallbackImporter wraps the source importer: a module-local
 // import the importer cannot resolve (the process working directory is
 // outside the analyzed module, as when the test suite lints its
-// fixture module) degrades to an empty placeholder package instead of
-// failing the whole unit. Import correctness is the build gate's job;
-// the linter only needs the import declarations and whatever types do
-// resolve.
+// fixture module) is type-checked from its non-test files under the
+// module root, and degrades to an empty placeholder package where that
+// fails instead of failing the whole unit. Import correctness is the
+// build gate's job; the linter only needs the import declarations and
+// whatever types do resolve.
 type moduleFallbackImporter struct {
-	imp    types.Importer
-	module string
-	cache  map[string]*types.Package
+	imp          types.Importer
+	fset         *token.FileSet
+	root, module string
+	cache        map[string]*types.Package
 }
 
 func (m *moduleFallbackImporter) Import(path string) (*types.Package, error) {
@@ -278,6 +282,27 @@ func (m *moduleFallbackImporter) ImportFrom(path, dir string, mode types.ImportM
 	}
 	p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
 	p.MarkComplete()
-	m.cache[path] = p
+	m.cache[path] = p // also breaks import cycles
+	src := filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(path, m.module)))
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return p, nil
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !goFileName(e.Name()) || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, filepath.Join(src, e.Name()), nil, 0)
+		if err != nil {
+			return p, nil
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: m, Error: func(error) {}}
+	if pkg, err := conf.Check(path, m.fset, files, nil); err == nil {
+		m.cache[path] = pkg
+		return pkg, nil
+	}
 	return p, nil
 }

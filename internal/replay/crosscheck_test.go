@@ -71,6 +71,48 @@ func TestConvergenceMatchesOnline(t *testing.T) {
 	}
 }
 
+// TestAsyncConvergedRoundIsStepIndex pins DESIGN §9's async round
+// axis: a crash-free async run's spread probes carry the step count
+// after each virtual round of N steps, so its replay reports exactly
+// one spread sample per virtual round and converged_round equals
+// RunUntilConverged's round count times N.
+func TestAsyncConvergedRoundIsStepIndex(t *testing.T) {
+	const n = 24
+	r := rng.New(7)
+	values := make([]core.Value, n)
+	for i := range values {
+		values[i] = core.Value{float64(i%2)*10 + r.Normal(0, 1), r.Normal(0, 1)}
+	}
+	var buf strings.Builder
+	rec := trace.NewRecorder(&buf)
+	eng, err := engine.New(engine.Config{
+		Backend: engine.BackendAsync, Method: distclass.GaussianMixture(),
+		Values: values, Topology: topology.KindFull, Seed: 3, Trace: rec,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer eng.Stop()
+	rounds, converged, err := eng.RunUntilConverged(0)
+	if err != nil || !converged {
+		t.Fatalf("RunUntilConverged: rounds %d, converged %v, err %v", rounds, converged, err)
+	}
+	rep, err := replay.Analyze(strings.NewReader(buf.String()), replay.Options{})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	c := rep.Convergence
+	if !c.Converged || c.ConvergedRound != rounds*n {
+		t.Errorf("replay converged %v at round %d, want step index %d·%d = %d", c.Converged, c.ConvergedRound, rounds, n, rounds*n)
+	}
+	if c.SpreadSamples != rounds {
+		t.Errorf("spread samples = %d, want one per virtual round (%d)", c.SpreadSamples, rounds)
+	}
+	if rep.Anomalies.RoundRegressions != 0 {
+		t.Errorf("round regressions = %d, want 0", rep.Anomalies.RoundRegressions)
+	}
+}
+
 // TestFinalErrorMatchesOnline replays a Figure 4 trace: the last
 // error probe must equal the final error of the last traced run (the
 // robust crash run), exactly as the harness computed it online. The
