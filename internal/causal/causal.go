@@ -536,22 +536,12 @@ func (a *Analyzer) debit(key msgKey, src *node, w float64) {
 	if k := len(a.spare); k > 0 {
 		moved, a.spare = a.spare[k-1][:0], a.spare[:k-1]
 	}
-	// A share keeps 1-frac of itself. With frac in [0, 1/2] one at or
-	// below reachEpsilon stays there and one above 4·reachEpsilon keeps
-	// more than 2·reachEpsilon, so only the shares in between can change
-	// the reach count; any other frac checks every share.
-	check := math.Inf(1)
-	if frac >= 0 && frac <= 0.5 {
-		check = 4 * reachEpsilon
-	}
 	for i := range src.row {
 		old := src.row[i].w
 		d := old * frac
 		moved = append(moved, share{origin: src.row[i].origin, w: d})
 		src.row[i].w -= d
-		if old <= check {
-			a.reach += reached(src.row[i].w) - reached(old)
-		}
+		a.reach += reached(src.row[i].w) - reached(old)
 	}
 	a.inflight[key] = moved
 }
@@ -587,9 +577,7 @@ func (a *Analyzer) addShares(row, add []share) []share {
 		}
 		old := row[i].w
 		row[i].w += s.w
-		if old <= reachEpsilon || !(s.w >= 0) { // else it stays above
-			a.reach += reached(row[i].w) - reached(old)
-		}
+		a.reach += reached(row[i].w) - reached(old)
 		i++
 	}
 	return row

@@ -23,8 +23,8 @@ func rescanReach(a *Analyzer) int {
 // TestReachCountMatchesRescan streams the committed fixture through the
 // stage and checks the incremental reach count against a full ledger
 // rescan after every event, then after the row changes the fixture run
-// does not make: a debit that pushes a share below reachEpsilon, a
-// crash and a recover.
+// does not make: debits at frac 3/4 and 1/2 that push a share below
+// reachEpsilon, a credit that lifts it back, a crash and a recover.
 func TestReachCountMatchesRescan(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "fixture.trace"))
 	if err != nil {
@@ -74,6 +74,12 @@ func TestReachCountMatchesRescan(t *testing.T) {
 	transfer(2, 0, 0.75*(1.75+1.5e-12))
 	if s := a.nodes[0].row[1]; reached(s.w) != 1 {
 		t.Fatalf("node 0 holds %+v of origin 1, want a share above reachEpsilon", s)
+	}
+	// Node 0 now holds 1.625e-12 of origin 1, under 2·reachEpsilon, so
+	// sending on half its row drops that share below reachEpsilon.
+	transfer(0, 3, 0.5*(1.5625+1.625e-12))
+	if s := a.nodes[0].row[1]; reached(s.w) != 0 {
+		t.Fatalf("node 0 holds %+v of origin 1, want a share below reachEpsilon", s)
 	}
 	a.Observe(trace.Event{Round: -1, Node: 3, Kind: trace.KindCrash})
 	check("crash")

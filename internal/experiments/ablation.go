@@ -27,9 +27,6 @@ type AblationConfig struct {
 	K int
 	// MaxRounds bounds each run (default 200).
 	MaxRounds int
-	// Tol is the convergence threshold on the engine's spread probe
-	// (zero takes the engine's default, 1e-3).
-	Tol float64
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Metrics, when set, aggregates protocol and simulator counters
@@ -62,7 +59,7 @@ func (c AblationConfig) withDefaults() AblationConfig {
 func (c AblationConfig) engineConfig(graph *topology.Graph, values []vec.Vector, r *rng.RNG) engine.Config {
 	return engine.Config{
 		Graph: graph, RNG: r, Seed: c.Seed, Values: values, Method: gm.Method{},
-		K: c.K, Tolerance: c.Tol, MaxRounds: c.MaxRounds,
+		K: c.K, MaxRounds: c.MaxRounds,
 		Metrics: c.Metrics, Trace: c.Trace,
 	}
 }

@@ -21,11 +21,8 @@ type Fig2Config struct {
 	N int
 	// K is the collection bound (default 7).
 	K int
-	// MaxRounds bounds the run and Tol is the convergence threshold on
-	// the engine's spread probe; zero takes the engine's defaults (500
-	// rounds, 1e-3).
+	// MaxRounds bounds the run; zero takes the engine's default (500).
 	MaxRounds int
-	Tol       float64
 	// Seed drives dataset generation and gossip (default 1).
 	Seed uint64
 }
@@ -86,7 +83,7 @@ func runFigure2(cfg Fig2Config) (*Fig2Result, engine.Engine, error) {
 	}
 	run, eng, err := runConvergence("fig2", engine.Config{
 		Graph: graph, RNG: r, Seed: cfg.Seed, Values: values, Method: gm.Method{},
-		K: cfg.K, Tolerance: cfg.Tol, MaxRounds: cfg.MaxRounds,
+		K: cfg.K, MaxRounds: cfg.MaxRounds,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: fig2 run: %w", err)
