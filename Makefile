@@ -35,17 +35,17 @@ fmt:
 # Custom static analysis (internal/lint): the determinism/numerics
 # rules (norand, nowallclock, floatcmp, mapiter, globalstate, layering)
 # plus the concurrency contract (lockguard, gorolifecycle, errconserve,
-# chanmisuse). Runs behind a content-hash cache in
-# .lintcache (gitignored); exits nonzero with file:line:col diagnostics
-# on any unannotated finding. See DESIGN.md for the rules and the
-# //lint:allow escape hatch; `make lint-allows` audits the escape
-# hatches for staleness.
+# chanmisuse). Type-checks against the go command's export data (go
+# list -export), so the go build cache is the only cache; exits nonzero
+# with file:line:col diagnostics on any unannotated finding. See
+# DESIGN.md for the rules and the //lint:allow escape hatch; `make
+# lint-allows` audits the escape hatches for staleness.
 lint:
-	$(GO) run ./cmd/distclass-lint -cache .lintcache ./...
+	$(GO) run ./cmd/distclass-lint ./...
 
 # JSON finding report (CI artifact): same analysis, machine-readable.
 lint-report:
-	$(GO) run ./cmd/distclass-lint -cache .lintcache -format json ./... > lint-report.json; \
+	$(GO) run ./cmd/distclass-lint -format json ./... > lint-report.json; \
 	status=$$?; echo "wrote lint-report.json"; exit $$status
 
 # Audit //lint:allow directives: each prints as used or STALE.

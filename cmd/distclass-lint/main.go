@@ -5,21 +5,19 @@
 //
 // Usage:
 //
-//	distclass-lint [-list] [-list-allows] [-format text|json]
-//	               [-cache dir] [pattern ...]
+//	distclass-lint [-list] [-list-allows] [-format text|json] [pattern ...]
 //
 // Patterns are module-relative directories, optionally ending in /...
 // for a recursive walk; the default is ./... from the enclosing module
-// root. Package directories are type-checked one by one; with -cache,
-// directories whose contents (and transitive module-local imports) are
-// unchanged are served from a content-hash diagnostic cache without
-// re-checking.
+// root, nested modules included. The go command selects and compiles
+// the packages (`go list -export`), so `go` must be on PATH; the suite
+// type-checks each package's files against the compiler's export data.
 //
 // With -format text (the default) findings print as
 // file:line:col: rule: message, one per line. With -format json a
 // single report object is emitted:
 //
-//	{"module": ..., "count": N, "dirs": D, "cache_hits": H,
+//	{"module": ..., "count": N, "dirs": D,
 //	 "findings": [{"file","line","col","rule","message"}, ...]}
 //
 // The exit status is 1 when there are findings, 2 on usage or load
@@ -55,7 +53,6 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzer names and docs, then exit")
 	listAllows := flag.Bool("list-allows", false, "audit //lint:allow directives: report each as used or STALE, then exit")
 	format := flag.String("format", "text", "output format: text or json")
-	cacheDir := flag.String("cache", "", "diagnostic cache directory (empty disables caching)")
 	flag.Parse()
 
 	if *format != "text" && *format != "json" {
@@ -85,8 +82,7 @@ func main() {
 		return
 	}
 
-	opts := lint.Options{CacheDir: *cacheDir}
-	n, err := runLint(os.Stdout, root, patterns, *format, opts)
+	n, err := runLint(os.Stdout, root, patterns, *format)
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -101,18 +97,19 @@ func main() {
 
 // runLint runs the suite over the patterns and writes findings to w in
 // the requested format, returning the finding count.
-func runLint(w io.Writer, root string, patterns []string, format string, opts lint.Options) (int, error) {
-	res, err := lint.LintModule(root, patterns, opts)
+func runLint(w io.Writer, root string, patterns []string, format string) (int, error) {
+	units, err := lint.Load(root, patterns)
 	if err != nil {
 		return 0, err
 	}
+	diags := lint.Run(units, lint.All())
 	if format == "json" {
-		return len(res.Diagnostics), writeJSON(w, root, res)
+		return len(diags), writeJSON(w, root, units, diags)
 	}
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		fmt.Fprintln(w, d)
 	}
-	return len(res.Diagnostics), nil
+	return len(diags), nil
 }
 
 // printRules writes one "name: doc" line per analyzer.
@@ -134,23 +131,23 @@ type jsonFinding struct {
 
 // jsonReport is the -format json payload.
 type jsonReport struct {
-	Module    string        `json:"module"`
-	Count     int           `json:"count"`
-	Dirs      int           `json:"dirs"`
-	CacheHits int           `json:"cache_hits"`
-	Findings  []jsonFinding `json:"findings"`
+	Module   string        `json:"module"`
+	Count    int           `json:"count"`
+	Dirs     int           `json:"dirs"`
+	Findings []jsonFinding `json:"findings"`
 }
 
-// writeJSON renders the result as a single JSON object.
-func writeJSON(w io.Writer, root string, res *lint.Result) error {
-	rep := jsonReport{
-		Module:    res.Module,
-		Count:     len(res.Diagnostics),
-		Dirs:      res.Dirs,
-		CacheHits: res.CacheHits,
-		Findings:  []jsonFinding{},
+// writeJSON renders the findings over the loaded units as a single
+// JSON object. Dirs counts the package directories analyzed.
+func writeJSON(w io.Writer, root string, units []*lint.Unit, diags []lint.Diagnostic) error {
+	rep := jsonReport{Count: len(diags), Findings: []jsonFinding{}}
+	for i, u := range units {
+		rep.Module = u.Module
+		if i == 0 || u.Rel != units[i-1].Rel {
+			rep.Dirs++
+		}
 	}
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		rep.Findings = append(rep.Findings, jsonFinding{
 			File:    relPath(root, d.Pos.Filename),
 			Line:    d.Pos.Line,
@@ -173,8 +170,8 @@ type jsonAllow struct {
 	Used   bool   `json:"used"`
 }
 
-// runListAllows loads the patterns fresh (no cache: usage tracking
-// needs the raw, unsuppressed findings) and reports every directive.
+// runListAllows loads the patterns and reports every directive; usage
+// tracking needs the raw, unsuppressed findings.
 func runListAllows(w io.Writer, root string, patterns []string, format string) error {
 	units, err := lint.Load(root, patterns)
 	if err != nil {
@@ -218,10 +215,8 @@ func relPath(root, path string) string {
 	return filepath.ToSlash(rel)
 }
 
-// moduleRoot walks up from the working directory to the nearest go.mod.
-// The source importer resolves module-local imports relative to the
-// working directory, so the tool must be started inside the module it
-// checks (make lint runs it from the repo root).
+// moduleRoot walks up from the working directory to the nearest go.mod:
+// the root whose patterns the tool lints and to which it reports paths.
 func moduleRoot() (string, error) {
 	dir, err := os.Getwd()
 	if err != nil {

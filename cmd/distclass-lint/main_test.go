@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"distclass/internal/lint"
 )
 
 // writeModule lays out a throwaway module and returns its root.
@@ -36,7 +34,7 @@ func Draw() float64 { return rand.Float64() }
 `,
 	})
 	var out strings.Builder
-	n, err := runLint(&out, root, []string{"./..."}, "text", lint.Options{})
+	n, err := runLint(&out, root, []string{"./..."}, "text")
 	if err != nil {
 		t.Fatalf("runLint: %v", err)
 	}
@@ -55,7 +53,7 @@ func TestRunLintCleanModule(t *testing.T) {
 		"p/p.go": "package p\n\n// Two adds two.\nfunc Two() int { return 2 }\n",
 	})
 	var out strings.Builder
-	n, err := runLint(&out, root, []string{"./..."}, "text", lint.Options{})
+	n, err := runLint(&out, root, []string{"./..."}, "text")
 	if err != nil {
 		t.Fatalf("runLint: %v", err)
 	}
@@ -65,7 +63,7 @@ func TestRunLintCleanModule(t *testing.T) {
 }
 
 func TestRunLintBadRoot(t *testing.T) {
-	if _, err := runLint(&strings.Builder{}, t.TempDir(), []string{"./..."}, "text", lint.Options{}); err == nil {
+	if _, err := runLint(&strings.Builder{}, t.TempDir(), []string{"./..."}, "text"); err == nil {
 		t.Fatal("expected error for a directory without go.mod")
 	}
 }

@@ -191,7 +191,7 @@ func (r *smokeRun) run() error {
 	if budget == 0 {
 		budget = smokeBudget
 	}
-	ok, err := cl.WaitConverged(budget, smokeTol)
+	ok, err := cl.WaitConverged(budget)
 	if err == nil && ok && r.after != nil {
 		err = r.after(cl, r)
 	}
@@ -266,7 +266,7 @@ func shardSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, err
 				}
 				r.want++
 			}
-			ok, err := cl.WaitConverged(r.budget, smokeTol)
+			ok, err := cl.WaitConverged(r.budget)
 			if err != nil {
 				return err
 			}

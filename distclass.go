@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"distclass/internal/centroids"
-	"distclass/internal/converge"
 	"distclass/internal/core"
 	"distclass/internal/engine"
 	"distclass/internal/experiments"
@@ -604,12 +603,14 @@ func (c *LiveCluster) MessagesSent() int64 {
 // Err returns the first internal error observed, or nil.
 func (c *LiveCluster) Err() error { return c.eng.Err() }
 
-// WaitConverged runs the engine's convergence loop at tolerance tol:
-// it probes until the spread stays below tol for the default window of
-// consecutive probes (3), or the timeout (<= 0 means 30s) elapses. It
-// reports whether convergence was observed.
-func (c *LiveCluster) WaitConverged(timeout time.Duration, tol float64) (bool, error) {
-	return engine.WaitConverged(c.eng, timeout, converge.New(tol, converge.DefaultWindow))
+// WaitConverged runs the engine's convergence loop at the tolerance
+// set by WithTolerance (default 1e-3): it probes until the spread stays
+// below it for the default window of consecutive probes (3), or the
+// timeout (<= 0 means 30s) elapses. It reports whether convergence was
+// observed.
+func (c *LiveCluster) WaitConverged(timeout time.Duration) (bool, error) {
+	_, ok, err := c.eng.RunUntilConverged(timeout)
+	return ok, err
 }
 
 // Kill crashes node i fail-stop (§3.1): its goroutines stop, its links

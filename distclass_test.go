@@ -246,12 +246,12 @@ func TestGossipModes(t *testing.T) {
 
 func TestStartLive(t *testing.T) {
 	cluster, err := distclass.StartLive(twoClusters(12), distclass.GaussianMixture(),
-		distclass.WithK(2), distclass.WithSeed(41))
+		distclass.WithK(2), distclass.WithSeed(41), distclass.WithTolerance(0.25))
 	if err != nil {
 		t.Fatalf("StartLive: %v", err)
 	}
 	defer cluster.Stop()
-	converged, err := cluster.WaitConverged(10*time.Second, 0.25)
+	converged, err := cluster.WaitConverged(10 * time.Second)
 	if err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}

@@ -2,8 +2,9 @@
 // deployment: every sensor is a goroutine, connected to its neighbors
 // by duplex links carrying wire-encoded messages — no simulator, no
 // rounds, genuine asynchrony, exactly the model the paper assumes
-// (§3.1: asynchronous reliable channels). Watch the spread collapse as
-// the goroutines gossip.
+// (§3.1: asynchronous reliable channels). The goroutines gossip until
+// the spread stays below the tolerance, the engine's one convergence
+// rule, and sensor 0 prints its view.
 package main
 
 import (
@@ -32,6 +33,7 @@ func main() {
 		distclass.WithK(2),
 		distclass.WithTopology(distclass.TopologyGeometric),
 		distclass.WithSeed(7),
+		distclass.WithTolerance(0.05),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -39,21 +41,16 @@ func main() {
 	defer cluster.Stop()
 
 	start := time.Now()
-	for i := 0; i < 20; i++ {
-		time.Sleep(25 * time.Millisecond)
-		if err := cluster.Err(); err != nil {
-			log.Fatal(err)
-		}
-		spread, err := cluster.Spread()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("t=%-7s spread=%-10.4g messages=%d\n",
-			time.Since(start).Round(time.Millisecond), spread, cluster.MessagesSent())
-		if spread < 0.05 {
-			break
-		}
+	converged, err := cluster.WaitConverged(500 * time.Millisecond)
+	if err != nil {
+		log.Fatal(err)
 	}
+	spread, err := cluster.Spread()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("converged=%t after %s: spread=%.4g messages=%d\n",
+		converged, time.Since(start).Round(time.Millisecond), spread, cluster.MessagesSent())
 
 	fmt.Println("\nsensor 0's view of the temperature field:")
 	for _, c := range cluster.Classification(0) {

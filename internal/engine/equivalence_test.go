@@ -65,7 +65,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StartLive: %v", err)
 			}
-			converged, err := cl.WaitConverged(15*time.Second, tol)
+			converged, err := cl.WaitConverged(15 * time.Second)
 			// Stop before the audit: it joins every goroutine and
 			// re-absorbs queued frames, so no weight is in flight when
 			// TotalWeight sums the nodes.
@@ -111,11 +111,12 @@ func TestPipeBackendLargeScale(t *testing.T) {
 		distclass.WithSeed(23),
 		distclass.WithTopology(distclass.TopologyRegular),
 		distclass.WithBackend(distclass.BackendPipe),
-		distclass.WithInterval(interval))
+		distclass.WithInterval(interval),
+		distclass.WithTolerance(tol))
 	if err != nil {
 		t.Fatalf("StartLive: %v", err)
 	}
-	converged, err := cl.WaitConverged(deadline, tol)
+	converged, err := cl.WaitConverged(deadline)
 	cl.Stop()
 	if err == nil {
 		err = cl.Err()

@@ -345,40 +345,32 @@ func (c *liveCore) RunObserved(int, func(int) error) error {
 	return fmt.Errorf("engine: backend %s has no driver rounds to observe; poll Spread instead", c.cfg.Backend)
 }
 
-// RunUntilConverged runs WaitConverged at the configured Tolerance and
-// Window. The returned round count is always zero — concurrent
-// backends have no round axis.
+// RunUntilConverged is the concurrent backends' convergence loop: it
+// probes Spread every few milliseconds until the spread stays below the
+// configured Tolerance for Window consecutive probes or the timeout
+// (<= 0 means 30s) expires, and returns early with the engine's first
+// error. The returned round count is always zero — concurrent backends
+// have no round axis.
 func (c *liveCore) RunUntilConverged(timeout time.Duration) (int, bool, error) {
-	ok, err := WaitConverged(c, timeout, converge.New(c.cfg.Tolerance, c.cfg.Window))
-	return 0, ok, err
-}
-
-// WaitConverged is the concurrent backends' convergence loop: it probes
-// e's Spread every few milliseconds until det reports convergence or
-// the timeout (<= 0 means 30s) expires, and returns early with the
-// engine's first error.
-func WaitConverged(e interface {
-	Spread() (float64, error)
-	Err() error
-}, timeout time.Duration, det *converge.Detector) (bool, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
+	det := converge.New(c.cfg.Tolerance, c.cfg.Window)
 	deadline := time.Now().Add(timeout)
 	for probe := 0; time.Now().Before(deadline); probe++ {
-		if err := e.Err(); err != nil {
-			return false, err
+		if err := c.Err(); err != nil {
+			return 0, false, err
 		}
-		spread, err := e.Spread()
+		spread, err := c.Spread()
 		if err != nil {
-			return false, err
+			return 0, false, err
 		}
 		if det.Observe(probe, spread) {
-			return true, nil
+			return 0, true, nil
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return false, e.Err()
+	return 0, false, c.Err()
 }
 
 func (c *liveCore) fail(err error) {

@@ -17,10 +17,11 @@
 // one function allowed to close a channel.
 //
 // The suite is built purely on the standard library's go/ast, go/parser,
-// go/token and go/types (with the source importer), keeping the module
-// dependency-free. cmd/distclass-lint is the CLI front end; `make lint`
-// runs it over the whole module behind a content-hash diagnostic cache
-// (see LintModule).
+// go/token and go/types, keeping the module dependency-free: Load asks
+// the go command for the packages and their compiled export data and
+// type-checks each package's files against it (see Load), so `go` must
+// be on PATH. cmd/distclass-lint is the CLI front end; `make lint` runs
+// it over the whole module.
 //
 // # Suppressing a finding
 //

@@ -14,16 +14,16 @@ import (
 // fixtureRoot is a miniature module mirroring the real repo's layout:
 // the directories the rules special-case (internal/rng, internal/vec,
 // internal/metrics, internal/core) plus an ordinary package ("gossip")
-// where every rule applies. Expected findings are annotated in the
+// where every rule applies, with an external test package, and a
+// nested module under cmd. Expected findings are annotated in the
 // fixtures themselves with trailing `// want <rule>` comments.
 const fixtureRoot = "testdata/src"
 
 // wantRe matches a finding annotation in a fixture file.
 var wantRe = regexp.MustCompile(`// want ([a-z]+)$`)
 
-// fixtureLoad caches the one fixture analysis all tests share: loading
-// re-type-checks the stdlib through the source importer, which is too
-// slow to repeat per test function.
+// fixtureLoad holds the one fixture analysis the tests share: each
+// load runs go list over both fixture modules, so the tests load once.
 var fixtureLoad struct {
 	once  sync.Once
 	diags []Diagnostic

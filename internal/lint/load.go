@@ -1,13 +1,19 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -22,13 +28,14 @@ type Unit struct {
 	Fset *token.FileSet
 	// Files are the parsed files of the unit, sorted by filename.
 	Files []*ast.File
-	// Rel is the unit directory relative to the module root, always
-	// "/"-separated ("." for the root package). Rules match on Rel so
-	// the suite works identically on the fixture module used in tests.
+	// Rel is the unit directory relative to the lint root, always
+	// "/"-separated ("." for the root package), also inside a nested
+	// module. Rules match on Rel so the suite works identically on the
+	// fixture module used in tests.
 	Rel string
-	// Module is the module path from go.mod; rules that inspect
-	// module-local import paths join it with a module-relative
-	// directory.
+	// Module is the module path from the lint root's go.mod; rules
+	// that inspect module-local import paths join it with a
+	// root-relative directory.
 	Module string
 	// Pkg and Info carry the go/types results. On type errors the
 	// info may be partial; analyzers must tolerate missing entries.
@@ -40,7 +47,7 @@ type Unit struct {
 	TypeErrors []error
 }
 
-// InDir reports whether the unit lives in the given module-relative
+// InDir reports whether the unit lives in the given root-relative
 // directory (e.g. "internal/rng").
 func (u *Unit) InDir(rel string) bool { return u.Rel == rel }
 
@@ -51,39 +58,54 @@ func (u *Unit) IsTestFile(pos token.Pos) bool {
 
 // Load parses and type-checks the packages selected by patterns under
 // the module rooted at root (the directory containing go.mod). A
-// pattern is a module-relative directory, optionally ending in "/..."
-// for a recursive walk; "./..." selects the whole module. Directories
-// named testdata or vendor and names starting with "." or "_" are
-// skipped, matching go tool conventions.
+// pattern is a root-relative directory, optionally ending in "/..."
+// for a recursive walk; "./..." selects the whole tree.
 //
-// Module-local imports are resolved by the standard library's source
-// importer, which requires the process working directory to be inside
-// the module when the analyzed code imports module-local packages.
+// The go command does the package selection and the compiling: Load
+// runs `go list -e -export -deps -test -json` once per module (the
+// root module, and each module nested below it that a pattern
+// reaches), parses each selected package's files, and type-checks
+// them against the compiler's export data for their imports. So `go`
+// must be on PATH, and files excluded by build constraints are not
+// linted. A package with in-package tests is checked as its test
+// variant, and its external _test package, if any, as a unit of its
+// own that imports that variant. Units come sorted by directory.
 func Load(root string, patterns []string) ([]*Unit, error) {
 	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expand(root, patterns)
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	mods, err := nestedModules(abs)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := &moduleFallbackImporter{
-		imp:    importer.ForCompiler(fset, "source", nil),
-		fset:   fset,
-		root:   root,
-		module: module,
-		cache:  make(map[string]*types.Package),
-	}
 	var units []*Unit
-	for _, dir := range dirs {
-		us, err := loadDir(fset, imp, root, module, dir)
+	for _, mod := range append([]string{"."}, mods...) {
+		pats := modulePatterns(mod, mods, patterns)
+		if len(pats) == 0 {
+			continue
+		}
+		pkgs, err := goList(filepath.Join(abs, mod), pats)
+		if err != nil {
+			return nil, err
+		}
+		us, err := checkPackages(fset, root, abs, module, pkgs)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, us...)
 	}
+	sort.Slice(units, func(i, j int) bool {
+		if units[i].Rel != units[j].Rel {
+			return units[i].Rel < units[j].Rel
+		}
+		return units[i].Pkg.Path() < units[j].Pkg.Path()
+	})
 	return units, nil
 }
 
@@ -102,123 +124,181 @@ func modulePath(root string) (string, error) {
 	return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
 }
 
-// expand resolves the patterns into a sorted, de-duplicated list of
-// directories containing Go files.
-func expand(root string, patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	for _, p := range patterns {
-		p = filepath.ToSlash(p)
-		recursive := false
-		if p == "..." || strings.HasSuffix(p, "/...") {
-			recursive = true
-			p = strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
+// nestedModules returns the root-relative directories below root that
+// hold a go.mod of their own, in walk order. `go list ./...` stops at
+// such a directory, so Load lists each of them separately. Directories
+// named testdata or vendor and names starting with "." or "_" are
+// skipped, as the go command skips them.
+func nestedModules(root string) ([]string, error) {
+	var mods []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
 		}
-		if p == "" {
-			p = "."
+		name := d.Name()
+		if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
 		}
-		dir := filepath.Join(root, filepath.FromSlash(p))
-		if !recursive {
-			if hasGoFiles(dir) {
-				seen[dir] = true
-			}
-			continue
-		}
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			rel, err := filepath.Rel(root, path)
 			if err != nil {
 				return err
 			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != dir && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				seen[path] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("lint: walking %s: %w", dir, err)
+			mods = append(mods, filepath.ToSlash(rel))
 		}
-	}
-	dirs := make([]string, 0, len(seen))
-	for d := range seen {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// hasGoFiles reports whether dir directly contains at least one .go file.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && goFileName(e.Name()) {
-			return true
-		}
-	}
-	return false
-}
-
-// goFileName reports whether name is a Go file the loader should parse.
-func goFileName(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
-}
-
-// loadDir parses one directory and type-checks up to two units: the
-// package plus its in-package test files, and the external _test
-// package if present.
-func loadDir(fset *token.FileSet, imp types.Importer, root, module, dir string) ([]*Unit, error) {
-	entries, err := os.ReadDir(dir)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && goFileName(e.Name()) {
-			names = append(names, e.Name())
+	return mods, nil
+}
+
+// modulePatterns translates the root-relative patterns into the go
+// list patterns for the module at root-relative directory mod ("." for
+// the root module), given all nested modules. A pattern belongs to the
+// innermost module containing its directory; a recursive pattern also
+// selects the whole of every nested module below its directory.
+func modulePatterns(mod string, mods, patterns []string) []string {
+	var out []string
+	for _, p := range patterns {
+		p = strings.TrimPrefix(filepath.ToSlash(p), "./")
+		dir, recursive := strings.CutSuffix(p, "...")
+		dir = strings.TrimSuffix(dir, "/")
+		if dir == "" {
+			dir = "."
+		}
+		owner := "."
+		for _, m := range mods { // parents come before their children
+			if within(dir, m) {
+				owner = m
+			}
+		}
+		switch {
+		case owner == mod:
+			rel := "."
+			if dir != mod {
+				rel = strings.TrimPrefix(dir, mod+"/")
+			}
+			if recursive {
+				rel = path.Join(rel, "...")
+			}
+			out = append(out, "./"+rel)
+		case recursive && mod != "." && within(mod, dir):
+			out = append(out, "./...")
 		}
 	}
-	sort.Strings(names)
+	return out
+}
 
-	var pkgFiles, extFiles []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+// within reports whether the root-relative directory dir is base or
+// lies below it.
+func within(dir, base string) bool {
+	return base == "." || dir == base || strings.HasPrefix(dir, base+"/")
+}
+
+// listedPackage is the part of a `go list -json` record that Load
+// reads.
+type listedPackage struct {
+	Dir        string
+	ImportPath string
+	ForTest    string
+	Export     string
+	GoFiles    []string
+	ImportMap  map[string]string
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+// goList runs `go list -e -export -deps -test -json` on the patterns in
+// the module directory dir. Every listed package, dependencies and
+// test variants included, comes back with the path of its export data.
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-test", "-json"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+}
+
+// checkPackages type-checks the units among one go list run's
+// packages: each selected package, as its in-package test variant
+// ("p [p.test]") where it has one, and each external test package
+// ("p_test [p.test]"). Dependencies, other packages' test
+// recompilations and the generated test mains are only import sources.
+func checkPackages(fset *token.FileSet, root, abs, module string, pkgs []*listedPackage) ([]*Unit, error) {
+	exports := make(map[string]string, len(pkgs))
+	tested := make(map[string]bool)  // packages with a test binary
+	variant := make(map[string]bool) // packages with a "p [p.test]" variant
+	for _, p := range pkgs {
+		exports[p.ImportPath] = p.Export
+		if p.ForTest != "" {
+			tested[p.ForTest] = true
+			variant[p.ForTest] = variant[p.ForTest] || basePath(p.ImportPath) == p.ForTest
+		}
+	}
+	var units []*Unit
+	for _, p := range pkgs {
+		path := basePath(p.ImportPath)
+		testMain := strings.HasSuffix(path, ".test") && tested[strings.TrimSuffix(path, ".test")]
+		switch {
+		case p.DepOnly, p.ForTest == "" && (variant[path] || testMain):
+			continue
+		case p.ForTest != "" && path != p.ForTest && path != p.ForTest+"_test":
+			continue
+		}
+		if len(p.GoFiles) == 0 {
+			if p.Error != nil {
+				return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+			}
+			continue
+		}
+		rel, err := filepath.Rel(abs, p.Dir)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			extFiles = append(extFiles, f)
-		} else {
-			pkgFiles = append(pkgFiles, f)
+		names := append([]string(nil), p.GoFiles...)
+		sort.Strings(names)
+		files := make([]*ast.File, 0, len(names))
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, filepath.Join(root, rel, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %w", err)
+			}
+			files = append(files, f)
 		}
-	}
-
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	rel = filepath.ToSlash(rel)
-	path := module
-	if rel != "." {
-		path = module + "/" + rel
-	}
-
-	var units []*Unit
-	if len(pkgFiles) > 0 {
-		units = append(units, check(fset, imp, path, rel, module, pkgFiles))
-	}
-	if len(extFiles) > 0 {
-		units = append(units, check(fset, imp, path+"_test", rel, module, extFiles))
+		importMap := p.ImportMap
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if id, ok := importMap[path]; ok {
+				path = id
+			}
+			if exports[path] == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
+			}
+			return os.Open(exports[path])
+		})
+		units = append(units, check(fset, imp, path, filepath.ToSlash(rel), module, files))
 	}
 	return units, nil
+}
+
+// basePath strips the " [p.test]" suffix go list gives test variants.
+func basePath(importPath string) string {
+	path, _, _ := strings.Cut(importPath, " ")
+	return path
 }
 
 // check type-checks one unit, tolerating type errors.
@@ -242,67 +322,4 @@ func check(fset *token.FileSet, imp types.Importer, path, rel, module string, fi
 	// results are still usable, so it is deliberately not propagated.
 	u.Pkg, _ = conf.Check(path, fset, files, u.Info)
 	return u
-}
-
-// moduleFallbackImporter wraps the source importer: a module-local
-// import the importer cannot resolve (the process working directory is
-// outside the analyzed module, as when the test suite lints its
-// fixture module) is type-checked from its non-test files under the
-// module root, and degrades to an empty placeholder package where that
-// fails instead of failing the whole unit. Import correctness is the
-// build gate's job; the linter only needs the import declarations and
-// whatever types do resolve.
-type moduleFallbackImporter struct {
-	imp          types.Importer
-	fset         *token.FileSet
-	root, module string
-	cache        map[string]*types.Package
-}
-
-func (m *moduleFallbackImporter) Import(path string) (*types.Package, error) {
-	return m.ImportFrom(path, ".", 0)
-}
-
-func (m *moduleFallbackImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	var pkg *types.Package
-	var err error
-	if from, ok := m.imp.(types.ImporterFrom); ok {
-		pkg, err = from.ImportFrom(path, dir, mode)
-	} else {
-		pkg, err = m.imp.Import(path)
-	}
-	if err == nil {
-		return pkg, nil
-	}
-	if path != m.module && !strings.HasPrefix(path, m.module+"/") {
-		return nil, err
-	}
-	if p, ok := m.cache[path]; ok {
-		return p, nil
-	}
-	p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
-	p.MarkComplete()
-	m.cache[path] = p // also breaks import cycles
-	src := filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(path, m.module)))
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return p, nil
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !goFileName(e.Name()) || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(src, e.Name()), nil, 0)
-		if err != nil {
-			return p, nil
-		}
-		files = append(files, f)
-	}
-	conf := types.Config{Importer: m, Error: func(error) {}}
-	if pkg, err := conf.Check(path, m.fset, files, nil); err == nil {
-		m.cache[path] = pkg
-		return pkg, nil
-	}
-	return p, nil
 }
