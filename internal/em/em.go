@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"distclass/internal/gauss"
 	"distclass/internal/mat"
@@ -92,10 +93,14 @@ func (o Options) withDefaults() Options {
 // singletons.
 //
 // The E-step skips the factorization of any pair a certified upper
-// bound rules out (see reducer.limit), and the M-step moment-matches in
-// buffers allocated once per call, so the groups equal those of the
-// plain loop — every score compared exactly, every candidate merged by
-// gauss.Merge — for every input, bit for bit.
+// bound rules out (see reducer.limit) and scores 2-D pairs in closed
+// form (see affinity2); the M-step moment-matches in the reducer's own
+// buffers. The groups equal those of the plain loop — every score
+// compared exactly, every candidate merged by gauss.Merge — for every
+// input, bit for bit.
+//
+// The reducer's buffers come from reducerPool and outlive the call, so
+// a warm call allocates only the groups it returns.
 func ReduceMixture(cs []gauss.Component, k int, opts Options) ([][]int, error) {
 	opts = opts.withDefaults()
 	if len(cs) == 0 {
@@ -113,12 +118,28 @@ func ReduceMixture(cs []gauss.Component, k int, opts Options) ([][]int, error) {
 		}
 		return groups, nil
 	}
-	r, err := newReducer(cs, k, opts.VarFloor)
-	if err != nil {
+	r := reducerPool.Get().(*reducer)
+	groups, err := r.reduce(cs, k, opts)
+	r.release()
+	reducerPool.Put(r)
+	return groups, err
+}
+
+// reducerPool holds reducers between ReduceMixture calls, so buffers
+// exist about once per P rather than once per call (DESIGN.md,
+// "Zero-alloc hot paths"). ReduceMixture releases every reducer before
+// it goes back, so the pool holds no input from one call to the next.
+//
+//lint:allow globalstate a pool of released reducers carries no run state; it only recycles capacity
+var reducerPool = sync.Pool{New: func() any { return new(reducer) }}
+
+// reduce runs the EM loop of ReduceMixture over len(cs) > k inputs.
+func (r *reducer) reduce(cs []gauss.Component, k int, opts Options) ([][]int, error) {
+	if err := r.reset(cs, k, opts.VarFloor); err != nil {
 		return nil, err
 	}
 	// Initial candidates: copies of the seed components themselves.
-	for _, s := range farthestFirst(cs, k) {
+	for _, s := range r.farthestFirst(k) {
 		p := len(r.targets)
 		r.targets = r.targets[:p+1]
 		t := &r.targets[p]
@@ -167,9 +188,10 @@ type bound struct {
 	ok            bool
 }
 
-// reducer holds one ReduceMixture call's state. Every buffer is
-// allocated once per call and reused across iterations; nothing is
-// pooled or shared between calls.
+// reducer holds one ReduceMixture call's state. The buffers outlive
+// the call: reset sizes them to each call, growing one only when it is
+// too short, and overwrites every value before it is read, so nothing
+// carries over from the previous call but capacity.
 type reducer struct {
 	cs      []gauss.Component
 	d       int
@@ -186,54 +208,70 @@ type reducer struct {
 	remap   []int             // per candidate: slot after compaction, -1 if empty
 	sub     []gauss.Component // one candidate's members, handed to MergeInto
 	diff    vec.Vector        // MergeInto scratch
+	seeds   []int             // farthestFirst's picks
+	minDist []float64         // per input: squared distance to the nearest seed
+	means   []float64         // backing of the candidates' means and diff
+	covs    []mat.Matrix      // the candidates' covariances
 }
 
-// newReducer validates the inputs' dimensions, precomputes their
-// bounds and allocates the call's buffers for up to k candidates.
-func newReducer(cs []gauss.Component, k int, floor float64) (*reducer, error) {
+// reset validates the inputs' dimensions, sizes r's buffers for them
+// and up to k candidates, and precomputes the inputs' bounds.
+func (r *reducer) reset(cs []gauss.Component, k int, floor float64) error {
 	n, d := len(cs), cs[0].Dim()
 	for i, c := range cs {
 		if c.Cov == nil {
-			return nil, fmt.Errorf("em: input %d has no covariance", i)
+			return fmt.Errorf("em: input %d has no covariance", i)
 		}
 		if c.Mean.Dim() != d || c.Cov.Dim() != d {
-			return nil, fmt.Errorf("em: input %d: %w: mean dim %d, covariance dim %d, want %d",
+			return fmt.Errorf("em: input %d: %w: mean dim %d, covariance dim %d, want %d",
 				i, vec.ErrDimMismatch, c.Mean.Dim(), c.Cov.Dim(), d)
 		}
 	}
-	ints := make([]int, 2*n+2*k)
-	comps := make([]gauss.Component, n+k)
-	bounds := make([]bound, n+k)
-	means := make([]float64, (k+1)*d)
-	r := &reducer{
-		cs:      cs,
-		d:       d,
-		dF:      float64(d),
-		d3:      float64(d) * float64(d) * float64(d),
-		floor:   floor,
-		ldZero:  float64(d) * math.Log(floor),
-		s:       newAffinityScratch(d),
-		targets: comps[n : n : n+k],
-		ib:      bounds[:n],
-		tb:      bounds[n:],
-		assign:  ints[:n],
-		idx:     ints[n : 2*n],
-		count:   ints[2*n : 2*n+k],
-		remap:   ints[2*n+k:],
-		lim:     make([]float64, k),
-		sub:     comps[:0:n],
-		diff:    vec.Vector(means[k*d:]),
+	r.cs, r.d, r.floor = cs, d, floor
+	r.dF, r.d3 = float64(d), float64(d)*float64(d)*float64(d)
+	r.ldZero = float64(d) * math.Log(floor)
+	if r.s == nil || r.s.delta.Dim() != d {
+		r.s = newAffinityScratch(d)
 	}
-	covs := mat.NewBatch(k, d)
-	for p := range covs {
-		comps[n+p].Mean = vec.Vector(means[p*d : (p+1)*d : (p+1)*d])
-		comps[n+p].Cov = &covs[p]
+	if len(r.covs) < k || r.covs[0].Dim() != d {
+		r.covs = mat.NewBatch(k, d)
 	}
+	r.means = grow(r.means, (k+1)*d)
+	r.targets = grow(r.targets, k)
+	for p := range r.targets {
+		r.targets[p].Mean = vec.Vector(r.means[p*d : (p+1)*d : (p+1)*d])
+		r.targets[p].Cov = &r.covs[p]
+	}
+	r.targets = r.targets[:0]
+	r.diff = vec.Vector(r.means[k*d : (k+1)*d])
+	r.ib, r.tb = grow(r.ib, n), grow(r.tb, k)
+	r.assign, r.idx = grow(r.assign, n), grow(r.idx, n)
+	r.count, r.remap, r.lim = grow(r.count, k), grow(r.remap, k), grow(r.lim, k)
+	r.sub = grow(r.sub, n)[:0]
+	r.seeds, r.minDist = grow(r.seeds, k)[:0], grow(r.minDist, n)
 	for i, c := range cs {
 		r.assign[i] = -1
 		r.ib[i] = r.certify(c)
 	}
-	return r, nil
+	return nil
+}
+
+// release drops every reference r holds to the call's inputs — the
+// input slice and the member copies handed to MergeInto — so the pool
+// pins no summary. It runs on every exit path of ReduceMixture.
+func (r *reducer) release() {
+	r.cs = nil
+	clear(r.sub[:cap(r.sub)])
+	r.sub = r.sub[:0]
+}
+
+// grow returns s resliced to length n, reallocated only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // certify computes c's bound. The pruning bound assumes a positive
@@ -244,25 +282,17 @@ func newReducer(cs []gauss.Component, k int, floor float64) (*reducer, error) {
 // roundoff). Any other component is scored exactly against every
 // candidate.
 func (r *reducer) certify(c gauss.Component) bound {
-	cov, s := c.Cov, r.s
+	cov := c.Cov
 	if !(c.Weight > 0) || math.IsInf(c.Weight, 1) || !cov.IsFinite() || !cov.IsSymmetric(0) {
 		return bound{}
 	}
 	b := bound{ld: r.ldZero, ok: true}
 	if !cov.IsZero() {
-		if s.chol.Factor(cov) != nil {
+		ld, ok := r.ridgedLogDet(cov)
+		if !ok {
 			return bound{}
 		}
-		if err := s.covF.CopyFrom(cov); err != nil {
-			return bound{}
-		}
-		for x := 0; x < r.d; x++ {
-			s.covF.Set(x, x, s.covF.At(x, x)+r.floor)
-		}
-		if s.chol.Factor(s.covF) != nil {
-			return bound{}
-		}
-		b.tr, b.ld = cov.Trace(), s.chol.LogDet()
+		b.tr, b.ld = cov.Trace(), ld
 	}
 	// Cov + floor·I has condition number at most tr/floor + 1.
 	b.ldErr = ldErrPerKappa * r.d3 * (b.tr/r.floor + 1)
@@ -270,6 +300,61 @@ func (r *reducer) certify(c gauss.Component) bound {
 		return bound{}
 	}
 	return b
+}
+
+// ridgedLogDet returns logdet(cov + floor·I), or false unless both cov
+// and cov + floor·I factor.
+func (r *reducer) ridgedLogDet(cov *mat.Matrix) (float64, bool) {
+	if r.d == 2 {
+		return ridgedLogDet2(cov, r.floor)
+	}
+	s := r.s
+	if s.chol.Factor(cov) != nil {
+		return 0, false
+	}
+	if err := s.covF.CopyFrom(cov); err != nil {
+		return 0, false
+	}
+	for x := 0; x < r.d; x++ {
+		s.covF.Set(x, x, s.covF.At(x, x)+r.floor)
+	}
+	if s.chol.Factor(s.covF) != nil {
+		return 0, false
+	}
+	return s.chol.LogDet(), true
+}
+
+// ridgedLogDet2 is ridgedLogDet for a 2×2 cov in closed form, with the
+// float operations of the two Factor calls and LogDet in their order.
+// A failed pivot is no error here, only an uncertified bound, so the
+// closed form decides it too, without the error value Factor would
+// allocate for every rank-deficient covariance.
+func ridgedLogDet2(cov *mat.Matrix, floor float64) (float64, bool) {
+	c00, c10, c11 := cov.At(0, 0), cov.At(1, 0), cov.At(1, 1)
+	if c00 <= 0 || math.IsNaN(c00) {
+		return 0, false
+	}
+	l10 := c10 / math.Sqrt(c00)
+	p := c11
+	p -= l10 * l10
+	if p <= 0 || math.IsNaN(p) {
+		return 0, false
+	}
+	a00 := c00 + floor
+	if a00 <= 0 || math.IsNaN(a00) {
+		return 0, false
+	}
+	l00 := math.Sqrt(a00)
+	l10 = c10 / l00
+	p = c11 + floor
+	p -= l10 * l10
+	if p <= 0 || math.IsNaN(p) {
+		return 0, false
+	}
+	var ld float64
+	ld += math.Log(l00)
+	ld += math.Log(math.Sqrt(p))
+	return 2 * ld, true
 }
 
 // limit returns a score that input i's affinity to candidate j, as
@@ -440,25 +525,28 @@ func (r *reducer) mStep() error {
 }
 
 // groups returns the member lists of the non-empty candidates, in
-// candidate order, over one backing slice.
+// candidate order, over one fresh backing slice that shares no memory
+// with the pooled reducer.
 func (r *reducer) groups() [][]int {
 	r.sortMembers()
+	flat := make([]int, len(r.idx))
+	copy(flat, r.idx)
 	out := make([][]int, 0, len(r.targets))
 	lo := 0
 	for j := range r.targets {
 		if hi := r.count[j]; hi > lo {
-			out = append(out, r.idx[lo:hi:hi])
+			out = append(out, flat[lo:hi:hi])
 			lo = hi
 		}
 	}
 	return out
 }
 
-// affinityScratch holds the buffers one ReduceMixture call threads
-// through every E-step affinity evaluation and every bound
+// affinityScratch holds the buffers the reducer threads through every
+// generic E-step affinity evaluation and every generic bound
 // certification, making the whole scoring loop — the partition hot
-// path of every gossip merge — allocation-free. No pooling, no package
-// state: the scratch lives and dies with its ReduceMixture call.
+// path of every gossip merge — allocation-free. It lives in the pooled
+// reducer and is rebuilt only when the dimension changes.
 type affinityScratch struct {
 	delta vec.Vector    // mean gap; doubles as the density's (x - mu)
 	cov0  *mat.Matrix   // pristine evaluation covariance
@@ -490,11 +578,18 @@ func newAffinityScratch(d int) *affinityScratch {
 // ridging the ORIGINAL covariance, escalating a thousandfold per
 // retry), then the conditioned log-density — operation for operation,
 // so scores are bit-identical to the allocating path it replaced while
-// reusing the scratch buffers across all evaluations.
+// reusing the scratch buffers across all evaluations. For d = 2 the
+// raw factorization runs in closed form (affinity2); only a failed
+// pivot reaches the generic path and its ladder.
 func affinity(src, dst gauss.Component, floor float64, s *affinityScratch) (float64, error) {
 	d := s.delta.Dim()
 	if src.Dim() != d || dst.Dim() != d {
 		return 0, fmt.Errorf("em: affinity dims %d, %d, want %d", src.Dim(), dst.Dim(), d)
+	}
+	if d == 2 {
+		if aff, ok := affinity2(src, dst, floor); ok {
+			return aff, nil
+		}
 	}
 	vec.SubInto(s.delta, src.Mean, dst.Mean)
 	gap, err := vec.Dot(s.delta, s.delta)
@@ -552,18 +647,60 @@ func affinity(src, dst gauss.Component, floor float64, s *affinityScratch) (floa
 	return -0.5 * (float64(d)*log2Pi + s.chol.LogDet() + q), nil
 }
 
-// farthestFirst picks k seed indices: the heaviest component first, then
-// repeatedly the component whose mean is farthest from all chosen seeds.
-func farthestFirst(cs []gauss.Component, k int) []int {
+// affinity2 is affinity for d = 2 in closed form, with the matrices in
+// locals instead of scratch. It performs the generic path's float
+// operations in their order: vec.Dot's sums starting from zero, the
+// symmetrized evaluation covariance, mat.Cholesky.Factor's pivots,
+// SolveHalfInto's forward solve and LogDet. It reports false when a
+// pivot fails; the generic path then runs the ridge ladder and owns
+// every error. TestAffinity2MatchesGeneric pins it bit for bit.
+func affinity2(src, dst gauss.Component, floor float64) (float64, bool) {
+	d0 := src.Mean[0] - dst.Mean[0]
+	d1 := src.Mean[1] - dst.Mean[1]
+	var gap float64
+	gap += d0 * d0
+	gap += d1 * d1
+	f := src.Weight * dst.Weight / ((src.Weight + dst.Weight) * (src.Weight + dst.Weight))
+	iso := f*gap/2 + floor
+	a00 := dst.Cov.At(0, 0) + src.Cov.At(0, 0) + iso
+	a10 := ((dst.Cov.At(0, 1) + src.Cov.At(0, 1)) + (dst.Cov.At(1, 0) + src.Cov.At(1, 0))) / 2
+	a11 := dst.Cov.At(1, 1) + src.Cov.At(1, 1) + iso
+	if a00 <= 0 || math.IsNaN(a00) {
+		return 0, false
+	}
+	l00 := math.Sqrt(a00)
+	l10 := a10 / l00
+	p := a11
+	p -= l10 * l10
+	if p <= 0 || math.IsNaN(p) {
+		return 0, false
+	}
+	l11 := math.Sqrt(p)
+	y0 := d0 / l00
+	y1 := d1
+	y1 -= l10 * y0
+	y1 /= l11
+	var q float64
+	q += y0 * y0
+	q += y1 * y1
+	var ld float64
+	ld += math.Log(l00)
+	ld += math.Log(l11)
+	return -0.5 * (2*log2Pi + 2*ld + q), true
+}
+
+// farthestFirst picks up to k seed indices into r.seeds: the heaviest
+// input first, then repeatedly the input whose mean is farthest from
+// all chosen seeds.
+func (r *reducer) farthestFirst(k int) []int {
+	cs, minDist := r.cs, r.minDist
 	first := 0
 	for i, c := range cs {
 		if c.Weight > cs[first].Weight {
 			first = i
 		}
 	}
-	seeds := make([]int, 1, k)
-	seeds[0] = first
-	minDist := make([]float64, len(cs))
+	seeds := append(r.seeds[:0], first)
 	for i := range cs {
 		minDist[i] = vec.DistSq(cs[i].Mean, cs[first].Mean)
 	}
@@ -590,6 +727,7 @@ func farthestFirst(cs []gauss.Component, k int) []int {
 			}
 		}
 	}
+	r.seeds = seeds
 	return seeds
 }
 

@@ -14,10 +14,12 @@ import (
 )
 
 // The reference below is the original ReduceMixture — plain ascending
-// E-step over every candidate, allocating M-step — and the original
-// gauss.Merge it called, kept verbatim as the oracle: the pruned,
-// buffer-reusing ReduceMixture must return the same groups, or an
-// error wherever the reference errors or panics.
+// E-step over every candidate, allocating M-step — with the original
+// gauss.Merge, generic affinity kernel and farthest-first seeding it
+// called, kept verbatim as the oracle: the pruned, pooled
+// ReduceMixture with its closed-form 2-D kernel must return the same
+// groups, or an error wherever the reference errors or panics. The
+// oracle shares no code with the reducer under test.
 
 func reduceMixtureRef(cs []gauss.Component, k int, opts Options) ([][]int, error) {
 	opts = opts.withDefaults()
@@ -34,7 +36,7 @@ func reduceMixtureRef(cs []gauss.Component, k int, opts Options) ([][]int, error
 		}
 		return groups, nil
 	}
-	seeds := farthestFirst(cs, k)
+	seeds := farthestFirstRef(cs, k)
 	// Initial candidates: the seed components themselves.
 	targets := make([]gauss.Component, len(seeds))
 	for i, s := range seeds {
@@ -44,14 +46,14 @@ func reduceMixtureRef(cs []gauss.Component, k int, opts Options) ([][]int, error
 	for i := range assign {
 		assign[i] = -1
 	}
-	scratch := newAffinityScratch(cs[0].Dim())
+	scratch := newRefScratch(cs[0].Dim())
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		changed := false
 		next := make([]int, len(cs))
 		for i, c := range cs {
 			bestJ, bestScore := -1, math.Inf(-1)
 			for j := range targets {
-				aff, err := affinity(c, targets[j], opts.VarFloor, scratch)
+				aff, err := affinityRef(c, targets[j], opts.VarFloor, scratch)
 				if err != nil {
 					return nil, fmt.Errorf("em: scoring input %d against candidate %d: %w", i, j, err)
 				}
@@ -138,6 +140,153 @@ func mergeRef(cs []gauss.Component) (gauss.Component, error) {
 		mat.AddOuterInPlace(cov, c.Weight/total, diff)
 	}
 	return gauss.Component{Gaussian: gauss.Gaussian{Mean: mean, Cov: cov.Symmetrize()}, Weight: total}, nil
+}
+
+// refScratch is the original affinityScratch.
+type refScratch struct {
+	delta vec.Vector    // mean gap; doubles as the density's (x - mu)
+	cov0  *mat.Matrix   // pristine evaluation covariance
+	covF  *mat.Matrix   // ridged work copy handed to the factorization
+	chol  *mat.Cholesky // refactored in place per evaluation
+	y     vec.Vector    // forward-substitution output for the quad form
+}
+
+func newRefScratch(d int) *refScratch {
+	vs := make([]float64, 2*d)
+	ms := mat.NewBatch(2, d)
+	return &refScratch{
+		delta: vs[:d:d],
+		cov0:  &ms[0],
+		covF:  &ms[1],
+		chol:  mat.CholeskyWorkspace(d),
+		y:     vs[d:],
+	}
+}
+
+// affinityRef is the original generic affinity, for every dimension.
+func affinityRef(src, dst gauss.Component, floor float64, s *refScratch) (float64, error) {
+	d := s.delta.Dim()
+	if src.Dim() != d || dst.Dim() != d {
+		return 0, fmt.Errorf("em: affinity dims %d, %d, want %d", src.Dim(), dst.Dim(), d)
+	}
+	vec.SubInto(s.delta, src.Mean, dst.Mean)
+	gap, err := vec.Dot(s.delta, s.delta)
+	if err != nil {
+		return 0, err
+	}
+	f := src.Weight * dst.Weight / ((src.Weight + dst.Weight) * (src.Weight + dst.Weight))
+	iso := f*gap/float64(d) + floor
+	for i := 0; i < d; i++ {
+		for j := 0; j < d; j++ {
+			s.cov0.Set(i, j, dst.Cov.At(i, j)+src.Cov.At(i, j))
+		}
+		s.cov0.Set(i, i, s.cov0.At(i, i)+iso)
+	}
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			v := (s.cov0.At(i, j) + s.cov0.At(j, i)) / 2
+			s.cov0.Set(i, j, v)
+			s.cov0.Set(j, i, v)
+		}
+	}
+	if err := s.covF.CopyFrom(s.cov0); err != nil {
+		return 0, err
+	}
+	err = s.chol.Factor(s.covF)
+	for ridge := 0.0; err != nil; {
+		switch {
+		case ridge <= 0:
+			ridge = gauss.DefaultVarianceFloor
+		case ridge < 1:
+			ridge *= 1e3
+		default:
+			return 0, fmt.Errorf("em: conditioning evaluation covariance: %w", err)
+		}
+		if cerr := s.covF.CopyFrom(s.cov0); cerr != nil {
+			return 0, cerr
+		}
+		for i := 0; i < d; i++ {
+			s.covF.Set(i, i, s.covF.At(i, i)+ridge)
+		}
+		err = s.chol.Factor(s.covF)
+	}
+	if err := s.chol.SolveHalfInto(s.y, s.delta); err != nil {
+		return 0, err
+	}
+	q, err := vec.Dot(s.y, s.y)
+	if err != nil {
+		return 0, err
+	}
+	return -0.5 * (float64(d)*log2Pi + s.chol.LogDet() + q), nil
+}
+
+// certifyRef is the original generic bound certification, with the
+// reducer's precomputed d³ and logdet(floor·I) computed in place.
+func certifyRef(c gauss.Component, floor float64, s *refScratch) bound {
+	d := s.delta.Dim()
+	d3, ldZero := float64(d)*float64(d)*float64(d), float64(d)*math.Log(floor)
+	cov := c.Cov
+	if !(c.Weight > 0) || math.IsInf(c.Weight, 1) || !cov.IsFinite() || !cov.IsSymmetric(0) {
+		return bound{}
+	}
+	b := bound{ld: ldZero, ok: true}
+	if !cov.IsZero() {
+		if s.chol.Factor(cov) != nil {
+			return bound{}
+		}
+		if err := s.covF.CopyFrom(cov); err != nil {
+			return bound{}
+		}
+		for x := 0; x < d; x++ {
+			s.covF.Set(x, x, s.covF.At(x, x)+floor)
+		}
+		if s.chol.Factor(s.covF) != nil {
+			return bound{}
+		}
+		b.tr, b.ld = cov.Trace(), s.chol.LogDet()
+	}
+	b.ldErr = ldErrPerKappa * d3 * (b.tr/floor + 1)
+	if math.IsInf(b.tr, 0) || math.IsNaN(b.ld) || math.IsInf(b.ld, 0) || math.IsNaN(b.ldErr) {
+		return bound{}
+	}
+	return b
+}
+
+// farthestFirstRef is the original farthest-first seeding.
+func farthestFirstRef(cs []gauss.Component, k int) []int {
+	first := 0
+	for i, c := range cs {
+		if c.Weight > cs[first].Weight {
+			first = i
+		}
+	}
+	seeds := make([]int, 1, k)
+	seeds[0] = first
+	minDist := make([]float64, len(cs))
+	for i := range cs {
+		minDist[i] = vec.DistSq(cs[i].Mean, cs[first].Mean)
+	}
+	for len(seeds) < k {
+		far := -1
+		for i := range cs {
+			if minDist[i] == 0 {
+				continue
+			}
+			if far < 0 || minDist[i] > minDist[far] {
+				far = i
+			}
+		}
+		if far < 0 {
+			break
+		}
+		seeds = append(seeds, far)
+		for i := range cs {
+			if d := vec.DistSq(cs[i].Mean, cs[far].Mean); d < minDist[i] {
+				minDist[i] = d
+			}
+		}
+	}
+	return seeds
 }
 
 // errRefPanic marks a reference run that panicked rather than returned.
@@ -342,3 +491,102 @@ func FuzzReduceMixture(f *testing.F) {
 		matchRef(t, cs, k, opts)
 	})
 }
+
+// kernelComponent draws a 2-D component for the closed-form kernel's
+// property test: a mean on a coarse grid at a scale from 1e-9 to 1e9
+// (so gaps tie exactly), and a zero (singleton), rank-1 (a merged
+// pair, where the ridge ladder engages against a like candidate),
+// positive definite, indefinite, asymmetric or non-finite covariance,
+// with a weight that may be zero, tiny, huge or infinite.
+func kernelComponent(r *rng.RNG) gauss.Component {
+	scale := math.Pow(10, float64(r.IntN(19)-9))
+	coord := func() float64 { return float64(r.IntN(9)-4) * scale }
+	c := gauss.Component{Gaussian: gauss.NewPoint(vec.Of(coord(), coord()))}
+	switch r.IntN(7) {
+	case 1, 2: // a merged pair of points: rank 1
+		m, err := gauss.Merge([]gauss.Component{pointComp(1, coord(), coord()), pointComp(float64(1+r.IntN(3)), coord(), coord())})
+		if err != nil {
+			panic(err)
+		}
+		c.Gaussian = m.Gaussian
+	case 3: // positive (semi-)definite
+		for range 2 {
+			mat.AddOuterInPlace(c.Cov, 1, vec.Of(coord(), coord()))
+		}
+	case 4: // symmetric, often indefinite
+		off := coord() * scale
+		c.Cov.Set(0, 0, coord()*scale)
+		c.Cov.Set(0, 1, off)
+		c.Cov.Set(1, 0, off)
+		c.Cov.Set(1, 1, coord()*scale)
+	case 5: // asymmetric
+		for x := 0; x < 2; x++ {
+			for y := 0; y < 2; y++ {
+				c.Cov.Set(x, y, coord())
+			}
+		}
+	case 6: // non-finite entry
+		c.Cov.Set(r.IntN(2), r.IntN(2), []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.IntN(3)])
+	}
+	c.Weight = float64(1+r.IntN(8)) / 8
+	switch r.IntN(16) {
+	case 0:
+		c.Weight = 0
+	case 1:
+		c.Weight = math.Ldexp(1, r.IntN(120)-60)
+	case 2:
+		c.Weight = math.Inf(1)
+	}
+	return c
+}
+
+// TestAffinity2MatchesGeneric pins the closed-form 2-D kernel to the
+// oracle's generic path bit for bit: every score (or the same error)
+// of affinity, and every bound of certify, over random pairs of
+// kernelComponents, exact ties (a component against itself) and three
+// variance floors. It also requires that both the closed form and the
+// fall-through to the ridge ladder were exercised.
+func TestAffinity2MatchesGeneric(t *testing.T) {
+	r := rng.New(23)
+	ref := newRefScratch(2)
+	var closed, ladder int
+	for _, floor := range []float64{gauss.DefaultVarianceFloor, 1e-9, 1} {
+		red := &reducer{}
+		for trial := 0; trial < 40000; trial++ {
+			src, dst := kernelComponent(r), kernelComponent(r)
+			if r.IntN(8) == 0 {
+				dst = src
+			}
+			if err := red.reset([]gauss.Component{src, dst}, 1, floor); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []gauss.Component{src, dst} {
+				got, want := red.certify(c), certifyRef(c, floor, ref)
+				if got.ok != want.ok || !sameBits(got.tr, want.tr) || !sameBits(got.ld, want.ld) || !sameBits(got.ldErr, want.ldErr) {
+					t.Fatalf("floor %g, certify(%v) = %+v, generic %+v", floor, c, got, want)
+				}
+			}
+			got, err := affinity(src, dst, floor, red.s)
+			want, werr := affinityRef(src, dst, floor, ref)
+			switch {
+			case (err == nil) != (werr == nil):
+				t.Fatalf("floor %g, affinity(%v, %v): error %v, generic error %v", floor, src, dst, err, werr)
+			case err != nil && err.Error() != werr.Error():
+				t.Fatalf("floor %g, affinity(%v, %v): error %v, generic error %v", floor, src, dst, err, werr)
+			case err == nil && !sameBits(got, want):
+				t.Fatalf("floor %g, affinity(%v, %v) = %v (%#x), generic %v (%#x)",
+					floor, src, dst, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if _, ok := affinity2(src, dst, floor); ok {
+				closed++
+			} else if werr == nil {
+				ladder++
+			}
+		}
+	}
+	if closed < 10000 || ladder < 100 {
+		t.Errorf("closed form scored %d pairs, the ridge ladder %d; want both exercised", closed, ladder)
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"distclass/internal/core"
 	"distclass/internal/em"
@@ -88,7 +89,9 @@ func (Method) Summarize(val core.Value) (core.Summary, error) {
 // Merge implements mergeSet: the moment-preserving merge of the weighted
 // Gaussians (requirement R4 holds by the law of total covariance).
 func (Method) Merge(cs []core.Collection) (core.Summary, error) {
-	comps, err := toComponents(cs)
+	buf := compPool.Get().(*compBuf)
+	defer buf.release()
+	comps, err := buf.fill(cs)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +126,9 @@ func (m Method) Partition(cs []core.Collection, k int, q float64) ([][]int, erro
 	if k < 1 {
 		return nil, fmt.Errorf("gm: k = %d must be at least 1", k)
 	}
-	comps, err := toComponents(cs)
+	buf := compPool.Get().(*compBuf)
+	defer buf.release()
+	comps, err := buf.fill(cs)
 	if err != nil {
 		return nil, err
 	}
@@ -239,15 +244,45 @@ func ToMixture(cls core.Classification) (gauss.Mixture, error) {
 }
 
 func toComponents(cs []core.Collection) ([]gauss.Component, error) {
-	comps := make([]gauss.Component, len(cs))
-	for i, c := range cs {
+	return appendComponents(make([]gauss.Component, 0, len(cs)), cs)
+}
+
+// appendComponents appends the collections, as weighted Gaussians that
+// share their summaries' storage, to dst.
+func appendComponents(dst []gauss.Component, cs []core.Collection) ([]gauss.Component, error) {
+	for _, c := range cs {
 		s, ok := c.Summary.(Summary)
 		if !ok {
-			return nil, fmt.Errorf("gm: unexpected summary type %T", c.Summary)
+			return dst, fmt.Errorf("gm: unexpected summary type %T", c.Summary)
 		}
-		comps[i] = gauss.Component{Gaussian: s.G, Weight: c.Weight}
+		dst = append(dst, gauss.Component{Gaussian: s.G, Weight: c.Weight})
 	}
-	return comps, nil
+	return dst, nil
+}
+
+// compBuf is the component view Partition and Merge build over their
+// collections.
+type compBuf struct{ comps []gauss.Component }
+
+// compPool holds component views between Partition and Merge calls, so
+// a warm call allocates none (DESIGN.md, "Zero-alloc hot paths"). Every
+// view goes back cleared, so the pool pins no summary.
+//
+//lint:allow globalstate a pool of cleared component views carries no run state; it only recycles capacity
+var compPool = sync.Pool{New: func() any { return new(compBuf) }}
+
+// fill views cs as components in b. The view is valid until release.
+func (b *compBuf) fill(cs []core.Collection) ([]gauss.Component, error) {
+	var err error
+	b.comps, err = appendComponents(b.comps[:0], cs)
+	return b.comps, err
+}
+
+// release clears b's view and puts b back in compPool.
+func (b *compBuf) release() {
+	clear(b.comps)
+	b.comps = b.comps[:0]
+	compPool.Put(b)
 }
 
 // Assign returns the index of the mixture component with the highest

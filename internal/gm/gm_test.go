@@ -2,6 +2,8 @@ package gm
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -474,6 +476,135 @@ func TestGreedyReducerEndToEnd(t *testing.T) {
 		}
 		if !sawLow || !sawHigh {
 			t.Errorf("node %d missing a cluster: %v", i, n.Classification())
+		}
+	}
+}
+
+// mergedCollections draws n 2-D collections shaped like a Figure 2
+// node's partition input: moment-matched merges of a few points around
+// one of three centres.
+func mergedCollections(r *rng.RNG, n int) []core.Collection {
+	cs := make([]core.Collection, n)
+	for i := range cs {
+		c := float64(r.IntN(3))
+		pts := make([]core.Collection, 1+r.IntN(6))
+		for p := range pts {
+			s, err := method.Summarize(vec.Of(5*c+r.Normal(0, 1), r.Normal(0, 1)))
+			if err != nil {
+				panic(err)
+			}
+			pts[p] = core.Collection{Summary: s, Weight: 1.0 / 64}
+		}
+		s, err := method.Merge(pts)
+		if err != nil {
+			panic(err)
+		}
+		cs[i] = core.Collection{Summary: s, Weight: float64(len(pts)) / 64}
+	}
+	return cs
+}
+
+// TestPartitionMergeAllocs pins a warm Figure-2-sized receive (17
+// merged collections, k = 7): Partition allocates only the groups
+// em.ReduceMixture returns, and Merge only the merged summary (its
+// mean, its covariance's header and entries, the merge's diff buffer
+// and the interface box). The component views come from a pool, which
+// race builds drop at random, so the counts are checked only without
+// the race detector.
+func TestPartitionMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled component views at random")
+	}
+	cs := mergedCollections(rng.New(3), 17)
+	var groups [][]int
+	partition := testing.AllocsPerRun(50, func() {
+		var err error
+		if groups, err = method.Partition(cs, 7, core.DefaultQ); err != nil {
+			t.Fatal(err)
+		}
+	})
+	members := make([]core.Collection, 0, len(cs))
+	for _, i := range groups[0] {
+		members = append(members, cs[i])
+	}
+	merge := testing.AllocsPerRun(50, func() {
+		if _, err := method.Merge(members); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if partition != 2 || merge != 5 {
+		t.Errorf("warm allocs: Partition %v, Merge %v; want 2 and 5", partition, merge)
+	}
+}
+
+// TestCompBufReleasePinsNoSummary pins that a released component view,
+// after a full fill and after a fill stopped by a foreign summary,
+// references no summary.
+func TestCompBufReleasePinsNoSummary(t *testing.T) {
+	good := mergedCollections(rng.New(4), 6)
+	bad := append(append([]core.Collection{}, good[:3]...), core.Collection{Summary: fakeSummary{}, Weight: 1})
+	for _, cs := range [][]core.Collection{good, bad} {
+		b := &compBuf{}
+		_, err := b.fill(cs)
+		if (err != nil) != (len(cs) == len(bad)) {
+			t.Errorf("fill of %d collections: error %v", len(cs), err)
+		}
+		b.release()
+		for i, c := range b.comps[:cap(b.comps)] {
+			if c.Mean != nil || c.Cov != nil {
+				t.Errorf("released slot %d still holds %v", i, c)
+			}
+		}
+	}
+}
+
+// TestPoolConcurrentPartition runs Partition and Merge on distinct
+// problems from several goroutines at once, so pooled component views
+// and reducers move between goroutines. Every result must equal its
+// problem's serial result, and must still equal it after every
+// goroutine has made many more calls.
+func TestPoolConcurrentPartition(t *testing.T) {
+	const workers, calls = 4, 50
+	probs := make([][]core.Collection, workers)
+	want := make([][][]int, workers)
+	wantMerged := make([]core.Summary, workers)
+	for w := range probs {
+		probs[w] = mergedCollections(rng.New(uint64(50+w)), 8+5*w)
+		var err error
+		if want[w], err = method.Partition(probs[w], 3, core.DefaultQ); err != nil {
+			t.Fatalf("problem %d: %v", w, err)
+		}
+		if wantMerged[w], err = method.Merge(probs[w]); err != nil {
+			t.Fatalf("problem %d: %v", w, err)
+		}
+	}
+	kept := make([][][]int, workers)
+	var wg sync.WaitGroup
+	for w := range probs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := 0; c < calls; c++ {
+				got, err := method.Partition(probs[w], 3, core.DefaultQ)
+				if err != nil || !reflect.DeepEqual(got, want[w]) {
+					t.Errorf("problem %d call %d: Partition = %v, %v; want %v", w, c, got, err, want[w])
+					return
+				}
+				merged, err := method.Merge(probs[w])
+				if err != nil || !reflect.DeepEqual(merged, wantMerged[w]) {
+					t.Errorf("problem %d call %d: Merge = %v, %v; want %v", w, c, merged, err, wantMerged[w])
+					return
+				}
+				if c == 0 {
+					kept[w] = got
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range kept {
+		if !reflect.DeepEqual(kept[w], want[w]) {
+			t.Errorf("problem %d: first result changed to %v by later calls; want %v", w, kept[w], want[w])
 		}
 	}
 }
