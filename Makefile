@@ -78,16 +78,7 @@ analyze-smoke:
 	$(GO) run ./cmd/distclass-analyze -fail-anomalies -format json -o "$$dir/smoke.json" "$$dir/smoke.trace" && \
 	echo "analyze-smoke: 0 anomalies"
 
-# Fault-tolerance smoke gate: a live cluster with 20% of its nodes
-# killed mid-run must converge, conserve weight (strict audit inside
-# the harness), and produce a trace that replays with zero anomalies.
-churn-smoke:
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/experiments -live-churn -churn-fracs 0.2 -strict -quick -trace "$$dir/churn.trace" >/dev/null && \
-	$(GO) run ./cmd/distclass-analyze -fail-anomalies -format json -o "$$dir/churn.json" "$$dir/churn.trace" && \
-	echo "churn-smoke: converged, weight conserved, 0 anomalies"
-
-# The next five gates are rows of the experiments smoke table
+# The next six gates are rows of the experiments smoke table
 # (cmd/experiments/smoke.go), which TestSmoke also runs. Every row runs
 # the two-cluster workload to convergence and audits its final
 # weight bit for bit; the wire codec carries weights exactly, so that
@@ -151,6 +142,17 @@ wire-smoke:
 shard-smoke:
 	@$(GO) run ./cmd/experiments -smoke shard >/dev/null && \
 	echo "shard-smoke: 512-node sharded cluster reconverged through churn, restarted nodes mixed, ledger exact"
+
+# Fault-tolerance smoke gate: once a pipe cluster has converged, a
+# fifth of its nodes are killed (Figure 4's fail-stop crash); the
+# survivors must reconverge and hold exactly the weight the kills left
+# (initial - destroyed, bit for bit), and the distclass-analyze CLI
+# re-audits the run's trace, which must replay with zero anomalies.
+churn-smoke:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/experiments -smoke churn -smoke-out "$$dir" >/dev/null && \
+	$(GO) run ./cmd/distclass-analyze -fail-anomalies -format json -o "$$dir/churn.json" "$$dir/churn.pipe.trace" && \
+	echo "churn-smoke: survivors reconverged, weight exact after kills, 0 anomalies"
 
 # Benchmarks over the hot paths (vector/matrix kernels, EM, partition,
 # wire codec, sim round loop), archived as BENCH_<date>.json with a

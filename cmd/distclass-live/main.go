@@ -3,8 +3,9 @@
 // synchronous pipes, loopback TCP, or in-process handover (-backend
 // shard, which scales to 100k+ nodes), all ticked by one fixed worker
 // pool — in contrast to
-// distclass-sim's deterministic simulator. It prints the spread as the
-// cluster converges, then the final classification.
+// distclass-sim's deterministic simulator. It waits on the engine's
+// convergence detector, prints one verdict line with the final spread
+// and message count, then the final classification.
 //
 // With -metrics it serves the run's counters, latency histograms, run
 // manifest and pprof profiles over HTTP while the cluster runs; with
@@ -46,9 +47,9 @@ func main() {
 	flag.StringVar(&cfg.policy, "policy", "push", "gossip policy: push or roundrobin")
 	flag.StringVar(&cfg.mode, "mode", "push", "gossip mode: push, pull or pushpull")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed (data and neighbor choice)")
-	flag.DurationVar(&cfg.duration, "duration", 2*time.Second, "how long to run")
+	flag.DurationVar(&cfg.duration, "duration", 2*time.Second, "how long the run may take to converge (with -tol 0, how long it runs)")
 	flag.DurationVar(&cfg.interval, "interval", 2*time.Millisecond, "per-node gossip tick")
-	flag.Float64Var(&cfg.tol, "tol", 0.05, "spread below which the run stops early")
+	flag.Float64Var(&cfg.tol, "tol", 0.05, "spread below which the run has converged, and stops, once 3 consecutive probes see it (0: no convergence exit, run the whole -duration)")
 	flag.StringVar(&cfg.backend, "backend", "pipe", "concurrent backend: pipe, tcp or shard")
 	flag.IntVar(&cfg.shards, "shards", 0, "worker-pool size for -backend shard (default GOMAXPROCS)")
 	flag.StringVar(&cfg.codec, "codec", "v2", "wire codec for -backend pipe/tcp: v2 or v2f32")
@@ -158,6 +159,9 @@ func run(cfg runConfig) error {
 	if cfg.causal && cfg.traceFile == "" {
 		return fmt.Errorf("-causal requires -trace")
 	}
+	if cfg.duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %s", cfg.duration)
+	}
 	reg := distclass.NewRegistry()
 	var sink trace.Sink
 	if cfg.traceFile != "" {
@@ -256,33 +260,24 @@ func run(cfg runConfig) error {
 		}
 	}
 
-	start := time.Now()
-	deadline := time.After(cfg.duration)
-	tick := time.NewTicker(cfg.duration / 10)
-	defer tick.Stop()
 	fmt.Printf("live cluster: %d nodes on %s topology (%s backend)\n",
 		cfg.n, cfg.topo, cluster.Backend())
-loop:
-	for {
-		select {
-		case <-deadline:
-			break loop
-		case <-tick.C:
-		}
-		if err := cluster.Err(); err != nil {
+	start := time.Now()
+	converged := false
+	if cfg.tol > 0 {
+		if converged, err = cluster.WaitConverged(cfg.duration); err != nil {
 			return err
 		}
-		spread, err := cluster.Spread()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("t=%-8s spread=%.4g messages=%d\n",
-			time.Since(start).Round(time.Millisecond), spread, cluster.MessagesSent())
-		if spread < cfg.tol {
-			fmt.Println("converged")
-			break loop
-		}
+	} else {
+		time.Sleep(cfg.duration)
 	}
+	//lint:allow layering final readout of a run the engine's detector ended
+	spread, err := cluster.Spread()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("converged=%t after %s: spread=%.4g messages=%d\n",
+		converged, time.Since(start).Round(time.Millisecond), spread, cluster.MessagesSent())
 	cluster.Stop()
 	if err := cluster.Err(); err != nil {
 		return err

@@ -53,6 +53,11 @@ func TestRunValidation(t *testing.T) {
 	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 		t.Errorf("unknown mode error = %v", err)
 	}
+	cfg = shortCfg(8, "gm", "full", "pipe", 1)
+	cfg.duration = 0
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "-duration must be positive") {
+		t.Errorf("zero duration error = %v", err)
+	}
 }
 
 func TestRunShortLive(t *testing.T) {

@@ -240,6 +240,7 @@ func run(n, k int, method, topo, backend, policy, mode string, seed uint64, roun
 	snap := reg.Snapshot()
 	fmt.Printf("protocol:       %d splits, %d merges, %d quantize drops\n",
 		snap.Counters["core.splits"], snap.Counters["core.merges"], snap.Counters["core.quantize_drops"])
+	//lint:allow layering final readout of a run that has ended
 	spread, err := sys.Spread()
 	if err != nil {
 		return err

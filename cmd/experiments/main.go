@@ -10,7 +10,6 @@
 //	experiments -fig 3            # Figure 3 outlier sweep (delta 0..25)
 //	experiments -fig 4            # Figure 4 crash/convergence traces
 //	experiments -ablation NAME    # one ablation study (names below)
-//	experiments -live-churn       # live Figure 4: kill real cluster nodes mid-run
 //	experiments -smoke NAME,...   # smoke gates (names below, or all)
 //	experiments -all              # everything (long)
 //
@@ -22,17 +21,14 @@
 // its final weight; they are engine (every backend), shard
 // (512 nodes through kill/restart churn), monitor (the HTTP monitoring
 // plane on every backend), causal (happens-before and provenance on
-// every backend) and wire (v2 codec and frame batching on pipe and
-// tcp). -smoke-out DIR keeps the traced gates' traces as
+// every backend), wire (v2 codec and frame batching on pipe and tcp)
+// and churn (a fifth of a converged pipe cluster killed, the survivors
+// reconverged). -smoke-out DIR keeps the traced gates' traces as
 // DIR/<gate>.<backend>.trace.
 //
-// Use -quick for reduced network sizes (fast smoke runs). The live
-// churn ablation takes -churn-fracs (comma-separated kill fractions)
-// and -strict (fail on non-convergence or conservation violations).
-// -backend moves the Figure 4 crash runs and the churn ablation onto
-// another engine substrate (round, async, pipe, tcp, shard); -codec
-// (v2 or v2f32) and -frame-batch set the churn clusters' wire
-// encoding and frame batching.
+// Use -quick for reduced network sizes (fast smoke runs). -backend
+// moves the Figure 4 crash runs onto another engine substrate (round,
+// async, pipe, tcp, shard).
 package main
 
 import (
@@ -48,7 +44,6 @@ import (
 	"distclass"
 	"distclass/internal/engine"
 	"distclass/internal/experiments"
-	"distclass/internal/experiments/live"
 	"distclass/internal/metrics"
 	"distclass/internal/plot"
 	"distclass/internal/prof"
@@ -93,15 +88,10 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof; phases are labeled)")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file after the run")
 		traceOut    = flag.String("traceout", "", "write a runtime execution trace to this file (inspect with go tool trace)")
-		liveChurn   = flag.Bool("live-churn", false, "run the live churn ablation: kill a fraction of real cluster nodes mid-run")
-		churnFracs  = flag.String("churn-fracs", "0,0.1,0.2,0.3", "comma-separated kill fractions for -live-churn")
-		strict      = flag.Bool("strict", false, "with -live-churn: fail on non-convergence, cluster errors or broken weight conservation")
-		backendFlag = flag.String("backend", "", "engine backend for -fig 4, -ablation crash and -live-churn: round, async, pipe, tcp or shard (default: round for the sim figures, pipe for -live-churn)")
+		backendFlag = flag.String("backend", "round", "engine backend for -fig 4 and -ablation crash: round, async, pipe, tcp or shard")
 		smokeList   = flag.String("smoke", "", "comma-separated smoke gates to run ("+strings.Join(smokeNames(), ", ")+") or all: a two-cluster workload per backend, audited for convergence and weight conservation")
 		smokeOut    = flag.String("smoke-out", "", "with -smoke: also write each traced gate's traces to DIR/<gate>.<backend>.trace")
 		monitorAddr = flag.String("monitor", "", "attach a passive online monitor to the event stream and serve /status, /health and /events (plus the -metrics endpoints) on this address; state aggregates across every experiment of the invocation")
-		codecFlag   = flag.String("codec", "v2", "wire codec for the -live-churn clusters on wire backends: v2 or v2f32")
-		frameBatch  = flag.Int("frame-batch", 0, "coalesce up to this many queued messages per wire frame in the -live-churn clusters (wire backends; 0 or 1 disables)")
 	)
 	flag.Parse()
 
@@ -110,37 +100,24 @@ func main() {
 		log.Print(err)
 		os.Exit(2)
 	}
-	if !*all && *fig == 0 && *ablation == "" && !*liveChurn && len(smokeRows) == 0 {
+	if !*all && *fig == 0 && *ablation == "" && len(smokeRows) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	churnCodec, err := distclass.ParseCodec(*codecFlag)
+	backend, err := engine.ParseBackend(*backendFlag)
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
-	}
-	backends := backendChoice{fig: engine.BackendRound, churn: engine.BackendPipe}
-	if *backendFlag != "" {
-		b, err := engine.ParseBackend(*backendFlag)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		backends.fig, backends.churn = b, b
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
-	churn := churnOpts{
-		enabled: *liveChurn, fracs: *churnFracs, strict: *strict,
-		backend: backends.churn, codec: churnCodec, frameBatch: *frameBatch,
-	}
 	err = realMain(mainOpts{
 		fig: *fig, ablation: *ablation, all: *all, quick: *quick,
 		seed: *seed, csvDir: *csvDir, traceFile: *traceFile,
-		metricsAddr: *metricsAddr, churn: churn, figBackend: backends.fig,
+		metricsAddr: *metricsAddr, figBackend: backend,
 		monitorAddr: *monitorAddr, smokes: smokeRows, smokeOut: *smokeOut,
 	})
 	if perr := stopProf(); err == nil {
@@ -159,22 +136,6 @@ type obs struct {
 	sink trace.Sink
 }
 
-// churnOpts carries the -live-churn flag group.
-type churnOpts struct {
-	enabled    bool
-	fracs      string // comma-separated kill fractions
-	strict     bool
-	backend    engine.Backend
-	codec      distclass.Codec
-	frameBatch int
-}
-
-// backendChoice resolves the -backend flag: the sim figures default to
-// the round driver, the churn ablation to the pipe deployment.
-type backendChoice struct {
-	fig, churn engine.Backend
-}
-
 // mainOpts bundles the parsed flags for realMain.
 type mainOpts struct {
 	fig         int
@@ -185,7 +146,6 @@ type mainOpts struct {
 	csvDir      string
 	traceFile   string
 	metricsAddr string
-	churn       churnOpts
 	figBackend  engine.Backend
 	monitorAddr string
 	smokes      []smoke
@@ -257,7 +217,6 @@ func run(m mainOpts, o obs) error {
 	if m.all {
 		figs = []int{1, 2, 3, 4}
 		names = ablationNames()
-		m.churn.enabled = true
 		m.smokes = smokes()
 	}
 	for _, f := range figs {
@@ -276,66 +235,11 @@ func run(m mainOpts, o obs) error {
 			return err
 		}
 	}
-	if m.churn.enabled {
-		if err := runLiveChurn(m.churn, m.quick, m.seed, o); err != nil {
-			return err
-		}
-	}
 	for _, s := range m.smokes {
 		if err := runSmoke(s, m.seed, m.smokeOut, o); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// parseFracs parses the -churn-fracs comma-separated list.
-func parseFracs(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad kill fraction %q: %w", part, err)
-		}
-		out = append(out, f)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no kill fractions in %q", s)
-	}
-	return out, nil
-}
-
-// runLiveChurn runs the live crash ablation: real clusters on the
-// chosen backend, real kills, Figure 4's weight-destroyed vs. error
-// readout.
-func runLiveChurn(churn churnOpts, quick bool, seed uint64, o obs) error {
-	fracs, err := parseFracs(churn.fracs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== Live churn: killing real cluster nodes mid-run (Figure 4, deployed; %s backend) ===\n", churn.backend)
-	cfg := live.ChurnConfig{
-		Backend:    churn.backend,
-		KillFracs:  fracs,
-		Seed:       seed,
-		Strict:     churn.strict,
-		Codec:      churn.codec,
-		FrameBatch: churn.frameBatch,
-		Metrics:    o.reg,
-		Trace:      o.sink,
-	}
-	if quick {
-		cfg.N = 20
-	}
-	rows, err := live.RunLiveChurn(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(live.ChurnTable(rows))
 	return nil
 }
 

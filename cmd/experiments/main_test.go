@@ -68,31 +68,6 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
-func TestParseFracs(t *testing.T) {
-	got, err := parseFracs(" 0, 0.1,0.2 ")
-	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 0.1 || got[2] != 0.2 {
-		t.Errorf("parseFracs = %v, %v", got, err)
-	}
-	if _, err := parseFracs("0.1,zap"); err == nil {
-		t.Errorf("bad fraction accepted")
-	}
-	if _, err := parseFracs(" , "); err == nil {
-		t.Errorf("empty fraction list accepted")
-	}
-}
-
-// TestRunLiveChurnQuick runs the live crash ablation end to end in
-// strict mode — the same gate make check's churn-smoke applies.
-func TestRunLiveChurnQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up a live cluster")
-	}
-	churn := churnOpts{enabled: true, fracs: "0.2", strict: true, backend: engine.BackendPipe}
-	if err := runLiveChurn(churn, true, 1, testObs()); err != nil {
-		t.Fatalf("runLiveChurn: %v", err)
-	}
-}
-
 // TestRealMainObservability runs one quick ablation through realMain
 // with -trace and -metrics set, then checks the trace file carries
 // protocol events and spread probes.
@@ -125,7 +100,8 @@ func TestRealMainObservability(t *testing.T) {
 }
 
 // TestSmoke runs every gate of the smoke table — the same gates make
-// check runs as engine-, shard-, monitor-, causal- and wire-smoke. Under
+// check runs as engine-, shard-, monitor-, causal-, wire- and
+// churn-smoke. Under
 // -race (make race) the monitor gate doubles as the concurrency check
 // for the whole monitoring plane, and the causal and wire gates
 // exercise the concurrent recorders' causal stamping.
@@ -140,12 +116,16 @@ func TestSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			// -smoke-out keeps exactly one trace per backend of the
-			// traced gates, each starting with a schema-2 run header
-			// naming its backend — the contract the Makefile gates'
-			// distclass-analyze re-audit depends on.
+			// traced gates, each starting with a run header naming its
+			// backend, of schema 2 on the causal gates — the contract
+			// the Makefile gates' distclass-analyze re-audit depends on.
 			var traced []engine.Backend
-			if s.name == "causal" || s.name == "wire" {
+			schema := trace.SchemaCausal
+			switch s.name {
+			case "causal", "wire":
 				traced = s.backends
+			case "churn":
+				traced, schema = s.backends, 0
 			}
 			var want []string
 			for _, b := range traced {
@@ -175,8 +155,8 @@ func TestSmoke(t *testing.T) {
 					t.Fatalf("read %s: %v", path, err)
 				}
 				if len(events) == 0 || events[0].Kind != trace.KindRunHeader ||
-					events[0].Backend != b.String() || events[0].Schema != trace.SchemaCausal {
-					t.Errorf("%s does not start with a schema-%d %s run header", path, trace.SchemaCausal, b)
+					events[0].Backend != b.String() || events[0].Schema != schema {
+					t.Errorf("%s does not start with a schema-%d %s run header", path, schema, b)
 				}
 			}
 		})
@@ -190,9 +170,9 @@ func TestParseSmokes(t *testing.T) {
 		errWant         string
 	}{
 		{name: "none", list: ""},
-		{name: "all", list: "all", want: []string{"engine", "shard", "monitor", "causal", "wire"}},
+		{name: "all", list: "all", want: []string{"engine", "shard", "monitor", "causal", "wire", "churn"}},
 		{name: "subset in flag order", list: "wire,engine", out: "d", want: []string{"wire", "engine"}},
-		{name: "unknown", list: "engine,bogus", errWant: `unknown smoke "bogus" (valid: engine, shard, monitor, causal, wire, or all)`},
+		{name: "unknown", list: "engine,bogus", errWant: `unknown smoke "bogus" (valid: engine, shard, monitor, causal, wire, churn, or all)`},
 		{name: "empty name", list: "engine,", errWant: `unknown smoke ""`},
 		{name: "out without smoke", out: "d", errWant: "-smoke-out needs -smoke"},
 	}

@@ -65,6 +65,8 @@ func smokes() []smoke {
 			[]string{"backend", "matched", "clock", "depth", "weight"}, causalSmoke},
 		{"wire", "Wire smoke: v2 codec + frame batching on the wire backends", wire,
 			[]string{"backend", "config", "bytes/msg", "messages", "frames", "drop"}, wireSmoke},
+		{"churn", "Churn smoke: a fifth of a converged pipe cluster killed, survivors reconverge", []engine.Backend{engine.BackendPipe},
+			[]string{"backend", "nodes", "converged", "killed", "destroyed", "weight"}, churnSmoke},
 	}
 }
 
@@ -141,7 +143,7 @@ type smokeRun struct {
 	backend engine.Backend
 	n       int
 	seed    uint64
-	budget  time.Duration // live convergence budget (0: smokeBudget)
+	budget  time.Duration // budget of each live convergence wait (0: smokeBudget)
 	opts    []distclass.Option
 	// after, when set, runs on a converged live cluster before Stop.
 	// It may move want, the weight the audit expects.
@@ -187,11 +189,10 @@ func (r *smokeRun) run() error {
 	if err != nil {
 		return err
 	}
-	budget := r.budget
-	if budget == 0 {
-		budget = smokeBudget
+	if r.budget == 0 {
+		r.budget = smokeBudget
 	}
-	ok, err := cl.WaitConverged(budget)
+	ok, err := cl.WaitConverged(r.budget)
 	if err == nil && ok && r.after != nil {
 		err = r.after(cl, r)
 	}
@@ -240,50 +241,16 @@ func engineSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, er
 }
 
 // shardSmoke runs 512 nodes on the sharded scheduler — a scale the
-// per-goroutine backends make painful in CI — and, once converged,
-// kills 16 evenly spaced nodes, restarts the first 8 of them and lets
-// the cluster re-converge. Each restarted node must then be within
-// smokeTol of node 1, which the row never kills, and the audit expects
-// n minus what the kills destroyed plus one unit per restarted node.
+// per-goroutine backends make painful in CI — through one churn cycle
+// of 16 kills and 8 restarts.
 func shardSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, error) {
 	const n, kills, restarts = 512, 16, 8
 	var destroyed float64
 	r := smokeRun{backend: b, n: n, seed: seed, budget: 30 * time.Second,
 		opts: []distclass.Option{distclass.WithMetrics(o.reg)},
-		after: func(cl *distclass.LiveCluster, r *smokeRun) error {
-			for k := 0; k < kills; k++ {
-				w, err := cl.Kill(k * (n / kills))
-				if err != nil {
-					return err
-				}
-				destroyed += w
-			}
-			r.want -= destroyed
-			for k := 0; k < restarts; k++ {
-				i := k * (n / kills)
-				if err := cl.Restart(i, r.values[i]); err != nil {
-					return err
-				}
-				r.want++
-			}
-			ok, err := cl.WaitConverged(r.budget)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return errors.New("did not reconverge after churn")
-			}
-			for k := 0; k < restarts; k++ {
-				i := k * (n / kills)
-				d, err := core.Dissimilarity(cl.Classification(i), cl.Classification(1), distclass.GaussianMixture())
-				if err != nil {
-					return err
-				}
-				if d >= smokeTol {
-					return fmt.Errorf("restarted node %d is %.3g from node 1 after reconvergence, want below %g", i, d, smokeTol)
-				}
-			}
-			return nil
+		after: func(cl *distclass.LiveCluster, r *smokeRun) (err error) {
+			destroyed, err = churn(cl, r, kills, restarts)
+			return err
 		},
 	}
 	if err := r.run(); err != nil {
@@ -291,6 +258,77 @@ func shardSmoke(b engine.Backend, seed uint64, o obs, _ string) ([][]string, err
 	}
 	return [][]string{{strconv.Itoa(n), "yes", strconv.Itoa(kills), strconv.Itoa(restarts),
 		experiments.F(destroyed), experiments.F(r.weight)}}, nil
+}
+
+// churnSmoke is Figure 4's fail-stop crash on a deployment: once the
+// pipe cluster has converged it kills a fifth of the nodes and the
+// survivors must reconverge, conserving exactly the weight the kills
+// left (n − destroyed), and the run's trace must replay clean.
+func churnSmoke(b engine.Backend, seed uint64, o obs, prefix string) ([][]string, error) {
+	const kills = smokeN / 5
+	var buf bytes.Buffer
+	var destroyed float64
+	r := smokeRun{backend: b, n: smokeN, seed: seed,
+		opts: []distclass.Option{distclass.WithMetrics(o.reg),
+			distclass.WithTrace(trace.NewRecorder(&buf)), distclass.WithRunHeader()},
+		after: func(cl *distclass.LiveCluster, r *smokeRun) (err error) {
+			destroyed, err = churn(cl, r, kills, 0)
+			return err
+		},
+	}
+	if err := r.run(); err != nil {
+		return nil, err
+	}
+	if _, err := replayClean(buf.Bytes(), b, prefix); err != nil {
+		return nil, err
+	}
+	return [][]string{{b.String(), strconv.Itoa(smokeN), "yes", strconv.Itoa(kills),
+		experiments.F(destroyed), experiments.F(r.weight)}}, nil
+}
+
+// churn runs one churn cycle on a converged cluster: it kills `kills`
+// evenly spaced nodes (never node 1, as the spacing n/kills is at least
+// 2), restarts the first `restarts` of them with their original values
+// and waits for the cluster to reconverge. Each restarted node must
+// then be within smokeTol of node 1. It moves r.want by the weight the
+// kills destroyed and one unit per restart, and returns the destroyed
+// weight.
+func churn(cl *distclass.LiveCluster, r *smokeRun, kills, restarts int) (float64, error) {
+	step := r.n / kills
+	var destroyed float64
+	for k := 0; k < kills; k++ {
+		w, err := cl.Kill(k * step)
+		if err != nil {
+			return 0, err
+		}
+		destroyed += w
+	}
+	r.want -= destroyed
+	for k := 0; k < restarts; k++ {
+		i := k * step
+		if err := cl.Restart(i, r.values[i]); err != nil {
+			return 0, err
+		}
+		r.want++
+	}
+	ok, err := cl.WaitConverged(r.budget)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, errors.New("did not reconverge after churn")
+	}
+	for k := 0; k < restarts; k++ {
+		i := k * step
+		d, err := core.Dissimilarity(cl.Classification(i), cl.Classification(1), distclass.GaussianMixture())
+		if err != nil {
+			return 0, err
+		}
+		if d >= smokeTol {
+			return 0, fmt.Errorf("restarted node %d is %.3g from node 1 after reconvergence, want below %g", i, d, smokeTol)
+		}
+	}
+	return destroyed, nil
 }
 
 // monitorSmoke runs the workload with the online monitor attached,
@@ -397,9 +435,7 @@ func causalSmoke(b engine.Backend, seed uint64, o obs, prefix string) ([][]strin
 // causalAudit runs r with causal tracing and analyzes the trace for a
 // clean replay report and happens-before reconstruction — zero
 // anomalies of either kind, every receive matched — and a provenance
-// ledger that conserves the initial weight exactly. With prefix set
-// the trace is also written to <prefix>.<backend>.trace, so
-// distclass-analyze can re-audit the same bytes.
+// ledger that conserves the initial weight exactly.
 func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 	var buf bytes.Buffer
 	r.opts = append(r.opts, distclass.WithTrace(trace.NewRecorder(&buf)), distclass.WithCausal())
@@ -407,19 +443,9 @@ func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 		return nil, err
 	}
 	b := r.backend
-	if prefix != "" {
-		path := prefix + "." + b.String() + ".trace"
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	replayed, err := replay.Analyze(bytes.NewReader(buf.Bytes()), replay.Options{Threshold: smokeTol})
+	replayed, err := replayClean(buf.Bytes(), b, prefix)
 	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	if an := replayed.Anomalies; an.Count != 0 {
-		return nil, fmt.Errorf("%d replay anomalies (%s)", an.Count, strings.Join(an.Notes, "; "))
+		return nil, err
 	}
 	rep := replayed.Causal
 	if rep == nil {
@@ -451,6 +477,28 @@ func causalAudit(r smokeRun, prefix string) (*causal.Report, error) {
 		return nil, fmt.Errorf("%v weight destroyed on a crash-free run", lr.Destroyed)
 	}
 	return rep, nil
+}
+
+// replayClean analyzes a recorded trace and fails on any replay
+// anomaly. With prefix set it first writes the trace to
+// <prefix>.<backend>.trace, so distclass-analyze can re-audit the same
+// bytes.
+func replayClean(tr []byte, b engine.Backend, prefix string) (*replay.RunReport, error) {
+	if prefix != "" {
+		path := prefix + "." + b.String() + ".trace"
+		if err := os.WriteFile(path, tr, 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	replayed, err := replay.Analyze(bytes.NewReader(tr), replay.Options{Threshold: smokeTol})
+	if err != nil {
+		return nil, fmt.Errorf("analyze: %w", err)
+	}
+	if an := replayed.Anomalies; an.Count != 0 {
+		return nil, fmt.Errorf("%d replay anomalies (%s)", an.Count, strings.Join(an.Notes, "; "))
+	}
+	return replayed, nil
 }
 
 // f64Message is the baseline of the wire smoke's byte claim: the

@@ -109,6 +109,7 @@ func runConvergence(label string, ecfg engine.Config) (ConvergenceRun, engine.En
 	if converged {
 		run.Rounds = rounds
 	}
+	//lint:allow layering final readout of a run RunUntilConverged ended
 	if run.FinalSpread, err = eng.Spread(); err != nil {
 		return ConvergenceRun{}, nil, err
 	}
@@ -564,6 +565,7 @@ func RunLossAblation(probs []float64, cfg AblationConfig) ([]LossRow, error) {
 			row.RobustErr = errSum / float64(count)
 		}
 		row.WeightLost = 1 - eng.TotalWeight()/float64(cfg.N)
+		//lint:allow layering final readout of a fixed-round lossy run
 		if row.FinalSpread, err = eng.Spread(); err != nil {
 			return nil, err
 		}

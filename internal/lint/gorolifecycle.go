@@ -164,24 +164,34 @@ func (u *Unit) lifecycleTied(body *ast.BlockStmt) bool {
 // isSyncCall reports whether the call is method `name` on a sync.`recv`
 // value (directly or through an embedded/promoted field).
 func (u *Unit) isSyncCall(call *ast.CallExpr, recv, name string) bool {
+	return u.methodRecv(call, name) == "sync."+recv
+}
+
+// methodRecv returns "<package path>.<type name>" of the named type
+// that declares the method `name` call invokes, however the receiver
+// reaches it, or "" when call is no such method call.
+func (u *Unit) methodRecv(call *ast.CallExpr, name string) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
-		return false
+		return ""
 	}
 	fn, ok := u.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
+	if !ok || fn.Pkg() == nil {
+		return ""
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
 	rt := sig.Recv().Type()
 	if p, ok := rt.(*types.Pointer); ok {
 		rt = p.Elem()
 	}
 	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Name() == recv
+	if !ok {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Obj().Name()
 }
 
 // isShutdownChan reports whether expr is a shutdown signal source: a

@@ -22,12 +22,23 @@ var layeredDirs = []string{"internal/experiments", "cmd"}
 //lint:allow globalstate immutable rule table, written only at init
 var driverDirs = []string{"internal/sim", "internal/livenet"}
 
+// spreadExempt is the one layered directory whose non-test code may
+// probe Spread freely: the benchmark times each step and probe of its
+// own loop, and that loop feeds the engine's detector
+// (converge.New(tol, 3)).
+const spreadExempt = "cmd/distclass-bench"
+
 // Layering reports direct imports of internal/sim or internal/livenet
 // from packages under internal/experiments or cmd — those layers must
 // reach the protocol through internal/engine's Transport abstraction —
 // and non-test calls there to core.NewNode: a layer that builds its own
 // nodes wires its own executor and convergence loop beside the
-// engine's. Test files may build nodes for white-box driver checks.
+// engine's. It also reports non-test Spread calls on engine.Engine,
+// *distclass.System or *distclass.LiveCluster there: convergence is
+// the engine's RunUntilConverged verdict, and a loop that polls Spread
+// judges it by a rule of its own. A final readout after the engine's
+// verdict takes a //lint:allow. Test files may do either for
+// white-box checks.
 type Layering struct{}
 
 // Name implements Analyzer.
@@ -35,7 +46,7 @@ func (Layering) Name() string { return "layering" }
 
 // Doc implements Analyzer.
 func (Layering) Doc() string {
-	return "experiments and cmd packages drive the protocol through internal/engine, never internal/sim, internal/livenet or core.NewNode directly"
+	return "experiments and cmd packages drive the protocol through internal/engine, never internal/sim, internal/livenet or core.NewNode directly, and leave convergence to the engine rather than polling Spread"
 }
 
 // Check implements Analyzer.
@@ -43,6 +54,7 @@ func (Layering) Check(u *Unit) []Diagnostic {
 	if !inAnyDir(u.Rel, layeredDirs) {
 		return nil
 	}
+	probes := !inAnyDir(u.Rel, []string{spreadExempt})
 	var diags []Diagnostic
 	for _, f := range u.Files {
 		for _, imp := range f.Imports {
@@ -65,11 +77,20 @@ func (Layering) Check(u *Unit) []Diagnostic {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && u.isNewNode(call) {
+			call, ok := n.(*ast.CallExpr)
+			switch {
+			case !ok:
+			case u.isNewNode(call):
 				diags = append(diags, Diagnostic{
 					Pos:     u.Fset.Position(call.Pos()),
 					Rule:    "layering",
 					Message: "core.NewNode call in " + u.Rel + "; run the nodes through engine.New instead",
+				})
+			case probes && u.isSpreadProbe(call):
+				diags = append(diags, Diagnostic{
+					Pos:     u.Fset.Position(call.Pos()),
+					Rule:    "layering",
+					Message: "Spread call in " + u.Rel + "; let RunUntilConverged or WaitConverged judge convergence",
 				})
 			}
 			return true
@@ -90,6 +111,17 @@ func (u *Unit) isNewNode(call *ast.CallExpr) bool {
 	}
 	pkg, ok := u.Info.Uses[id].(*types.PkgName)
 	return ok && pkg.Imported().Path() == u.Module+"/internal/core"
+}
+
+// isSpreadProbe reports whether call invokes Spread on engine.Engine,
+// *distclass.System or *distclass.LiveCluster (the module's root
+// package), however the receiver reaches the method.
+func (u *Unit) isSpreadProbe(call *ast.CallExpr) bool {
+	switch u.methodRecv(call, "Spread") {
+	case u.Module + "/internal/engine.Engine", u.Module + ".System", u.Module + ".LiveCluster":
+		return true
+	}
+	return false
 }
 
 // inAnyDir reports whether rel is one of the directories or nested

@@ -11,3 +11,9 @@ import (
 
 // Run is a stand-in for the shared protocol loop.
 func Run() int { return 0 }
+
+// Engine mirrors the real engine's interface: its Spread is the probe
+// behind the one convergence rule.
+type Engine interface {
+	Spread() (float64, error)
+}

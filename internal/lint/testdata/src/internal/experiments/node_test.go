@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fixmod/internal/core"
+	"fixmod/internal/engine"
 )
 
 // A test may build a node for a white-box driver check: not a finding.
@@ -12,3 +13,6 @@ func TestNode(t *testing.T) {
 		t.Fatal("nil node")
 	}
 }
+
+// A test may probe the spread for a white-box check: not a finding.
+func spreadOf(eng engine.Engine) (float64, error) { return eng.Spread() }

@@ -352,8 +352,10 @@ func CholeskyWorkspace(d int) *Cholesky {
 // Factor refactors c in place over a new matrix of the same dimension,
 // reusing the factor storage — the allocation-free path for hot loops
 // that factor many same-sized covariances (em.ReduceMixture's affinity
-// kernel). On error the factor contents are unspecified; refactor
-// before further use.
+// kernel). A failed pivot returns the bare ErrNotSPD, so the failures
+// those loops expect (rank-deficient covariances, ridge retries)
+// allocate nothing either. On error the factor contents are
+// unspecified; refactor before further use.
 func (c *Cholesky) Factor(a *Matrix) error {
 	d := a.d
 	if c.d != d {
@@ -373,7 +375,7 @@ func (c *Cholesky) Factor(a *Matrix) error {
 			}
 			if i == j {
 				if s <= 0 || math.IsNaN(s) {
-					return fmt.Errorf("%w: pivot %d is %v", ErrNotSPD, i, s)
+					return ErrNotSPD
 				}
 				c.l[i*d+i] = math.Sqrt(s)
 			} else {

@@ -278,6 +278,22 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 }
 
+// TestFactorNotSPDAllocFree pins the failure branch of Factor at zero
+// allocations: EM's ridge ladder and certificate refactor rank-1
+// covariances and expect the pivot to fail.
+func TestFactorNotSPDAllocFree(t *testing.T) {
+	c := CholeskyWorkspace(2)
+	rank1 := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
+	allocs := testing.AllocsPerRun(100, func() {
+		if !errors.Is(c.Factor(rank1), ErrNotSPD) {
+			t.Fatal("rank-1 matrix factored")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("failed Factor allocates %v times, want 0", allocs)
+	}
+}
+
 func mustFromRows(t *testing.T, rows [][]float64) *Matrix {
 	t.Helper()
 	m, err := FromRows(rows)
